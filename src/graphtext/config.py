@@ -11,11 +11,11 @@ import dataclasses
 import json
 from dataclasses import dataclass
 
-from .data import DEFAULT_PROMPT, DataError
-from .decoding import MODES, DecodeConfig
-from .gnn import FAMILIES, SAGE_AGGREGATORS, GnnConfig
-from .model import VARIATIONS, ModelConfig
-from .training import FREEZE_MODES, TrainConfig
+from .data import DEFAULT_PROMPT, RESERVED_TOKENS, DataError
+from .decoding import DecodeConfig
+from .gnn import GnnConfig
+from .model import ModelConfig
+from .training import TrainConfig
 
 
 @dataclass
@@ -58,26 +58,23 @@ class RunConfig:
     length_penalty: float = 1.0
 
     def __post_init__(self) -> None:
+        # upper-cased here too so the saved config.json shows what ran
         self.variation = self.variation.upper()
         self.gnn_family = self.gnn_family.upper()
         self.sage_aggregator = self.sage_aggregator.upper()
         self.freeze_mode = self.freeze_mode.upper()
         self.decode_mode = self.decode_mode.upper()
-        for value, allowed, label in (
-                (self.variation, VARIATIONS, "variation"),
-                (self.gnn_family, FAMILIES, "gnn_family"),
-                (self.sage_aggregator, SAGE_AGGREGATORS, "sage_aggregator"),
-                (self.freeze_mode, FREEZE_MODES, "freeze_mode"),
-                (self.decode_mode, MODES, "decode_mode")):
-            if value not in allowed:
-                raise ValueError(f"{label} must be one of {allowed}")
+        # each sub-config checks its own fields; the smallest vocabulary
+        # stands in for the one the data will give
+        self.model_config(len(RESERVED_TOKENS))
+        self.train_config()
+        self.decode_config()
 
     def model_config(self, vocab_size: int) -> ModelConfig:
-        gnn = None
-        if self.variation.upper() != "BASE":
-            gnn = GnnConfig(family=self.gnn_family, in_dim=self.d_model,
-                            out_dim=self.d_model, gat_heads=self.gat_heads,
-                            sage_aggregator=self.sage_aggregator)
+        # ModelConfig drops the GNN config for BASE
+        gnn = GnnConfig(family=self.gnn_family, in_dim=self.d_model,
+                        out_dim=self.d_model, gat_heads=self.gat_heads,
+                        sage_aggregator=self.sage_aggregator)
         return ModelConfig(
             vocab_size=vocab_size, d_model=self.d_model,
             num_heads=self.num_heads,
@@ -95,8 +92,7 @@ class RunConfig:
             beta2=self.beta2, adam_eps=self.adam_eps,
             clip_norm=self.clip_norm, lambda_gr=self.lambda_gr,
             freeze_mode=self.freeze_mode,
-            disable_gr_loss=self.disable_gr_loss,
-            unidirectional_edges=self.unidirectional_edges, seed=self.seed,
+            disable_gr_loss=self.disable_gr_loss, seed=self.seed,
             eval_every=self.eval_every,
             stop_token_accuracy=self.stop_token_accuracy,
             stop_gr_accuracy=self.stop_gr_accuracy)

@@ -142,10 +142,8 @@ def normalize_entity(s: str) -> str:
 # dataset parsing
 
 
-def parse_dataset(path: str, format: str = "jsonl") -> list[Example]:
+def parse_dataset(path: str) -> list[Example]:
     """Read a JSON-lines dataset; every malformed line fails loudly."""
-    if format != "jsonl":
-        raise DataError(f"unsupported dataset format {format!r}")
     examples: list[Example] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -215,12 +213,11 @@ class Vocabulary:
     def encode(self, tokens: Iterable[str]) -> list[int]:
         return [self.id_of(t) for t in tokens]
 
-    def decode(self, ids: Iterable[int], drop_reserved: bool = True) -> str:
+    def decode(self, ids: Iterable[int]) -> str:
+        """Space-joined tokens, reserved tokens dropped."""
+        reserved = set(RESERVED_TOKENS)
         toks = [self._id_to_token[i] for i in ids]
-        if drop_reserved:
-            reserved = set(RESERVED_TOKENS)
-            toks = [t for t in toks if t not in reserved]
-        return " ".join(toks)
+        return " ".join(t for t in toks if t not in reserved)
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -46,7 +46,6 @@ class DecodeConfig:
 class Hypothesis:
     token_ids: list[int]  # starts with BOS; ends with EOS unless length-capped
     log_prob: float
-    finished: bool
 
     def generated(self, eos_id: int = EOS_ID) -> list[int]:
         """Tokens after BOS, without the terminating EOS."""
@@ -68,7 +67,7 @@ def beam_search(step_fn: StepFn, config: DecodeConfig,
                 bos_id: int = BOS_ID, eos_id: int = EOS_ID) -> Hypothesis:
     """Run the beam over ``step_fn(prefix) -> log-probs`` and return the
     best finished hypothesis."""
-    beams = [Hypothesis([bos_id], 0.0, False)]
+    beams = [Hypothesis([bos_id], 0.0)]
     finished: list[Hypothesis] = []
     slots = config.effective_beam
     max_new = config.max_target_length - 1  # budget excludes BOS
@@ -85,11 +84,11 @@ def beam_search(step_fn: StepFn, config: DecodeConfig,
         beams = []
         for score, toks in candidates[:slots]:
             if toks[-1] == eos_id:
-                finished.append(Hypothesis(toks, score, True))
+                finished.append(Hypothesis(toks, score))
                 slots -= 1
             else:
-                beams.append(Hypothesis(toks, score, False))
-    finished.extend(Hypothesis(h.token_ids, h.log_prob, True) for h in beams)
+                beams.append(Hypothesis(toks, score))
+    finished.extend(beams)  # length-capped: the last token is not EOS
     return min(finished,
                key=lambda h: (-normalized_score(h, config.length_penalty),
                               h.token_ids))

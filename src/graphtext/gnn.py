@@ -29,7 +29,6 @@ class GnnConfig:
     family: str = "SAGE"
     in_dim: int = 64
     out_dim: int = 64
-    num_relation_buckets: int = NUM_RELATION_BUCKETS
     gat_heads: int = 4
     identity_mode: bool = False
     sage_aggregator: str = "MEAN"
@@ -65,11 +64,10 @@ class GraphTensors:
     bucket_matrices: list[T.Tensor | None]
 
 
-def graph_tensors(graph: HierGraph,
-                  num_buckets: int = NUM_RELATION_BUCKETS) -> GraphTensors:
+def graph_tensors(graph: HierGraph) -> GraphTensors:
     n = graph.num_nodes
     adj = np.zeros((n, n), dtype=bool)
-    buckets = np.zeros((num_buckets, n, n), dtype=np.float64)
+    buckets = np.zeros((NUM_RELATION_BUCKETS, n, n), dtype=np.float64)
     for e in graph.edges:
         adj[e.dst, e.src] = True
         buckets[bucket_index(e.rel, e.dir), e.dst, e.src] = 1.0
@@ -77,7 +75,7 @@ def graph_tensors(graph: HierGraph,
         raise ValueError("graph has a node with no incoming edge")
     deg = adj.sum(axis=1, keepdims=True).astype(np.float64)
     mats: list[T.Tensor | None] = []
-    for b in range(num_buckets):
+    for b in range(NUM_RELATION_BUCKETS):
         bdeg = buckets[b].sum(axis=1, keepdims=True)
         if bdeg.sum() == 0:
             mats.append(None)
@@ -122,7 +120,7 @@ class GnnLayer:
                     f"{prefix}.a_dst{h}", xavier(rng, do, 1, shape=(do, 1)))
         else:  # RGCN
             self.p["w0"] = store.create(f"{prefix}.w0", xavier(rng, di, do))
-            for b in range(config.num_relation_buckets):
+            for b in range(NUM_RELATION_BUCKETS):
                 self.p[f"rel{b}"] = store.create(f"{prefix}.rel{b}",
                                                  xavier(rng, di, do))
             self.p["b"] = store.create(f"{prefix}.b", np.zeros(do))

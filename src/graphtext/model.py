@@ -51,6 +51,8 @@ class ModelConfig:
         self.variation = self.variation.upper()
         if self.variation not in VARIATIONS:
             raise ValueError(f"unknown variation {self.variation!r}")
+        if self.d_model < 1 or self.num_heads < 1:
+            raise ValueError("d_model and num_heads must be >= 1")
         if self.d_model % self.num_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by {self.num_heads} heads")
@@ -101,13 +103,10 @@ def multi_head_attention(q_in: T.Tensor, kv_in: T.Tensor,
 
 def graph_guided_attention(x: T.Tensor, gt: GraphTensors | None,
                            gnn_layer: GnnLayer | None, wq, wk, wv, wo,
-                           num_heads: int, variation: str,
-                           mask: np.ndarray | None = None,
-                           return_weights: bool = False) -> AttentionOutput:
+                           num_heads: int, variation: str) -> AttentionOutput:
     """Route token states (and their GNN update) into attention."""
     if variation == "BASE":
-        return multi_head_attention(x, x, wq, wk, wv, wo, num_heads, mask,
-                                    return_weights)
+        return multi_head_attention(x, x, wq, wk, wv, wo, num_heads)
     if gt is None or gnn_layer is None:
         raise ValueError(f"variation {variation} requires a token graph")
     xt = gnn_layer.forward(x, gt)
@@ -117,8 +116,7 @@ def graph_guided_attention(x: T.Tensor, gt: GraphTensors | None,
         q_in, kv_in = x, xt
     else:  # VAR2
         q_in, kv_in = xt, xt
-    return multi_head_attention(q_in, kv_in, wq, wk, wv, wo, num_heads, mask,
-                                return_weights)
+    return multi_head_attention(q_in, kv_in, wq, wk, wv, wo, num_heads)
 
 
 class Seq2SeqModel:
@@ -198,8 +196,7 @@ class Seq2SeqModel:
         return T.add(T.matmul(hidden, layer["ff_w2"]), layer["ff_b2"])
 
     def encode(self, inp: TokenizedGraphInput | list[int],
-               gt: GraphTensors | None,
-               pad_mask: np.ndarray | None = None) -> T.Tensor:
+               gt: GraphTensors | None) -> T.Tensor:
         """Final encoder states (seq x d_model), ready for the decoder and
         the relation head."""
         token_ids = inp.token_ids if isinstance(inp, TokenizedGraphInput) else inp
@@ -207,23 +204,17 @@ class Seq2SeqModel:
             raise T.ShapeError(
                 f"input length {len(token_ids)} exceeds the model maximum")
         x = self._embed(token_ids)
-        n = len(token_ids)
-        mask = None
-        if pad_mask is not None:
-            mask = np.broadcast_to(np.asarray(pad_mask, dtype=bool), (n, n))
         for layer in self.enc_layers:
             u = T.layer_norm(x, layer["ln1_g"], layer["ln1_b"])
             att = graph_guided_attention(
                 u, gt, layer["gnn"], layer["wq"], layer["wk"], layer["wv"],
-                layer["wo"], self.config.num_heads, self.config.variation,
-                mask=mask)
+                layer["wo"], self.config.num_heads, self.config.variation)
             x = T.add(x, att.values)
             u = T.layer_norm(x, layer["ln2_g"], layer["ln2_b"])
             x = T.add(x, self._feedforward(layer, u))
         return T.layer_norm(x, self.enc_ln_g, self.enc_ln_b)
 
-    def decode(self, prefix_ids: list[int], enc_states: T.Tensor,
-               enc_mask: np.ndarray | None = None) -> T.Tensor:
+    def decode(self, prefix_ids: list[int], enc_states: T.Tensor) -> T.Tensor:
         """Teacher-forced logits (prefix_len x vocab) under a causal mask."""
         m = len(prefix_ids)
         if m > self.config.max_target_length:
@@ -231,10 +222,6 @@ class Seq2SeqModel:
                 f"target length {m} exceeds the model maximum")
         y = self._embed(prefix_ids)
         causal = np.tril(np.ones((m, m), dtype=bool))
-        cross_mask = None
-        if enc_mask is not None:
-            cross_mask = np.broadcast_to(np.asarray(enc_mask, dtype=bool),
-                                         (m, enc_states.shape[0]))
         for layer in self.dec_layers:
             u = T.layer_norm(y, layer["ln1_g"], layer["ln1_b"])
             att = multi_head_attention(u, u, layer["sq"], layer["sk"],
@@ -244,7 +231,7 @@ class Seq2SeqModel:
             u = T.layer_norm(y, layer["ln2_g"], layer["ln2_b"])
             att = multi_head_attention(u, enc_states, layer["cq"], layer["ck"],
                                        layer["cv"], layer["co"],
-                                       self.config.num_heads, mask=cross_mask)
+                                       self.config.num_heads)
             y = T.add(y, att.values)
             u = T.layer_norm(y, layer["ln3_g"], layer["ln3_b"])
             y = T.add(y, self._feedforward(layer, u))

@@ -7,16 +7,20 @@ that has ``requires_grad`` set. There is no general autodiff: the op
 vocabulary is exactly what the model needs, which keeps each backward
 rule small enough to verify against finite differences.
 
-Double precision is the default dtype; single precision can be selected
-per tensor for training runs.
+Values are double precision. A tensor built from float32 data keeps that
+dtype, and checkpoints record each tensor's dtype, but no model or
+training path creates float32 tensors.
 """
 from __future__ import annotations
 
 import contextlib
+import math
 import struct
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+
+from .data import DataError
 
 
 class ShapeError(ValueError):
@@ -25,6 +29,10 @@ class ShapeError(ValueError):
 
 class NumericsError(ArithmeticError):
     """Raised in checked mode when an op produces a non-finite value."""
+
+
+class CheckpointError(DataError):
+    """A checkpoint file that is malformed or does not fit the model."""
 
 
 _GRAD_ENABLED = True
@@ -98,16 +106,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # Operator sugar used heavily by tests; forwards to module-level ops.
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor],
@@ -340,23 +338,6 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     return _result(data, (a, gain, bias), backward)
 
 
-def dropout(a: Tensor, rate: float, rng_seed: int) -> Tensor:
-    """Inverted dropout with a mask fixed by ``rng_seed``; rate 0 is identity."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return a
-    rng = np.random.default_rng(rng_seed)
-    keep = rng.random(a.shape) >= rate
-    factor = keep / (1.0 - rate)
-    data = a.data * factor
-
-    def backward(g: np.ndarray) -> None:
-        a.accumulate_grad(g * factor)
-
-    return _result(data, (a,), backward)
-
-
 def cross_entropy(logits: Tensor, target_ids: Sequence[int],
                   ignore_id: int | None = None,
                   reduction: str = "mean") -> Tensor:
@@ -428,16 +409,6 @@ def tsum(a: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         a.accumulate_grad(np.full_like(a.data, float(g)))
-
-    return _result(data, (a,), backward)
-
-
-def tmean(a: Tensor) -> Tensor:
-    n = a.data.size
-    data = np.asarray(a.data.mean())
-
-    def backward(g: np.ndarray) -> None:
-        a.accumulate_grad(np.full_like(a.data, float(g) / n))
 
     return _result(data, (a,), backward)
 
@@ -619,11 +590,12 @@ class ParameterStore:
         match this store exactly. Optimizer moments are reset."""
         loaded = read_checkpoint(path)
         if list(loaded) != list(self._params):
-            raise ValueError("checkpoint parameter names do not match the model")
+            raise CheckpointError(
+                f"checkpoint {path} parameter names do not match the model")
         for name, arr in loaded.items():
             t = self._params[name]
             if arr.shape != t.data.shape:
-                raise ValueError(
+                raise CheckpointError(
                     f"checkpoint shape {arr.shape} != model shape {t.data.shape}"
                     f" for {name!r}")
             t.data = arr
@@ -633,9 +605,18 @@ class ParameterStore:
 
 
 def read_checkpoint(path: str) -> dict[str, np.ndarray]:
-    """Parse a checkpoint file into an ordered name -> array mapping."""
+    """Parse a checkpoint file into an ordered name -> array mapping.
+
+    Any malformed content raises :class:`CheckpointError`."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    try:
+        return _parse_checkpoint(blob)
+    except (struct.error, ValueError) as exc:  # UnicodeDecodeError included
+        raise CheckpointError(f"malformed checkpoint {path}: {exc}") from None
+
+
+def _parse_checkpoint(blob: bytes) -> dict[str, np.ndarray]:
     if blob[:4] != _MAGIC:
         raise ValueError("not a model checkpoint (bad magic)")
     version, count = struct.unpack_from("<II", blob, 4)
@@ -652,9 +633,12 @@ def read_checkpoint(path: str) -> dict[str, np.ndarray]:
         off += 2
         dims = struct.unpack_from(f"<{rank}I", blob, off) if rank else ()
         off += 4 * rank
+        if code not in _CODE_DTYPES:
+            raise ValueError(f"unknown dtype code {code} for {name!r}")
         dtype = _CODE_DTYPES[code]
-        n = int(np.prod(dims)) if dims else 1
-        nbytes = n * dtype.itemsize
+        nbytes = math.prod(dims) * dtype.itemsize
+        if off + nbytes > len(blob):
+            raise ValueError(f"truncated values for {name!r}")
         arr = np.frombuffer(blob[off:off + nbytes],
                             dtype=dtype.newbyteorder("<")).astype(dtype)
         off += nbytes

@@ -41,7 +41,6 @@ class TrainConfig:
     lambda_gr: float = 0.08
     freeze_mode: str = "NONE"
     disable_gr_loss: bool = False
-    unidirectional_edges: bool = False
     seed: int = 123
     eval_every: int = 1
     # optional early stopping on training accuracy; every provided
@@ -53,8 +52,8 @@ class TrainConfig:
         self.freeze_mode = self.freeze_mode.upper()
         if self.freeze_mode not in FREEZE_MODES:
             raise ValueError(f"unknown freeze mode {self.freeze_mode!r}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        if self.epochs < 1 or self.batch_size < 1 or self.eval_every < 1:
+            raise ValueError("epochs, batch_size and eval_every must be >= 1")
         if self.lambda_gr < 0.0:
             raise ValueError("lambda_gr must be >= 0")
 
@@ -289,8 +288,3 @@ def sweep_lambda(model_config: ModelConfig, items: list[TrainItem],
         with open(json_path, "w") as fh:
             json.dump(payload, fh, indent=2)
     return results
-
-
-def uniform_baseline_loss(vocab_size: int) -> float:
-    """Cross-entropy of a uniform predictor, the untrained reference point."""
-    return math.log(vocab_size)

@@ -1,4 +1,9 @@
 import json
+import math
+import random
+import shutil
+import struct
+from pathlib import Path
 
 import pytest
 
@@ -219,3 +224,103 @@ def test_invalid_config_value_is_data_error(tmp_path, capsys):
     code = cli.main(["train", "--config", str(cfg), "--data", data,
                      "--out", str(tmp_path / "run")])
     assert code == 2
+
+
+# -- bad configs and checkpoints: exit 2, one stderr line ----------------------
+
+def _assert_data_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("data error: "), err
+
+
+def _copy_run(run, dest, **config_changes):
+    shutil.copytree(run, dest)
+    path = dest / "config.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()),
+                                **config_changes}))
+    return dest
+
+
+def _header_offsets(blob):
+    """Offsets of every checkpoint byte except the parameter values (layout
+    in ParameterStore.save). Values carry no checksum, so a flip there
+    loads as other weights; every other flip must be rejected."""
+    offsets = list(range(12))  # magic, format version, parameter count
+    (count,) = struct.unpack_from("<I", blob, 8)
+    off = 12
+    for _ in range(count):
+        (nlen,) = struct.unpack_from("<H", blob, off)
+        code, rank = blob[off + 2 + nlen], blob[off + 3 + nlen]
+        head = 4 + nlen + 4 * rank
+        dims = struct.unpack_from(f"<{rank}I", blob, off + 4 + nlen)
+        offsets.extend(range(off, off + head))
+        off += head + math.prod(dims) * (4 if code == 0 else 8)
+    assert off == len(blob)
+    return offsets
+
+
+@pytest.mark.parametrize("bad", [{"d_model": 30, "num_heads": 4},
+                                 {"epochs": 0}, {"beam_size": 0}])
+def test_bad_config_is_data_error_for_every_command(workspace, tmp_path,
+                                                     capsys, bad):
+    data = workspace["data"]
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({**CONFIG, **bad}))
+    run = _copy_run(workspace["run"], tmp_path / "run", **bad)
+    for argv in (
+            ["train", "--config", str(cfg), "--data", data,
+             "--out", str(tmp_path / "out")],
+            ["sweep-lambda", "--config", str(cfg), "--data", data,
+             "--val", data, "--out", str(tmp_path / "sweep"),
+             "--values", "0.08"],
+            ["generate", "--run", str(run), "--data", data],
+            ["eval", "--run", str(run), "--data", data]):
+        _assert_data_error(cli.main(argv), capsys)
+
+
+def test_bad_flag_values_are_data_errors(workspace, tmp_path, capsys):
+    data = workspace["data"]
+    _assert_data_error(cli.main(
+        ["train", "--config", workspace["config"], "--data", data,
+         "--out", str(tmp_path / "out"), "--epochs", "0"]), capsys)
+    for command in ("generate", "eval"):
+        _assert_data_error(cli.main(
+            [command, "--run", workspace["run"], "--data", data,
+             "--beam-size", "0"]), capsys)
+
+
+def test_damaged_checkpoint_is_data_error(workspace, tmp_path, capsys):
+    rng = random.Random(2024)
+    blob = (Path(workspace["run"]) / "model.ckpt").read_bytes()
+    damaged = [blob[:n] for n in (0, 3, 100, rng.randrange(12, len(blob)),
+                                  len(blob) - 1)]
+    for pos in rng.sample(_header_offsets(blob), 10):
+        flipped = bytearray(blob)
+        flipped[pos] ^= rng.randrange(1, 256)
+        damaged.append(bytes(flipped))
+    run = _copy_run(workspace["run"], tmp_path / "run")
+    for content in damaged:
+        (run / "model.ckpt").write_bytes(content)
+        for command in ("eval", "generate"):
+            _assert_data_error(cli.main([command, "--run", str(run),
+                                         "--data", workspace["data"]]),
+                               capsys)
+
+
+@pytest.mark.parametrize("change", [{"d_model": 16},
+                                    {"variation": "BASE"}])
+def test_checkpoint_of_another_model_is_data_error(workspace, tmp_path,
+                                                   capsys, change):
+    cfg = tmp_path / "other.json"
+    cfg.write_text(json.dumps({**CONFIG, **change}))
+    other = tmp_path / "other"
+    assert cli.main(["train", "--config", str(cfg), "--data",
+                     workspace["data"], "--out", str(other)]) == 0
+    capsys.readouterr()
+    run = _copy_run(workspace["run"], tmp_path / "run")
+    shutil.copy(other / "model.ckpt", run / "model.ckpt")
+    for command in ("eval", "generate"):
+        _assert_data_error(cli.main([command, "--run", str(run),
+                                     "--data", workspace["data"]]), capsys)

@@ -78,7 +78,7 @@ def rgcn_oracle(states, graph, layer):
     n = graph.num_nodes
     out_dim = layer.config.out_dim
     msgs = np.zeros((n, out_dim))
-    for b in range(layer.config.num_relation_buckets):
+    for b in range(N.NUM_RELATION_BUCKETS):
         w = layer.p[f"rel{b}"].data
         for v in range(n):
             nbrs = [e.src for e in graph.edges
@@ -104,7 +104,7 @@ def test_rgcn_identity_weights_sum_bucket_means():
     graph = tiny_graph()
     gt = N.graph_tensors(graph)
     layer, _ = make_layer("RGCN", 2)
-    for b in range(layer.config.num_relation_buckets):
+    for b in range(N.NUM_RELATION_BUCKETS):
         layer.p[f"rel{b}"].data = np.eye(2)
     rng = np.random.default_rng(6)
     states = rng.standard_normal((2, 2))
