@@ -11,7 +11,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 
-from .data import DEFAULT_PROMPT, RESERVED_TOKENS, DataError
+from .data import DEFAULT_PROMPT, RESERVED_TOKENS, DataError, atomic_write
 from .decoding import DecodeConfig
 from .gnn import GnnConfig
 from .model import ModelConfig
@@ -103,8 +103,10 @@ class RunConfig:
                             length_penalty=self.length_penalty)
 
 
-def _field_names() -> set[str]:
-    return {f.name for f in dataclasses.fields(RunConfig)}
+# the JSON types each annotation admits; Python counts a bool as an int,
+# so a bool passes only where the annotation says bool
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool,
+               "None": type(None)}
 
 
 def load_config(path: str | None = None,
@@ -114,21 +116,23 @@ def load_config(path: str | None = None,
     if path is not None:
         with open(path, encoding="utf-8") as fh:
             try:
-                raw = json.load(fh)
+                values = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise DataError(f"config is not valid JSON: {exc.msg}") from None
-        if not isinstance(raw, dict):
+        if not isinstance(values, dict):
             raise DataError("config file must hold a JSON object")
-        unknown = sorted(set(raw) - _field_names())
-        if unknown:
-            raise DataError(f"unknown config keys: {', '.join(unknown)}")
-        values.update(raw)
-    if overrides:
-        for key, val in overrides.items():
-            if key not in _field_names():
-                raise DataError(f"unknown config key: {key}")
-            if val is not None:
-                values[key] = val
+    overrides = overrides or {}
+    types = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+    unknown = sorted((set(values) | set(overrides)) - set(types))
+    if unknown:
+        raise DataError(f"unknown config keys: {', '.join(unknown)}")
+    values.update((k, v) for k, v in overrides.items() if v is not None)
+    for key, value in values.items():
+        if not any(isinstance(value, _JSON_TYPES[t])
+                   and isinstance(value, bool) == (t == "bool")
+                   for t in types[key].split(" | ")):
+            raise DataError(f"bad config value: {key} must be {types[key]},"
+                            f" got {value!r}")
     try:
         return RunConfig(**values)
     except (TypeError, ValueError) as exc:
@@ -136,6 +140,6 @@ def load_config(path: str | None = None,
 
 
 def save_config(config: RunConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dataclasses.asdict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(dataclasses.asdict(config), indent=2, sort_keys=True)
+    with atomic_write(path) as fh:
+        fh.write((text + "\n").encode("utf-8"))

@@ -12,11 +12,13 @@ built downstream without re-deriving structure from surface forms.
 """
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import BinaryIO, Iterable, Iterator
 
 DEFAULT_PROMPT = "translate graph to English: "
 MAX_SEQUENCE_LENGTH = 187
@@ -38,6 +40,23 @@ PAD_ID, UNK_ID, BOS_ID, EOS_ID, GRAPH_ID, H_ID, R_ID, T_ID = range(8)
 
 class DataError(ValueError):
     """Malformed dataset content; message carries line numbers/field names."""
+
+
+@contextlib.contextmanager
+def atomic_write(path: str) -> Iterator[BinaryIO]:
+    """Write ``path`` via a temporary file beside it, moved onto ``path`` when
+    the block completes; a failure leaves the old file and no temporary."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 class TokenKind(Enum):
@@ -220,9 +239,8 @@ class Vocabulary:
         return " ".join(t for t in toks if t not in reserved)
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for tok in self._id_to_token:
-                fh.write(tok + "\n")
+        with atomic_write(path) as fh:
+            fh.write("".join(t + "\n" for t in self._id_to_token).encode("utf-8"))
 
     @classmethod
     def load(cls, path: str) -> "Vocabulary":

@@ -157,10 +157,11 @@ class GnnLayer:
 
     def _gat_head(self, states: T.Tensor, gt: GraphTensors, h: int):
         proj = T.matmul(states, self.p[f"w{h}"])  # (n, out)
-        s_src = T.matmul(proj, self.p[f"a_src{h}"])  # (n, 1)
+        s_src = T.matmul(self.p[f"a_src{h}"], proj, transpose_a=True,
+                         transpose_b=True)  # (1, n)
         s_dst = T.matmul(proj, self.p[f"a_dst{h}"])  # (n, 1)
         # row v, column u: score of edge u -> v
-        logits = T.leaky_relu(T.add(s_dst, T.transpose(s_src)), 0.2)
+        logits = T.leaky_relu(T.add(s_dst, s_src), 0.2)
         alpha = T.softmax_last_dim(logits, mask=gt.in_mask)
         return T.matmul(alpha, proj), alpha
 

@@ -64,49 +64,30 @@ class ModelConfig:
                                      or self.gnn.out_dim != self.d_model):
             raise ValueError("GNN dims must equal d_model for the residual path")
 
-    @property
-    def d_k(self) -> int:
-        return self.d_model // self.num_heads
-
-
-@dataclass
-class AttentionOutput:
-    values: T.Tensor
-    weights: list[np.ndarray] | None = None  # per head, rows sum to 1
-
 
 def multi_head_attention(q_in: T.Tensor, kv_in: T.Tensor,
                          wq: T.Tensor, wk: T.Tensor, wv: T.Tensor, wo: T.Tensor,
-                         num_heads: int, mask: np.ndarray | None = None,
-                         return_weights: bool = False) -> AttentionOutput:
+                         num_heads: int, mask: np.ndarray | None = None
+                         ) -> tuple[T.Tensor, T.Tensor]:
     """Scaled dot-product attention; heads are column blocks of the merged
-    projection matrices. ``mask`` is (query, key) boolean, True = attend."""
-    d_model = wq.shape[1]
-    dk = d_model // num_heads
-    q = T.matmul(q_in, wq)
-    k = T.matmul(kv_in, wk)
-    v = T.matmul(kv_in, wv)
-    heads = []
-    weights = [] if return_weights else None
-    for h in range(num_heads):
-        lo, hi = h * dk, (h + 1) * dk
-        scores = T.scale(T.matmul(T.slice_last_dim(q, lo, hi),
-                                  T.slice_last_dim(k, lo, hi), transpose_b=True),
-                         1.0 / math.sqrt(dk))
-        alpha = T.softmax_last_dim(scores, mask=mask)
-        if weights is not None:
-            weights.append(alpha.data.copy())
-        heads.append(T.matmul(alpha, T.slice_last_dim(v, lo, hi)))
-    out = T.matmul(T.concat_last_dim(heads), wo)
-    return AttentionOutput(values=out, weights=weights)
+    projection matrices. ``mask`` is (query, key) boolean, True = attend, for
+    every head. Returns the output and the (head, query, key) weights."""
+    dk = wq.shape[1] // num_heads
+    q = T.split_heads(T.matmul(q_in, wq), num_heads)
+    k = T.split_heads(T.matmul(kv_in, wk), num_heads)
+    v = T.split_heads(T.matmul(kv_in, wv), num_heads)
+    scores = T.scale(T.matmul(q, k, transpose_b=True), 1.0 / math.sqrt(dk))
+    alpha = T.softmax_last_dim(scores, mask=mask)
+    out = T.matmul(T.merge_heads(T.matmul(alpha, v)), wo)
+    return out, alpha
 
 
 def graph_guided_attention(x: T.Tensor, gt: GraphTensors | None,
                            gnn_layer: GnnLayer | None, wq, wk, wv, wo,
-                           num_heads: int, variation: str) -> AttentionOutput:
+                           num_heads: int, variation: str) -> T.Tensor:
     """Route token states (and their GNN update) into attention."""
     if variation == "BASE":
-        return multi_head_attention(x, x, wq, wk, wv, wo, num_heads)
+        return multi_head_attention(x, x, wq, wk, wv, wo, num_heads)[0]
     if gt is None or gnn_layer is None:
         raise ValueError(f"variation {variation} requires a token graph")
     xt = gnn_layer.forward(x, gt)
@@ -116,7 +97,7 @@ def graph_guided_attention(x: T.Tensor, gt: GraphTensors | None,
         q_in, kv_in = x, xt
     else:  # VAR2
         q_in, kv_in = xt, xt
-    return multi_head_attention(q_in, kv_in, wq, wk, wv, wo, num_heads)
+    return multi_head_attention(q_in, kv_in, wq, wk, wv, wo, num_heads)[0]
 
 
 class Seq2SeqModel:
@@ -206,10 +187,9 @@ class Seq2SeqModel:
         x = self._embed(token_ids)
         for layer in self.enc_layers:
             u = T.layer_norm(x, layer["ln1_g"], layer["ln1_b"])
-            att = graph_guided_attention(
+            x = T.add(x, graph_guided_attention(
                 u, gt, layer["gnn"], layer["wq"], layer["wk"], layer["wv"],
-                layer["wo"], self.config.num_heads, self.config.variation)
-            x = T.add(x, att.values)
+                layer["wo"], self.config.num_heads, self.config.variation))
             u = T.layer_norm(x, layer["ln2_g"], layer["ln2_b"])
             x = T.add(x, self._feedforward(layer, u))
         return T.layer_norm(x, self.enc_ln_g, self.enc_ln_b)
@@ -224,15 +204,15 @@ class Seq2SeqModel:
         causal = np.tril(np.ones((m, m), dtype=bool))
         for layer in self.dec_layers:
             u = T.layer_norm(y, layer["ln1_g"], layer["ln1_b"])
-            att = multi_head_attention(u, u, layer["sq"], layer["sk"],
-                                       layer["sv"], layer["so"],
-                                       self.config.num_heads, mask=causal)
-            y = T.add(y, att.values)
+            att, _ = multi_head_attention(u, u, layer["sq"], layer["sk"],
+                                          layer["sv"], layer["so"],
+                                          self.config.num_heads, mask=causal)
+            y = T.add(y, att)
             u = T.layer_norm(y, layer["ln2_g"], layer["ln2_b"])
-            att = multi_head_attention(u, enc_states, layer["cq"], layer["ck"],
-                                       layer["cv"], layer["co"],
-                                       self.config.num_heads)
-            y = T.add(y, att.values)
+            att, _ = multi_head_attention(u, enc_states, layer["cq"],
+                                          layer["ck"], layer["cv"],
+                                          layer["co"], self.config.num_heads)
+            y = T.add(y, att)
             u = T.layer_norm(y, layer["ln3_g"], layer["ln3_b"])
             y = T.add(y, self._feedforward(layer, u))
         y = T.layer_norm(y, self.dec_ln_g, self.dec_ln_b)

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .data import DataError
+from .data import DataError, atomic_write
 
 
 class ShapeError(ValueError):
@@ -28,7 +28,7 @@ class ShapeError(ValueError):
 
 
 class NumericsError(ArithmeticError):
-    """Raised in checked mode when an op produces a non-finite value."""
+    """Raised when training produces a non-finite loss."""
 
 
 class CheckpointError(DataError):
@@ -36,7 +36,6 @@ class CheckpointError(DataError):
 
 
 _GRAD_ENABLED = True
-_CHECKED_MODE = False
 
 
 @contextlib.contextmanager
@@ -49,18 +48,6 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _GRAD_ENABLED = prev
-
-
-@contextlib.contextmanager
-def checked() -> Iterator[None]:
-    """Raise :class:`NumericsError` on any non-finite op output."""
-    global _CHECKED_MODE
-    prev = _CHECKED_MODE
-    _CHECKED_MODE = True
-    try:
-        yield
-    finally:
-        _CHECKED_MODE = prev
 
 
 class Tensor:
@@ -110,8 +97,6 @@ class Tensor:
 
 def _result(data: np.ndarray, parents: Sequence[Tensor],
             backward: Callable[[np.ndarray], None]) -> Tensor:
-    if _CHECKED_MODE and not np.all(np.isfinite(data)):
-        raise NumericsError("non-finite value produced by op")
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -179,35 +164,28 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor, transpose_a: bool = False,
            transpose_b: bool = False) -> Tensor:
-    """2-D matrix product; the transpose flags avoid explicit transposes."""
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul: expected 2-D operands, got {a.shape} and {b.shape}")
-    am = a.data.T if transpose_a else a.data
-    bm = b.data.T if transpose_b else b.data
-    if am.shape[1] != bm.shape[0]:
-        raise ShapeError(f"matmul: inner dims of {am.shape} and {bm.shape} differ")
-    data = am @ bm
+    """Matrix product over the last two axes, broadcast over any leading
+    axes (numpy ``@``); a transpose flag swaps its operand's last two axes."""
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise ShapeError(f"matmul: operands need rank >= 2, got {a.shape} and {b.shape}")
+    am = np.swapaxes(a.data, -1, -2) if transpose_a else a.data
+    bm = np.swapaxes(b.data, -1, -2) if transpose_b else b.data
+    try:
+        data = am @ bm
+    except ValueError:  # inner or batch dims differ
+        raise ShapeError(f"matmul: cannot multiply {am.shape} by {bm.shape}") from None
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            ga = g @ bm.T
-            a.accumulate_grad(ga.T if transpose_a else ga)
+            ga = g @ np.swapaxes(bm, -1, -2)
+            ga = np.swapaxes(ga, -1, -2) if transpose_a else ga
+            a.accumulate_grad(_unbroadcast(ga, a.shape))
         if b.requires_grad:
-            gb = am.T @ g
-            b.accumulate_grad(gb.T if transpose_b else gb)
+            gb = np.swapaxes(am, -1, -2) @ g
+            gb = np.swapaxes(gb, -1, -2) if transpose_b else gb
+            b.accumulate_grad(_unbroadcast(gb, b.shape))
 
     return _result(data, (a, b), backward)
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expected 2-D operand, got {a.shape}")
-    data = a.data.T.copy()
-
-    def backward(g: np.ndarray) -> None:
-        a.accumulate_grad(g.T)
-
-    return _result(data, (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -250,15 +228,28 @@ def concat_last_dim(parts: Sequence[Tensor]) -> Tensor:
     return _result(data, tuple(parts), backward)
 
 
-def slice_last_dim(a: Tensor, start: int, stop: int) -> Tensor:
-    if not (0 <= start <= stop <= a.shape[-1]):
-        raise ShapeError(f"slice_last_dim: [{start}:{stop}] out of range for {a.shape}")
-    data = a.data[..., start:stop].copy()
+def split_heads(a: Tensor, num_heads: int) -> Tensor:
+    """(n, h*k) -> (h, n, k): column block i of ``a`` becomes head i."""
+    if a.data.ndim != 2 or num_heads < 1 or a.shape[1] % num_heads:
+        raise ShapeError(f"split_heads: cannot split {a.shape} into {num_heads} heads")
+    n, width = a.shape
+    data = a.data.reshape(n, num_heads, width // num_heads).transpose(1, 0, 2)
 
     def backward(g: np.ndarray) -> None:
-        full = np.zeros_like(a.data)
-        full[..., start:stop] = g
-        a.accumulate_grad(full)
+        a.accumulate_grad(g.transpose(1, 0, 2).reshape(n, width))
+
+    return _result(data, (a,), backward)
+
+
+def merge_heads(a: Tensor) -> Tensor:
+    """(h, n, k) -> (n, h*k), the inverse of :func:`split_heads`."""
+    if a.data.ndim != 3:
+        raise ShapeError(f"merge_heads: expected a 3-D operand, got {a.shape}")
+    h, n, k = a.shape
+    data = a.data.transpose(1, 0, 2).reshape(n, h * k)
+
+    def backward(g: np.ndarray) -> None:
+        a.accumulate_grad(g.reshape(n, h, k).transpose(1, 0, 2))
 
     return _result(data, (a,), backward)
 
@@ -285,14 +276,15 @@ def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
 def softmax_last_dim(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Softmax over the last axis.
 
-    ``mask`` (same shape, boolean, True = keep) assigns exactly zero weight
-    to masked positions; each row must keep at least one position.
+    ``mask`` (boolean, True = keep, broadcast to the input's shape) gives
+    masked positions exactly zero weight; each row must keep one position.
     """
     x = a.data
     if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != x.shape:
-            raise ShapeError(f"softmax mask shape {mask.shape} != input {x.shape}")
+        try:
+            mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
+        except ValueError:
+            raise ShapeError(f"softmax mask {np.shape(mask)} vs input {x.shape}") from None
         if not mask.any(axis=-1).all():
             raise ShapeError("softmax_last_dim: a row has no unmasked position")
         x = np.where(mask, x, -np.inf)
@@ -572,7 +564,7 @@ class ParameterStore:
         / 1 = f64), rank (u8), dims (u32 each), then the raw row-major
         little-endian values. Round trips are bit exact.
         """
-        with open(path, "wb") as fh:
+        with atomic_write(path) as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<II", _FORMAT_VERSION, len(self._params)))
             for name, t in self._params.items():

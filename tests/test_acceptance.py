@@ -74,7 +74,7 @@ def _fd_case_error(tensors, build):
     return max(relative_error(a, n) for a, n in zip(analytic, numeric))
 
 
-_NOT_TAPE_OPS = {"backward", "read_checkpoint", "no_grad", "checked"}
+_NOT_TAPE_OPS = {"backward", "read_checkpoint", "no_grad"}
 
 
 def _op_sweep():
@@ -131,9 +131,14 @@ def _op_sweep():
     case("matmul[tatb]", [m7, m8],
          lambda x=m7, y=m8: weighted(
              T.matmul(x, y, transpose_a=True, transpose_b=True), w35))
+    w235 = const((2, 3, 5))
+    b1, b2 = p(rng.normal(size=(2, 3, 4))), p(rng.normal(size=(2, 5, 4)))
+    case("matmul[batched]", [b1, b2],
+         lambda x=b1, y=b2: weighted(T.matmul(x, y, transpose_b=True), w235))
+    b3, b4 = p(rng.normal(size=(2, 3, 4))), p(rng.normal(size=(4, 5)))
+    case("matmul[broadcast]", [b3, b4],
+         lambda x=b3, y=b4: weighted(T.matmul(x, y), w235))
     w43 = const((4, 3))
-    tr = p(rng.normal(size=(3, 4)))
-    case("transpose", [tr], lambda x=tr: weighted(T.transpose(x), w43))
     r1 = p(away((3, 4)))
     case("relu", [r1], lambda x=r1: weighted(T.relu(x), w34))
     r2 = p(away((3, 4)))
@@ -142,10 +147,12 @@ def _op_sweep():
     c1, c2 = p(rng.normal(size=(3, 2))), p(rng.normal(size=(3, 3)))
     case("concat_last_dim", [c1, c2],
          lambda x=c1, y=c2: weighted(T.concat_last_dim([x, y]), w35))
-    w33 = const((3, 3))
-    sl = p(rng.normal(size=(3, 6)))
-    case("slice_last_dim", [sl],
-         lambda x=sl: weighted(T.slice_last_dim(x, 1, 4), w33))
+    w233 = const((2, 3, 3))
+    sh = p(rng.normal(size=(3, 6)))
+    case("split_heads", [sh], lambda x=sh: weighted(T.split_heads(x, 2), w233))
+    w36 = const((3, 6))
+    mh = p(rng.normal(size=(2, 3, 3)))
+    case("merge_heads", [mh], lambda x=mh: weighted(T.merge_heads(x), w36))
     w44 = const((4, 4))
     tbl = p(rng.normal(size=(7, 4)))
     case("embedding_lookup", [tbl],
@@ -156,7 +163,9 @@ def _op_sweep():
     s2 = p(rng.normal(size=(3, 5)))
     case("softmax_last_dim[masked]", [s2],
          lambda x=s2: weighted(T.softmax_last_dim(x, mask=sm_mask), w35))
-    w36 = const((3, 6))
+    s3 = p(rng.normal(size=(2, 3, 5)))
+    case("softmax_last_dim[broadcast-mask]", [s3],
+         lambda x=s3: weighted(T.softmax_last_dim(x, mask=sm_mask), w235))
     ln, lg, lb = (p(rng.normal(size=(3, 6))), p(rng.uniform(0.5, 1.5, 6)),
                   p(rng.normal(size=(6,))))
     case("layer_norm", [ln, lg, lb],

@@ -261,8 +261,13 @@ def _header_offsets(blob):
     return offsets
 
 
-@pytest.mark.parametrize("bad", [{"d_model": 30, "num_heads": 4},
-                                 {"epochs": 0}, {"beam_size": 0}])
+@pytest.mark.parametrize("bad", [
+    {"d_model": 30, "num_heads": 4}, {"epochs": 0}, {"beam_size": 0},
+    # values of the wrong JSON type
+    {"variation": 5}, {"variation": None}, {"prompt": 5}, {"epochs": 1.5},
+    {"d_model": 8.0}, {"num_encoder_layers": 1.5}, {"feedforward_dim": 16.5},
+    {"beam_size": 1.5}, {"max_target_length": 24.5},
+    {"tie_embeddings": "no"}])
 def test_bad_config_is_data_error_for_every_command(workspace, tmp_path,
                                                      capsys, bad):
     data = workspace["data"]

@@ -55,21 +55,24 @@ def iraq_inputs(vocab_size=None):
     return vocab, inp, graph, N.graph_tensors(graph)
 
 
-def test_attention_matches_bruteforce_oracle():
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_attention_matches_bruteforce_oracle(heads):
     rng = np.random.default_rng(0)
-    n, m, d, heads = 3, 5, 8, 2
+    n, m, d = 3, 5, 8
     q_in = T.Tensor(rng.standard_normal((n, d)))
     kv_in = T.Tensor(rng.standard_normal((m, d)))
     ws = [T.Tensor(rng.standard_normal((d, d)) * 0.5) for _ in range(4)]
     mask = rng.random((n, m)) > 0.3
     mask[:, 0] = True  # keep every row attendable
-    out = M.multi_head_attention(q_in, kv_in, *ws, num_heads=heads, mask=mask,
-                                 return_weights=True)
+    out, alpha = M.multi_head_attention(q_in, kv_in, *ws, num_heads=heads,
+                                        mask=mask)
     ref_out, ref_w = oracle_attention(q_in.data, kv_in.data,
                                       *[w.data for w in ws], num_heads=heads,
                                       mask=mask)
-    assert np.allclose(out.values.data, ref_out, atol=1e-10)
-    for got, ref in zip(out.weights, ref_w):
+    assert np.allclose(out.data, ref_out, atol=1e-10)
+    assert alpha.shape == (heads, n, m)
+    for h, ref in enumerate(ref_w):
+        got = alpha.data[h]
         assert np.allclose(got, ref, atol=1e-10)
         assert np.allclose(got.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(got[~mask] == 0.0)
@@ -80,9 +83,29 @@ def test_single_token_attention_weight_is_one():
     d = 8
     x = T.Tensor(rng.standard_normal((1, d)))
     ws = [T.Tensor(rng.standard_normal((d, d))) for _ in range(4)]
-    out = M.multi_head_attention(x, x, *ws, num_heads=4, return_weights=True)
-    for w in out.weights:
-        assert np.allclose(w, [[1.0]])
+    _, alpha = M.multi_head_attention(x, x, *ws, num_heads=4)
+    for h in range(4):
+        assert np.allclose(alpha.data[h], [[1.0]])
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4, 8])
+def test_attention_tape_size_does_not_grow_with_heads(heads):
+    """Counts the tape nodes one attention call records: the head split is
+    a tensor axis, so a per-head loop would add nodes per head."""
+    rng = np.random.default_rng(2)
+    d = 16
+    x = T.Tensor(rng.standard_normal((3, d)))
+    ws = [T.Tensor(rng.standard_normal((d, d)), requires_grad=True)
+          for _ in range(4)]
+    out, _ = M.multi_head_attention(x, x, *ws, num_heads=heads,
+                                    mask=np.tril(np.ones((3, 3), dtype=bool)))
+    recorded, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if node._backward is not None and id(node) not in recorded:
+            recorded.add(id(node))
+            stack.extend(node._parents)
+    assert len(recorded) == 12
 
 
 @pytest.mark.parametrize("variation", ["GRASAME", "VAR1", "VAR2"])
@@ -174,10 +197,9 @@ def test_cross_attention_rows_sum_to_one():
     dec_states = T.Tensor(rng.standard_normal((4, d)))
     enc_states = T.Tensor(rng.standard_normal((6, d)))
     ws = [T.Tensor(rng.standard_normal((d, d))) for _ in range(4)]
-    out = M.multi_head_attention(dec_states, enc_states, *ws, num_heads=2,
-                                 return_weights=True)
-    for w in out.weights:
-        assert np.allclose(w.sum(axis=1), 1.0, atol=1e-9)
+    _, alpha = M.multi_head_attention(dec_states, enc_states, *ws, num_heads=2)
+    for h in range(2):
+        assert np.allclose(alpha.data[h].sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_reconstruction_head_contracts():

@@ -46,6 +46,10 @@ def test_shape_mismatch_raises():
         T.add(a, b)
     with pytest.raises(T.ShapeError):
         T.matmul(a, b)
+    with pytest.raises(T.ShapeError):  # batch dims 2 and 3 do not broadcast
+        T.matmul(T.Tensor(np.zeros((2, 4, 3))), T.Tensor(np.zeros((3, 3, 5))))
+    with pytest.raises(T.ShapeError):
+        T.split_heads(T.Tensor(np.zeros((2, 6))), 4)
 
 
 @pytest.mark.parametrize("ta,tb", [(False, False), (True, False),
@@ -75,13 +79,10 @@ def test_concat_slice_roundtrip_and_grads():
     b = leaf(rng, 2, 2)
     cat = T.concat_last_dim([a, b])
     assert cat.shape == (2, 5)
-    assert np.array_equal(T.slice_last_dim(cat, 0, 3).data, a.data)
-    assert np.array_equal(T.slice_last_dim(cat, 3, 5).data, b.data)
-    w = T.Tensor(rng.standard_normal((2, 2)))
-    fd_check(lambda: T.tsum(T.mul(T.slice_last_dim(T.concat_last_dim([a, b]), 2, 4), w)),
-             [a, b])
-    with pytest.raises(T.ShapeError):
-        T.slice_last_dim(cat, 3, 6)
+    assert np.array_equal(cat.data[:, :3], a.data)
+    assert np.array_equal(cat.data[:, 3:], b.data)
+    w = T.Tensor(rng.standard_normal((2, 5)))
+    fd_check(lambda: T.tsum(T.mul(T.concat_last_dim([a, b]), w)), [a, b])
 
 
 def test_embedding_lookup_duplicate_ids_accumulate():
@@ -124,6 +125,8 @@ def test_softmax_mask_zeroes_positions():
     fd_check(lambda: T.tsum(T.mul(T.softmax_last_dim(x, mask=mask), w)), [x])
     with pytest.raises(T.ShapeError):
         T.softmax_last_dim(x, mask=np.zeros((2, 4), dtype=bool))
+    with pytest.raises(T.ShapeError):
+        T.softmax_last_dim(x, mask=np.ones((3, 4), dtype=bool))
 
 
 def test_layer_norm_grads_and_moments():
@@ -201,19 +204,10 @@ def test_no_grad_records_nothing():
     assert y._parents == ()
 
 
-def test_checked_mode_flags_nonfinite():
-    big = T.Tensor([1e308])
-    with T.checked():
-        with pytest.raises(T.NumericsError):
-            T.mul(big, big)
-    T.mul(big, big)  # unchecked mode lets it through
-
-
 def test_scale_transpose_mean():
     rng = np.random.default_rng(12)
     a = leaf(rng, 3, 2)
     fd_check(lambda: T.tsum(T.scale(a, -2.5)), [a])
-    fd_check(lambda: T.tsum(T.mul(T.transpose(a), T.Tensor(np.ones((2, 3))))), [a])
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +301,28 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     store.load(path)
     for n, t in store.items():
         assert t.data.tobytes() == before[n]
+
+
+def test_interrupted_checkpoint_save_keeps_previous_file(tmp_path, monkeypatch):
+    rng = np.random.default_rng(18)
+    store = make_store(rng)
+    path = tmp_path / "model.ckpt"
+    store.save(str(path))
+    before = path.read_bytes()
+    store.get("enc.w").data += 1.0
+    real_pack, calls = T.struct.pack, []
+
+    def pack_then_fail(fmt, *values):
+        calls.append(fmt)
+        if len(calls) > 4:  # part-way through the first parameter
+            raise OSError("disk full")
+        return real_pack(fmt, *values)
+
+    monkeypatch.setattr(T.struct, "pack", pack_then_fail)
+    with pytest.raises(OSError):
+        store.save(str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
