@@ -181,6 +181,8 @@ def cmd_sweep_lambda(args) -> int:
     if not values:
         raise UsageError("--values must name at least one weight")
     rc = load_config(args.config, {"seed": args.seed})
+    for lam in values:  # each weight passes the checks of a lambda_gr value
+        load_config(args.config, {"seed": args.seed, "lambda_gr": lam})
     corpus = _load_corpus(args.data)
     val_corpus = _load_corpus(args.val)
     vocab = build_vocabulary(corpus, rc.vocab_min_count, rc.prompt)

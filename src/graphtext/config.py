@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .data import DEFAULT_PROMPT, RESERVED_TOKENS, DataError, atomic_write
@@ -132,6 +133,10 @@ def load_config(path: str | None = None,
                    and isinstance(value, bool) == (t == "bool")
                    for t in types[key].split(" | ")):
             raise DataError(f"bad config value: {key} must be {types[key]},"
+                            f" got {value!r}")
+        # json reads NaN and Infinity, which no setting accepts
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DataError(f"bad config value: {key} must be finite,"
                             f" got {value!r}")
     try:
         return RunConfig(**values)

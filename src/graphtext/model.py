@@ -51,8 +51,12 @@ class ModelConfig:
         self.variation = self.variation.upper()
         if self.variation not in VARIATIONS:
             raise ValueError(f"unknown variation {self.variation!r}")
-        if self.d_model < 1 or self.num_heads < 1:
-            raise ValueError("d_model and num_heads must be >= 1")
+        if min(self.d_model, self.num_heads, self.feedforward_dim,
+               self.max_sequence_length, self.max_target_length) < 1:
+            raise ValueError("d_model, num_heads, feedforward_dim and the"
+                             " maximum lengths must be >= 1")
+        if min(self.num_encoder_layers, self.num_decoder_layers) < 0:
+            raise ValueError("layer counts must be >= 0")
         if self.d_model % self.num_heads != 0:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by {self.num_heads} heads")
@@ -224,11 +228,9 @@ class Seq2SeqModel:
         """Logits (num_pairs x 5) for the labeled forward edges."""
         if not targets:
             raise ValueError("no relation targets supplied")
-        us = [u for u, _, _ in targets]
-        vs = [v for _, v, _ in targets]
-        h_u = T.embedding_lookup(enc_states, us)
-        h_v = T.embedding_lookup(enc_states, vs)
-        pair = T.concat_last_dim([h_u, h_v])
+        ends = [[u for u, _, _ in targets], [v for _, v, _ in targets]]
+        # (pairs, 2 * d_model): the source state, then the target state
+        pair = T.merge_heads(T.embedding_lookup(enc_states, ends))
         return T.add(T.matmul(pair, self.gr_w), self.gr_b)
 
     # -- persistence ----------------------------------------------------------

@@ -208,26 +208,6 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     return _result(data, (a,), backward)
 
 
-def concat_last_dim(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ShapeError("concat_last_dim: empty input list")
-    lead = parts[0].shape[:-1]
-    for p in parts:
-        if p.shape[:-1] != lead:
-            raise ShapeError(
-                f"concat_last_dim: leading dims differ, {p.shape} vs {parts[0].shape}")
-    data = np.concatenate([p.data for p in parts], axis=-1)
-    widths = [p.shape[-1] for p in parts]
-
-    def backward(g: np.ndarray) -> None:
-        start = 0
-        for p, w in zip(parts, widths):
-            p.accumulate_grad(g[..., start:start + w])
-            start += w
-
-    return _result(data, tuple(parts), backward)
-
-
 def split_heads(a: Tensor, num_heads: int) -> Tensor:
     """(n, h*k) -> (h, n, k): column block i of ``a`` becomes head i."""
     if a.data.ndim != 2 or num_heads < 1 or a.shape[1] % num_heads:
@@ -242,7 +222,9 @@ def split_heads(a: Tensor, num_heads: int) -> Tensor:
 
 
 def merge_heads(a: Tensor) -> Tensor:
-    """(h, n, k) -> (n, h*k), the inverse of :func:`split_heads`."""
+    """(k, n, w) -> (n, k*w): column block i of the result is slice i of
+    ``a``. The inverse of :func:`split_heads`; it also lays out relation
+    channels and the two ends of node pairs side by side."""
     if a.data.ndim != 3:
         raise ShapeError(f"merge_heads: expected a 3-D operand, got {a.shape}")
     h, n, k = a.shape
@@ -254,8 +236,9 @@ def merge_heads(a: Tensor) -> Tensor:
     return _result(data, (a,), backward)
 
 
-def embedding_lookup(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Row gather; the backward scatters into the table's gradient."""
+def embedding_lookup(table: Tensor, ids: Sequence) -> Tensor:
+    """Row gather for an id array of any shape (the result has shape
+    ``ids.shape + (d,)``); the backward scatters into the table's gradient."""
     idx = np.asarray(ids, dtype=np.int64)
     if table.data.ndim != 2:
         raise ShapeError(f"embedding_lookup: table must be 2-D, got {table.shape}")
@@ -396,11 +379,14 @@ def neighbor_max(states: Tensor, in_mask: np.ndarray) -> Tensor:
     return _result(data, (states,), backward)
 
 
-def tsum(a: Tensor) -> Tensor:
-    data = np.asarray(a.data.sum())
+def tsum(a: Tensor, axis: int | None = None) -> Tensor:
+    """Sum of every entry, or over ``axis`` (which is dropped)."""
+    data = np.asarray(a.data.sum(axis=axis))
 
     def backward(g: np.ndarray) -> None:
-        a.accumulate_grad(np.full_like(a.data, float(g)))
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        a.accumulate_grad(np.broadcast_to(g, a.shape))
 
     return _result(data, (a,), backward)
 

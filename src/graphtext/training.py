@@ -19,7 +19,8 @@ import numpy as np
 
 from . import tensor as T
 from .data import (DEFAULT_PROMPT, PAD_ID, Example, TokenizedGraphInput,
-                   Vocabulary, encode_target, linearize, tokenize)
+                   Vocabulary, atomic_write, encode_target, linearize,
+                   tokenize)
 from .decoding import DecodeConfig, decode_example
 from .gnn import GraphTensors, graph_tensors
 from .graph import RelationType, build_graph, reconstruction_targets
@@ -54,8 +55,17 @@ class TrainConfig:
             raise ValueError(f"unknown freeze mode {self.freeze_mode!r}")
         if self.epochs < 1 or self.batch_size < 1 or self.eval_every < 1:
             raise ValueError("epochs, batch_size and eval_every must be >= 1")
-        if self.lambda_gr < 0.0:
+        # each check is written so that NaN fails it
+        if not self.lambda_gr >= 0.0:
             raise ValueError("lambda_gr must be >= 0")
+        if not (self.learning_rate > 0.0 and self.adam_eps > 0.0
+                and self.clip_norm > 0.0):
+            raise ValueError("learning_rate, adam_eps and clip_norm must be > 0")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must be in [0, 1)")
+        for stop in (self.stop_token_accuracy, self.stop_gr_accuracy):
+            if stop is not None and not 0.0 <= stop <= 1.0:
+                raise ValueError("stop thresholds must be in [0, 1]")
 
 
 @dataclass
@@ -278,13 +288,12 @@ def sweep_lambda(model_config: ModelConfig, items: list[TrainItem],
         train(model, items, cfg)
         results.append((lam, evaluate_bleu(model, val_items, vocab)))
     if tsv_path:
-        with open(tsv_path, "w") as fh:
-            fh.write("lambda\tval_bleu\n")
-            for lam, bleu in results:
-                fh.write(f"{lam}\t{bleu:.4f}\n")
+        rows = "".join(f"{lam}\t{bleu:.4f}\n" for lam, bleu in results)
+        with atomic_write(tsv_path) as fh:
+            fh.write(("lambda\tval_bleu\n" + rows).encode("utf-8"))
     if json_path:
         payload = {"lambda": [lam for lam, _ in results],
                    "val_bleu": [bleu for _, bleu in results]}
-        with open(json_path, "w") as fh:
-            json.dump(payload, fh, indent=2)
+        with atomic_write(json_path) as fh:
+            fh.write(json.dumps(payload, indent=2).encode("utf-8"))
     return results

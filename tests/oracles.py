@@ -81,3 +81,14 @@ class ReferenceAdam:
             mhat = m / (1 - self.b1 ** self.t)
             vhat = v / (1 - self.b2 ** self.t)
             p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+
+def recorded_nodes(out) -> int:
+    """Tape nodes reachable from ``out`` that carry a backward rule."""
+    recorded, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if node._backward is not None and id(node) not in recorded:
+            recorded.add(id(node))
+            stack.extend(node._parents)
+    return len(recorded)

@@ -144,9 +144,6 @@ def _op_sweep():
     r2 = p(away((3, 4)))
     case("leaky_relu", [r2],
          lambda x=r2: weighted(T.leaky_relu(x, 0.2), w34))
-    c1, c2 = p(rng.normal(size=(3, 2))), p(rng.normal(size=(3, 3)))
-    case("concat_last_dim", [c1, c2],
-         lambda x=c1, y=c2: weighted(T.concat_last_dim([x, y]), w35))
     w233 = const((2, 3, 3))
     sh = p(rng.normal(size=(3, 6)))
     case("split_heads", [sh], lambda x=sh: weighted(T.split_heads(x, 2), w233))
@@ -157,6 +154,11 @@ def _op_sweep():
     tbl = p(rng.normal(size=(7, 4)))
     case("embedding_lookup", [tbl],
          lambda x=tbl: weighted(T.embedding_lookup(x, [0, 3, 3, 5]), w44))
+    w234 = const((2, 3, 4))
+    tbl2 = p(rng.normal(size=(7, 4)))
+    case("embedding_lookup[2d]", [tbl2],
+         lambda x=tbl2: weighted(T.embedding_lookup(x, [[0, 3, 6], [3, 5, 0]]),
+                                 w234))
     s1 = p(rng.normal(size=(3, 5)))
     case("softmax_last_dim", [s1],
          lambda x=s1: weighted(T.softmax_last_dim(x), w35))
@@ -183,6 +185,8 @@ def _op_sweep():
          lambda x=nb_states: weighted(T.neighbor_max(x, nb_mask), w43))
     ts = p(rng.normal(size=(3, 4)))
     case("tsum", [ts], lambda x=ts: T.tsum(x))
+    ts2 = p(rng.normal(size=(2, 3, 4)))
+    case("tsum[axis0]", [ts2], lambda x=ts2: weighted(T.tsum(x, axis=0), w34))
 
     # every tape op has a case and every case names a tape op; a label is
     # the op name, with an optional [variant]

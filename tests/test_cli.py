@@ -267,7 +267,13 @@ def _header_offsets(blob):
     {"variation": 5}, {"variation": None}, {"prompt": 5}, {"epochs": 1.5},
     {"d_model": 8.0}, {"num_encoder_layers": 1.5}, {"feedforward_dim": 16.5},
     {"beam_size": 1.5}, {"max_target_length": 24.5},
-    {"tie_embeddings": "no"}])
+    {"tie_embeddings": "no"},
+    # values out of range, and the NaN and Infinity that json reads
+    {"feedforward_dim": -1}, {"max_sequence_length": -1, "max_target_length": -1},
+    {"learning_rate": math.nan}, {"beta1": 1.0}, {"lambda_gr": math.inf},
+    {"learning_rate": -1.0}, {"clip_norm": -1.0}, {"length_penalty": math.nan},
+    {"num_decoder_layers": -1}, {"stop_token_accuracy": math.nan},
+    {"beta2": -0.1}, {"adam_eps": 0.0}, {"stop_gr_accuracy": 1.5}])
 def test_bad_config_is_data_error_for_every_command(workspace, tmp_path,
                                                      capsys, bad):
     data = workspace["data"]
@@ -294,6 +300,11 @@ def test_bad_flag_values_are_data_errors(workspace, tmp_path, capsys):
         _assert_data_error(cli.main(
             [command, "--run", workspace["run"], "--data", data,
              "--beam-size", "0"]), capsys)
+    for values in ("nan", "0.08,-1"):
+        _assert_data_error(cli.main(
+            ["sweep-lambda", "--config", workspace["config"], "--data", data,
+             "--val", data, "--out", str(tmp_path / "sweep"),
+             "--values", values]), capsys)
 
 
 def test_damaged_checkpoint_is_data_error(workspace, tmp_path, capsys):

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from graphtext import data as D
 from graphtext import gnn as N
 from graphtext import graph as G
 from graphtext import tensor as T
-from oracles import finite_difference, relative_error
+from oracles import finite_difference, recorded_nodes, relative_error
 
 TOL = 1e-4
 
@@ -53,9 +56,9 @@ def test_gat_uniform_logits_reduce_to_mean():
     graph = iraq_graph()
     gt = N.graph_tensors(graph)
     layer, _ = make_layer("GAT", 3, gat_heads=1)
-    layer.p["w0"].data = np.eye(3)
-    layer.p["a_src0"].data[:] = 0.0
-    layer.p["a_dst0"].data[:] = 0.0
+    layer.p["w"].data[0] = np.eye(3)
+    layer.p["a_src"].data[:] = 0.0
+    layer.p["a_dst"].data[:] = 0.0
     rng = np.random.default_rng(1)
     states = T.Tensor(rng.standard_normal((graph.num_nodes, 3)))
     msgs = layer.aggregate(states, gt)
@@ -73,19 +76,27 @@ def test_gat_attention_rows_sum_to_one():
         assert np.all(alpha[~gt.in_mask] == 0.0)
 
 
-def rgcn_oracle(states, graph, layer):
-    """Loop-based re-derivation of the typed message pass."""
-    n = graph.num_nodes
-    out_dim = layer.config.out_dim
-    msgs = np.zeros((n, out_dim))
+def bucket_means(states, graph):
+    """Loop-based per-bucket in-neighbour means, (bucket, node, feature);
+    zero for a node with no in-edge in the bucket."""
+    means = np.zeros((N.NUM_RELATION_BUCKETS,) + states.shape)
     for b in range(N.NUM_RELATION_BUCKETS):
-        w = layer.p[f"rel{b}"].data
-        for v in range(n):
+        for v in range(graph.num_nodes):
             nbrs = [e.src for e in graph.edges
                     if e.dst == v and N.bucket_index(e.rel, e.dir) == b]
             if nbrs:
-                msgs[v] += np.mean([states[u] for u in nbrs], axis=0) @ w
-    pre = states @ layer.p["w0"].data + msgs + layer.p["b"].data
+                means[b, v] = np.mean([states[u] for u in nbrs], axis=0)
+    return means
+
+
+def rgcn_oracle(states, graph, layer):
+    """Loop-based re-derivation of the typed message pass: one weight block
+    per bucket, applied to that bucket's neighbour mean."""
+    d_in = layer.config.in_dim
+    w_neigh = layer.p["w_neigh"].data
+    msgs = sum(mean @ w_neigh[b * d_in:(b + 1) * d_in]
+               for b, mean in enumerate(bucket_means(states, graph)))
+    pre = states @ layer.p["w_self"].data + msgs + layer.p["b"].data
     return np.maximum(pre, 0.0)
 
 
@@ -101,19 +112,51 @@ def test_rgcn_matches_loop_oracle():
 
 
 def test_rgcn_identity_weights_sum_bucket_means():
+    """Messages are the bucket means side by side, so identity weight
+    blocks sum them."""
     graph = tiny_graph()
     gt = N.graph_tensors(graph)
     layer, _ = make_layer("RGCN", 2)
-    for b in range(N.NUM_RELATION_BUCKETS):
-        layer.p[f"rel{b}"].data = np.eye(2)
-    rng = np.random.default_rng(6)
-    states = rng.standard_normal((2, 2))
+    layer.p["w_neigh"].data = np.tile(np.eye(2), (N.NUM_RELATION_BUCKETS, 1))
+    states = np.random.default_rng(6).standard_normal((2, 2))
     msgs = layer.aggregate(T.Tensor(states), gt)
-    expected = np.zeros((2, 2))
-    for mat in gt.bucket_matrices:
-        if mat is not None:
-            expected += mat.data @ states
-    assert np.allclose(msgs.data, expected, atol=1e-12)
+    means = bucket_means(states, graph)
+    assert np.allclose(msgs.data, np.concatenate(means, axis=1), atol=1e-12)
+    assert np.allclose(msgs.data @ layer.p["w_neigh"].data, means.sum(axis=0),
+                       atol=1e-12)
+
+
+def all_buckets_graph():
+    """Shared entities and multi-token spans: every bucket has an edge."""
+    ex = D.Example([D.Triple("New Italy", "capital city", "Old Rome"),
+                    D.Triple("Old Rome", "population", "2873000")])
+    inp = D.linearize(ex, D.DEFAULT_PROMPT, D.build_vocabulary([ex]))
+    return G.build_graph(inp)
+
+
+@pytest.mark.parametrize("bidirectional", [True, False])
+def test_rgcn_tape_size_does_not_grow_with_buckets(bidirectional):
+    graph = all_buckets_graph()
+    if not bidirectional:
+        graph = G.HierGraph(graph.num_nodes, [e for e in graph.edges
+                                              if e.dir is G.Direction.FORWARD])
+    gt = N.graph_tensors(graph)
+    filled = sum(m is not None for m in gt.bucket_matrices)
+    assert filled == (N.NUM_RELATION_BUCKETS if bidirectional else 6)
+    layer, _ = make_layer("RGCN", 4)
+    states = T.Tensor(np.random.default_rng(15).standard_normal(
+        (graph.num_nodes, 4)), requires_grad=True)
+    assert recorded_nodes(layer.forward(states, gt)) == 7
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4, 8])
+def test_gat_tape_size_does_not_grow_with_heads(heads):
+    graph = iraq_graph()
+    gt = N.graph_tensors(graph)
+    layer, _ = make_layer("GAT", 4, gat_heads=heads)
+    states = T.Tensor(np.random.default_rng(16).standard_normal(
+        (graph.num_nodes, 4)), requires_grad=True)
+    assert recorded_nodes(layer.forward(states, gt)) == 10
 
 
 def test_identity_mode_is_exact_and_parameter_free():
@@ -219,6 +262,35 @@ def test_graph_tensors_requires_covered_rows():
     bad = G.HierGraph(num_nodes=2, edges=edges)  # node 1 has no in-edge
     with pytest.raises(ValueError):
         N.graph_tensors(bad)
+
+
+def test_self_loops_have_no_reverse_bucket():
+    with pytest.raises(ValueError):
+        N.bucket_index(G.RelationType.SELF, G.Direction.REVERSE)
+    edges = [G.Edge(0, 0, G.RelationType.SELF, G.Direction.FORWARD),
+             G.Edge(0, 0, G.RelationType.SELF, G.Direction.REVERSE)]
+    with pytest.raises(ValueError):
+        N.graph_tensors(G.HierGraph(num_nodes=1, edges=edges))
+
+
+def test_benchmark_tracer_counts_graph_tensors():
+    """The benchmark's tracer reads edge counts and graph-tensor bytes off
+    these return values; a GraphTensors change that breaks its counters
+    fails here, not only in a traced benchmark run."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    build = tracer.wrap("graph.build_graph", G.build_graph)
+    tensors = tracer.wrap("gnn.graph_tensors", N.graph_tensors)
+    ex = D.Example([D.Triple("Iraq", "language", "Arabic")])
+    gt = tensors(build(D.linearize(ex, D.DEFAULT_PROMPT,
+                                   D.build_vocabulary([ex]))))
+    assert tracer.counts["graph.edges"] > 0
+    filled = sum(m is not None for m in gt.bucket_matrices)
+    n = gt.num_nodes
+    assert tracer.counts["gnn.tensor_bytes"] == n * n * (1 + 8 * (2 + filled))
 
 
 def test_config_validation():

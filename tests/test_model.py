@@ -8,7 +8,8 @@ from graphtext import gnn as N
 from graphtext import graph as G
 from graphtext import model as M
 from graphtext import tensor as T
-from oracles import finite_difference, reference_softmax, relative_error
+from oracles import (finite_difference, recorded_nodes, reference_softmax,
+                     relative_error)
 
 
 def oracle_attention(q_in, kv_in, wq, wk, wv, wo, num_heads, mask=None):
@@ -99,13 +100,7 @@ def test_attention_tape_size_does_not_grow_with_heads(heads):
           for _ in range(4)]
     out, _ = M.multi_head_attention(x, x, *ws, num_heads=heads,
                                     mask=np.tril(np.ones((3, 3), dtype=bool)))
-    recorded, stack = set(), [out]
-    while stack:
-        node = stack.pop()
-        if node._backward is not None and id(node) not in recorded:
-            recorded.add(id(node))
-            stack.extend(node._parents)
-    assert len(recorded) == 12
+    assert recorded_nodes(out) == 12
 
 
 @pytest.mark.parametrize("variation", ["GRASAME", "VAR1", "VAR2"])

@@ -73,18 +73,6 @@ def test_relu_and_leaky_grads():
     assert np.allclose(y.data, [[-0.2, 2.0]])
 
 
-def test_concat_slice_roundtrip_and_grads():
-    rng = np.random.default_rng(4)
-    a = leaf(rng, 2, 3)
-    b = leaf(rng, 2, 2)
-    cat = T.concat_last_dim([a, b])
-    assert cat.shape == (2, 5)
-    assert np.array_equal(cat.data[:, :3], a.data)
-    assert np.array_equal(cat.data[:, 3:], b.data)
-    w = T.Tensor(rng.standard_normal((2, 5)))
-    fd_check(lambda: T.tsum(T.mul(T.concat_last_dim([a, b]), w)), [a, b])
-
-
 def test_embedding_lookup_duplicate_ids_accumulate():
     rng = np.random.default_rng(5)
     table = leaf(rng, 6, 3)

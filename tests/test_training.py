@@ -193,6 +193,27 @@ def test_sweep_lambda_writes_reports(tmp_path):
     assert len(payload["val_bleu"]) == 2
 
 
+def test_interrupted_sweep_report_keeps_previous_file(tmp_path, monkeypatch):
+    vocab, cfg, items = make_setup()
+    config = TR.TrainConfig(epochs=1, batch_size=3, seed=7)
+    js = tmp_path / "sweep.json"
+    js.write_text("previous\n")
+    real_iterencode = json.JSONEncoder.iterencode
+
+    def encode_then_fail(self, o, _one_shot=False):
+        chunks = real_iterencode(self, o, _one_shot)
+        yield next(chunks)
+        yield next(chunks)
+        raise OSError("disk full")  # part-way through the payload
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", encode_then_fail)
+    with pytest.raises(OSError):
+        TR.sweep_lambda(cfg, items, items[:2], vocab, [0.0], config,
+                        json_path=str(js))
+    assert js.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.json"]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TR.TrainConfig(freeze_mode="HALF")
