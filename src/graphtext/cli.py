@@ -4,7 +4,7 @@ Subcommands cover the whole workflow: inspect token graphs, train,
 generate, score, and sweep the auxiliary-loss weight. Every run writes
 its merged configuration into the output directory so it can be
 reproduced later. Exit codes: 0 success, 1 usage error, 2 data error,
-3 runtime or numerical error.
+3 runtime or numerical error or an interrupt.
 """
 from __future__ import annotations
 
@@ -15,13 +15,12 @@ import sys
 
 from . import tensor as T
 from .config import load_config, save_config
-from .data import (DEFAULT_PROMPT, DataError, Vocabulary, build_vocabulary,
-                   linearize, parse_dataset)
-from .decoding import decode_example
+from .data import (DEFAULT_PROMPT, DataError, Vocabulary, atomic_write,
+                   build_vocabulary, linearize, parse_dataset)
 from .graph import build_graph, edge_counts, graph_to_json
 from .metrics import chrf_pp, corpus_bleu
 from .model import Seq2SeqModel
-from .training import prepare_items, sweep_lambda
+from .training import decode_items, prepare_items, sweep_lambda
 from .training import train as run_training
 
 EXIT_OK = 0
@@ -141,17 +140,15 @@ def cmd_generate(args) -> int:
     corpus = _load_corpus(args.data)
     items = prepare_items(corpus, vocab, model.config, prompt=rc.prompt,
                           bidirectional=not rc.unidirectional_edges)
-    cfg = rc.decode_config()
-    sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
-        for i, item in enumerate(items):
-            hyp = decode_example(model, item.inp, item.gt, cfg)
-            sink.write(json.dumps({"input_id": i,
-                                   "text": vocab.decode(hyp.generated()),
-                                   "log_prob": hyp.log_prob}) + "\n")
-    finally:
-        if args.out:
-            sink.close()
+    lines = "".join(
+        json.dumps({"input_id": i, "text": vocab.decode(hyp.generated()),
+                    "log_prob": hyp.log_prob}) + "\n"
+        for i, hyp in enumerate(decode_items(model, items, rc.decode_config())))
+    if args.out:
+        with atomic_write(args.out) as fh:
+            fh.write(lines.encode("utf-8"))
+    else:
+        sys.stdout.write(lines)
     return EXIT_OK
 
 
@@ -160,13 +157,9 @@ def cmd_eval(args) -> int:
     corpus = _load_corpus(args.data)
     items = prepare_items(corpus, vocab, model.config, prompt=rc.prompt,
                           bidirectional=not rc.unidirectional_edges)
-    cfg = rc.decode_config()
-    cands = []
-    refs = []
-    for item in items:
-        hyp = decode_example(model, item.inp, item.gt, cfg)
-        cands.append(vocab.decode(hyp.generated()).split())
-        refs.append(list(item.ref_tokens))
+    hyps = decode_items(model, items, rc.decode_config())
+    cands = [vocab.decode(hyp.generated()).split() for hyp in hyps]
+    refs = [list(item.ref_tokens) for item in items]
     print(json.dumps({"bleu": corpus_bleu(cands, refs),
                       "chrf_pp": chrf_pp(cands, refs),
                       "num_examples": len(items)}))
@@ -288,6 +281,9 @@ def main(argv=None) -> int:
     except (T.NumericsError, T.ShapeError, ArithmeticError,
             RuntimeError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
         return EXIT_RUNTIME
 
 

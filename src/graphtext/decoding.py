@@ -1,17 +1,19 @@
 """Greedy and beam-search decoding.
 
-The beam keeps a frontier of alive prefixes. Each step expands every
-alive prefix over the whole vocabulary, keeps the highest-scoring
-continuations (ties broken by token sequence, so equal scores resolve
-toward smaller ids), and retires any continuation that just produced the
-end marker into a finished pool; the frontier shrinks by one slot per
-retirement. With a single slot this is exactly greedy argmax decoding.
-The best finished hypothesis under length-normalized log-probability
-wins, again with a lexicographic tie-break.
+The alive prefixes are a (k, t) token array beside a (k,) score array.
+Each step adds the scores to the stacked (k, V) next-token log-probs and
+orders all k*V continuations with one lexsort on (score descending,
+parent prefix's lexicographic rank, token id). Alive prefixes are
+distinct and equally long, so that is the order of the whole sequences:
+equal scores resolve toward smaller ids. The best continuations fill the
+slots; one that ends in the end marker retires into a finished pool and
+takes its slot with it. With a single slot this is greedy argmax
+decoding. The best finished hypothesis under length-normalized
+log-probability wins, again with a lexicographic tie-break.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -67,31 +69,32 @@ def beam_search(step_fn: StepFn, config: DecodeConfig,
                 bos_id: int = BOS_ID, eos_id: int = EOS_ID) -> Hypothesis:
     """Run the beam over ``step_fn(prefix) -> log-probs`` and return the
     best finished hypothesis."""
-    beams = [Hypothesis([bos_id], 0.0)]
+    seqs = np.array([[bos_id]])  # (k, t) alive prefixes
+    scores = np.zeros(1)  # (k,) their log-probs
     finished: list[Hypothesis] = []
     slots = config.effective_beam
-    max_new = config.max_target_length - 1  # budget excludes BOS
-    for _ in range(max_new):
-        if not beams or slots <= 0:
+    for _ in range(config.max_target_length - 1):  # budget excludes BOS
+        if not len(seqs):
             break
-        candidates: list[tuple[float, list[int]]] = []
-        for hyp in beams:
-            logp = step_fn(hyp.token_ids)
-            for tok, lp in enumerate(logp):
-                candidates.append((hyp.log_prob + float(lp),
-                                   hyp.token_ids + [tok]))
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        beams = []
-        for score, toks in candidates[:slots]:
-            if toks[-1] == eos_id:
-                finished.append(Hypothesis(toks, score))
-                slots -= 1
-            else:
-                beams.append(Hypothesis(toks, score))
-    finished.extend(beams)  # length-capped: the last token is not EOS
+        cand = scores[:, None] + np.stack([step_fn(s) for s in seqs.tolist()])
+        # prefixes are distinct and equally long: this is whole-sequence order
+        rank = np.argsort(np.lexsort(seqs.T[::-1]))
+        parent, tok = np.divmod(np.arange(cand.size), cand.shape[1])
+        top = np.lexsort((tok, rank[parent], -cand.ravel()))[:slots]
+        seqs = np.column_stack((seqs[parent[top]], tok[top]))
+        scores = cand.ravel()[top]
+        done = seqs[:, -1] == eos_id
+        finished += _hypotheses(seqs[done], scores[done])
+        slots -= int(done.sum())
+        seqs, scores = seqs[~done], scores[~done]
+    finished += _hypotheses(seqs, scores)  # length-capped: no EOS at the end
     return min(finished,
                key=lambda h: (-normalized_score(h, config.length_penalty),
                               h.token_ids))
+
+
+def _hypotheses(seqs: np.ndarray, scores: np.ndarray) -> list[Hypothesis]:
+    return [Hypothesis(s, float(x)) for s, x in zip(seqs.tolist(), scores)]
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -110,7 +113,4 @@ def decode_example(model, inp: TokenizedGraphInput,
             return log_softmax(logits.data[-1])
 
         limit = min(config.max_target_length, model.config.max_target_length)
-        cfg = DecodeConfig(mode=config.mode, beam_size=config.beam_size,
-                           max_target_length=limit,
-                           length_penalty=config.length_penalty)
-        return beam_search(step_fn, cfg)
+        return beam_search(step_fn, replace(config, max_target_length=limit))

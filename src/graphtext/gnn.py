@@ -138,7 +138,7 @@ class GnnLayer:
     def aggregate(self, states: T.Tensor, gt: GraphTensors) -> T.Tensor:
         fam = self.config.family
         if fam == "GAT":
-            return self._gat(states, gt)[0]
+            return self._gat(states, gt)
         if fam == "RGCN":  # per-bucket neighbour means side by side
             return T.merge_heads(T.matmul(gt.relations, states))
         agg = self.config.sage_aggregator
@@ -148,8 +148,8 @@ class GnnLayer:
             return T.matmul(gt.sum_matrix, states)
         return T.neighbor_max(states, gt.in_mask)
 
-    def _gat(self, states: T.Tensor, gt: GraphTensors):
-        """Head-averaged messages and the (head, n, n) attention weights."""
+    def _gat(self, states: T.Tensor, gt: GraphTensors) -> T.Tensor:
+        """Head-averaged messages over in-neighbourhood attention."""
         proj = T.matmul(states, self.p["w"])  # (h, n, out)
         s_src = T.matmul(self.p["a_src"], proj, transpose_a=True,
                          transpose_b=True)  # (h, 1, n)
@@ -158,13 +158,7 @@ class GnnLayer:
         logits = T.leaky_relu(T.add(s_dst, s_src), 0.2)
         alpha = T.softmax_last_dim(logits, mask=gt.in_mask)
         heads = T.matmul(alpha, proj)
-        return T.scale(T.tsum(heads, axis=0), 1.0 / self.config.gat_heads), alpha
-
-    def gat_attention_weights(self, states: T.Tensor,
-                              gt: GraphTensors) -> np.ndarray:
-        """(head, n, n) in-neighborhood attention weights (diagnostics)."""
-        with T.no_grad():
-            return self._gat(states, gt)[1].data
+        return T.scale(T.tsum(heads, axis=0), 1.0 / self.config.gat_heads)
 
     # -- combine ------------------------------------------------------------
 

@@ -138,10 +138,3 @@ def graph_to_json(graph: HierGraph) -> str:
         "num_nodes": graph.num_nodes,
         "edges": [[e.src, e.dst, e.rel.value, e.dir.value] for e in edges],
     }, indent=2)
-
-
-def graph_from_json(text: str) -> HierGraph:
-    obj = json.loads(text)
-    edges = [Edge(int(s), int(d), RelationType(r), Direction(dd))
-             for s, d, r, dd in obj["edges"]]
-    return HierGraph(num_nodes=int(obj["num_nodes"]), edges=edges)

@@ -21,7 +21,7 @@ from . import tensor as T
 from .data import (DEFAULT_PROMPT, PAD_ID, Example, TokenizedGraphInput,
                    Vocabulary, atomic_write, encode_target, linearize,
                    tokenize)
-from .decoding import DecodeConfig, decode_example
+from .decoding import DecodeConfig, Hypothesis, decode_example
 from .gnn import GraphTensors, graph_tensors
 from .graph import RelationType, build_graph, reconstruction_targets
 from .metrics import corpus_bleu
@@ -172,18 +172,19 @@ def _tensor_sum(terms: list[T.Tensor]) -> T.Tensor:
     return total
 
 
+def decode_items(model: Seq2SeqModel, items: list[TrainItem],
+                 config: DecodeConfig) -> list[Hypothesis]:
+    """Decode every item against its own graph, in order."""
+    return [decode_example(model, item.inp, item.gt, config) for item in items]
+
+
 def evaluate_bleu(model: Seq2SeqModel, items: list[TrainItem],
                   vocab: Vocabulary,
                   decode_config: DecodeConfig | None = None) -> float:
     """Corpus BLEU of greedy (by default) decodes against the references."""
-    cfg = decode_config or DecodeConfig(mode="GREEDY")
-    cands = []
-    refs = []
-    for item in items:
-        hyp = decode_example(model, item.inp, item.gt, cfg)
-        cands.append(vocab.decode(hyp.generated()).split())
-        refs.append(list(item.ref_tokens))
-    return corpus_bleu(cands, refs)
+    hyps = decode_items(model, items, decode_config or DecodeConfig("GREEDY"))
+    return corpus_bleu([vocab.decode(h.generated()).split() for h in hyps],
+                       [list(item.ref_tokens) for item in items])
 
 
 def train(model: Seq2SeqModel, items: list[TrainItem], config: TrainConfig,

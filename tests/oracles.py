@@ -2,13 +2,19 @@
 
 Everything in this module is written independently of the package code:
 finite differences instead of the tape, a textbook Adam update, and a
-direct softmax. Tests compare library output against these.
+direct softmax. The loop beam search that the array one replaced is kept
+here too; it shares only the ``Hypothesis`` container and the length
+normalization with the package. Tests compare library output against
+these.
 """
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
 import numpy as np
+
+from graphtext.data import BOS_ID, EOS_ID
+from graphtext.decoding import Hypothesis, normalized_score
 
 
 def finite_difference(f: Callable[[], float], arrays: Sequence[np.ndarray],
@@ -92,3 +98,34 @@ def recorded_nodes(out) -> int:
             recorded.add(id(node))
             stack.extend(node._parents)
     return len(recorded)
+
+
+def reference_beam_search(step_fn, config, bos_id: int = BOS_ID,
+                          eos_id: int = EOS_ID) -> Hypothesis:
+    """The loop beam search: one Python candidate per (beam, token), sorted
+    on (-score, token sequence)."""
+    beams = [Hypothesis([bos_id], 0.0)]
+    finished: list[Hypothesis] = []
+    slots = config.effective_beam
+    max_new = config.max_target_length - 1  # budget excludes BOS
+    for _ in range(max_new):
+        if not beams or slots <= 0:
+            break
+        candidates: list[tuple[float, list[int]]] = []
+        for hyp in beams:
+            logp = step_fn(hyp.token_ids)
+            for tok, lp in enumerate(logp):
+                candidates.append((hyp.log_prob + float(lp),
+                                   hyp.token_ids + [tok]))
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        beams = []
+        for score, toks in candidates[:slots]:
+            if toks[-1] == eos_id:
+                finished.append(Hypothesis(toks, score))
+                slots -= 1
+            else:
+                beams.append(Hypothesis(toks, score))
+    finished.extend(beams)  # length-capped: the last token is not EOS
+    return min(finished,
+               key=lambda h: (-normalized_score(h, config.length_penalty),
+                              h.token_ids))

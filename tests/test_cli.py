@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from graphtext import cli
+from graphtext import tensor as T
 from graphtext.tensor import read_checkpoint
 
 DATASET = [
@@ -156,6 +157,28 @@ def test_generate_writes_jsonl(workspace, tmp_path):
         assert rec["input_id"] == i
         assert isinstance(rec["text"], str)
         assert rec["log_prob"] <= 0.0
+
+
+def test_interrupted_generate_keeps_previous_file(workspace, tmp_path,
+                                                  monkeypatch):
+    out = tmp_path / "gen.jsonl"
+    out.write_text("previous\n")
+    real_iterencode = json.JSONEncoder.iterencode
+    records = []
+
+    def encode_then_fail(self, o, _one_shot=False):
+        records.append(o)
+        if len(records) == 2:
+            raise OSError("disk full")  # part-way through the output
+        return real_iterencode(self, o, _one_shot)
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", encode_then_fail)
+    code = cli.main(["generate", "--run", workspace["run"], "--data",
+                     workspace["data"], "--out", str(out),
+                     "--mode", "greedy"])
+    assert code == 2
+    assert out.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["gen.jsonl"]
 
 
 def test_eval_prints_metrics(workspace, capsys):
@@ -340,3 +363,31 @@ def test_checkpoint_of_another_model_is_data_error(workspace, tmp_path,
     for command in ("eval", "generate"):
         _assert_data_error(cli.main([command, "--run", str(run),
                                      "--data", workspace["data"]]), capsys)
+
+
+def test_interrupted_train_exits_3_and_keeps_checkpoint(workspace, tmp_path,
+                                                        monkeypatch, capsys):
+    run = _copy_run(workspace["run"], tmp_path / "run")
+    before = (run / "model.ckpt").read_bytes()
+    real_backward = T.backward
+    calls = []
+
+    def backward_then_interrupt(loss):
+        calls.append(loss)
+        if len(calls) == 2:  # the second batch of the first epoch
+            raise KeyboardInterrupt
+        real_backward(loss)
+
+    monkeypatch.setattr(T, "backward", backward_then_interrupt)
+    try:
+        code = cli.main(["train", "--config", workspace["config"], "--data",
+                         workspace["data"], "--out", str(run),
+                         "--batch-size", "2"])
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped cli.main")
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert len(err.splitlines()) == 1, err
+    assert len(calls) == 2
+    assert (run / "model.ckpt").read_bytes() == before
+    assert not list(run.glob("*.tmp"))

@@ -7,6 +7,8 @@ from graphtext import gnn as N
 from graphtext import graph as G
 from graphtext import model as M
 
+from oracles import reference_beam_search
+
 # Hand-crafted position-indexed log-prob table: 5 tokens, EOS = 4.
 # Greedy ends immediately (EOS wins step 0) but the two-token path
 # 2 -> EOS has the better per-token score, so beams >= 2 must find it.
@@ -107,6 +109,29 @@ def test_length_cap_marks_unfinished_as_finished():
                         eos_id=TOY_EOS)
     assert len(hyp.token_ids) == TOY_MAX_LEN
     assert TOY_EOS not in hyp.token_ids[1:]
+
+
+@pytest.mark.parametrize("vocab", [5, 9])
+@pytest.mark.parametrize("beam", [1, 2, 3, 4, 5])
+def test_beam_matches_loop_reference_under_ties(vocab, beam):
+    # log-probs depend on the position and the last token; multiples of 0.5
+    # over a few levels make exact score ties common
+    eos = vocab - 1
+    for seed in range(20):
+        table = -0.5 * np.random.default_rng(seed).integers(
+            0, 4, size=(6, vocab, vocab)).astype(float)
+
+        def step(prefix):
+            return table[len(prefix) - 1, prefix[-1]]
+
+        for cap in range(2, 7):
+            for lp in (0.0, 1.0, 1.5):
+                cfg = X.DecodeConfig(beam_size=beam, max_target_length=cap,
+                                     length_penalty=lp)
+                got = X.beam_search(step, cfg, bos_id=0, eos_id=eos)
+                want = reference_beam_search(step, cfg, bos_id=0, eos_id=eos)
+                assert got.token_ids == want.token_ids
+                assert got.log_prob == want.log_prob
 
 
 def test_exact_ties_resolve_to_smallest_token_ids():

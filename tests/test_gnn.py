@@ -65,13 +65,24 @@ def test_gat_uniform_logits_reduce_to_mean():
     assert np.allclose(msgs.data, gt.mean_matrix.data @ states.data, atol=1e-12)
 
 
-def test_gat_attention_rows_sum_to_one():
+def test_gat_attention_rows_sum_to_one(monkeypatch):
     graph = iraq_graph()
     gt = N.graph_tensors(graph)
     layer, _ = make_layer("GAT", 4, gat_heads=3)
     rng = np.random.default_rng(2)
     states = T.Tensor(rng.standard_normal((graph.num_nodes, 4)))
-    for alpha in layer.gat_attention_weights(states, gt):
+    weights = []
+    real_softmax = T.softmax_last_dim
+
+    def keep_weights(*args, **kwargs):
+        weights.append(real_softmax(*args, **kwargs))
+        return weights[-1]
+
+    monkeypatch.setattr(T, "softmax_last_dim", keep_weights)
+    layer.aggregate(states, gt)
+    (alphas,) = weights
+    assert alphas.shape == (3, graph.num_nodes, graph.num_nodes)
+    for alpha in alphas.data:
         assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(alpha[~gt.in_mask] == 0.0)
 

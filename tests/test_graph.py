@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -169,11 +170,15 @@ def test_every_special_has_incoming_r1_and_entities_have_r3():
 def test_graph_json_roundtrip():
     inp = linearized(iraq_example())
     g = G.build_graph(inp)
-    text = G.graph_to_json(g)
-    h = G.graph_from_json(text)
-    assert h.num_nodes == g.num_nodes
-    assert set(h.edges) == set(g.edges)
-    assert G.graph_to_json(h) == text
+    obj = json.loads(G.graph_to_json(g))
+    assert obj["num_nodes"] == g.num_nodes
+    edges = obj["edges"]
+    # every edge exactly once, sorted by (src, dst, relation, direction)
+    assert len(edges) == len(g.edges) == len(set(g.edges))
+    assert {G.Edge(s, d, G.RelationType(r), G.Direction(dd))
+            for s, d, r, dd in edges} == set(g.edges)
+    order = {r.value: i for i, r in enumerate(G.RelationType)}
+    assert edges == sorted(edges, key=lambda e: (e[0], e[1], order[e[2]], e[3]))
 
 
 def test_r4_multi_token_spans():
