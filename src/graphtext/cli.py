@@ -9,17 +9,21 @@ reproduced later. Exit codes: 0 success, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import os
+import shutil
 import sys
+import tempfile
 
 from . import tensor as T
-from .config import load_config, save_config
+from .config import RunConfig, load_config, save_config
 from .data import (DEFAULT_PROMPT, DataError, Vocabulary, atomic_write,
                    build_vocabulary, linearize, parse_dataset)
 from .graph import build_graph, edge_counts, graph_to_json
 from .metrics import chrf_pp, corpus_bleu
-from .model import Seq2SeqModel
+from .model import ModelConfig, Seq2SeqModel
 from .training import decode_items, prepare_items, sweep_lambda
 from .training import train as run_training
 
@@ -65,9 +69,35 @@ def _load_run(run_dir: str, overrides: dict):
     return rc, vocab, model
 
 
-def _decode_overrides(args) -> dict:
-    return {"decode_mode": args.mode, "beam_size": args.beam_size,
-            "length_penalty": args.length_penalty}
+@contextlib.contextmanager
+def _staged(out: str):
+    """A fresh directory beside ``out`` to write a run into. When the block
+    completes, each of its files replaces the file of that name in ``out``;
+    on every path the directory is removed, so a failed run leaves ``out``
+    as it was."""
+    os.makedirs(out, exist_ok=True)
+    out = os.path.abspath(out)
+    stage = tempfile.mkdtemp(prefix=f".{os.path.basename(out)}.",
+                             suffix=".tmp", dir=os.path.dirname(out))
+    try:
+        yield stage
+        for name in sorted(os.listdir(stage)):
+            os.replace(os.path.join(stage, name), os.path.join(out, name))
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
+def _overrides(args) -> dict:
+    """The parsed flags whose names are RunConfig fields."""
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    return {k: v for k, v in vars(args).items() if k in fields}
+
+
+def _items(path: str, rc: RunConfig, vocab: Vocabulary,
+           model_config: ModelConfig) -> list:
+    return prepare_items(_load_corpus(path), vocab, model_config,
+                         prompt=rc.prompt,
+                         bidirectional=not rc.unidirectional_edges)
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -77,69 +107,49 @@ def cmd_build_graph(args) -> int:
     corpus = _load_corpus(args.data)
     vocab = build_vocabulary(corpus)
     totals: dict[str, dict[str, int]] = {}
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for i, ex in enumerate(corpus):
-            inp = linearize(ex, DEFAULT_PROMPT, vocab)
-            g = build_graph(inp, bidirectional=not args.unidirectional)
-            counts = edge_counts(g)
-            record = {"index": i, **json.loads(graph_to_json(g)),
-                      "edge_counts": counts}
-            fh.write(json.dumps(record) + "\n")
-            for direction, per_rel in counts.items():
-                slot = totals.setdefault(direction, {})
-                for rel, n in per_rel.items():
-                    slot[rel] = slot.get(rel, 0) + n
+    lines = []
+    for i, ex in enumerate(corpus):
+        inp = linearize(ex, DEFAULT_PROMPT, vocab)
+        g = build_graph(inp, bidirectional=not args.unidirectional)
+        counts = edge_counts(g)
+        record = {"index": i, **json.loads(graph_to_json(g)),
+                  "edge_counts": counts}
+        lines.append(json.dumps(record) + "\n")
+        for direction, per_rel in counts.items():
+            slot = totals.setdefault(direction, {})
+            for rel, n in per_rel.items():
+                slot[rel] = slot.get(rel, 0) + n
+    with atomic_write(args.out) as fh:
+        fh.write("".join(lines).encode("utf-8"))
     print(json.dumps({"examples": len(corpus), "edge_counts": totals}))
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    overrides = {
-        "variation": args.variation,
-        "gnn_family": args.gnn,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "learning_rate": args.learning_rate,
-        "lambda_gr": args.lambda_gr,
-        "seed": args.seed,
-    }
-    if args.freeze_base:
-        overrides["freeze_mode"] = "FREEZE_BASE"
-    if args.no_gr_loss:
-        overrides["disable_gr_loss"] = True
-    if args.unidirectional:
-        overrides["unidirectional_edges"] = True
-    rc = load_config(args.config, overrides)
-    if args.gnn is not None and rc.variation == "BASE":
+    rc = load_config(args.config, _overrides(args))
+    if args.gnn_family is not None and rc.variation == "BASE":
         raise UsageError("--gnn has no effect with --variation base")
-    corpus = _load_corpus(args.data)
-    vocab = build_vocabulary(corpus, rc.vocab_min_count, rc.prompt)
+    vocab = build_vocabulary(_load_corpus(args.data), rc.vocab_min_count,
+                             rc.prompt)
     model_cfg = rc.model_config(len(vocab))
     model = Seq2SeqModel(model_cfg, seed=rc.seed)
-    items = prepare_items(corpus, vocab, model_cfg, prompt=rc.prompt,
-                          bidirectional=not rc.unidirectional_edges)
-    val_items = None
-    if args.val:
-        val_items = prepare_items(_load_corpus(args.val), vocab, model_cfg,
-                                  prompt=rc.prompt,
-                                  bidirectional=not rc.unidirectional_edges)
-    os.makedirs(args.out, exist_ok=True)
-    paths = _run_paths(args.out)
-    save_config(rc, paths["config"])
-    vocab.save(paths["vocab"])
-    history = run_training(model, items, rc.train_config(), vocab=vocab,
-                           val_items=val_items, log_path=paths["metrics"],
-                           checkpoint_path=paths["checkpoint"])
+    items = _items(args.data, rc, vocab, model_cfg)
+    val_items = _items(args.val, rc, vocab, model_cfg) if args.val else None
+    with _staged(args.out) as stage:
+        paths = _run_paths(stage)
+        save_config(rc, paths["config"])
+        vocab.save(paths["vocab"])
+        history = run_training(model, items, rc.train_config(), vocab=vocab,
+                               val_items=val_items, log_path=paths["metrics"],
+                               checkpoint_path=paths["checkpoint"])
     print(json.dumps({"out": args.out, "epochs_run": len(history),
                       "final": history[-1]}))
     return EXIT_OK
 
 
 def cmd_generate(args) -> int:
-    rc, vocab, model = _load_run(args.run, _decode_overrides(args))
-    corpus = _load_corpus(args.data)
-    items = prepare_items(corpus, vocab, model.config, prompt=rc.prompt,
-                          bidirectional=not rc.unidirectional_edges)
+    rc, vocab, model = _load_run(args.run, _overrides(args))
+    items = _items(args.data, rc, vocab, model.config)
     lines = "".join(
         json.dumps({"input_id": i, "text": vocab.decode(hyp.generated()),
                     "log_prob": hyp.log_prob}) + "\n"
@@ -153,10 +163,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    rc, vocab, model = _load_run(args.run, _decode_overrides(args))
-    corpus = _load_corpus(args.data)
-    items = prepare_items(corpus, vocab, model.config, prompt=rc.prompt,
-                          bidirectional=not rc.unidirectional_edges)
+    rc, vocab, model = _load_run(args.run, _overrides(args))
+    items = _items(args.data, rc, vocab, model.config)
     hyps = decode_items(model, items, rc.decode_config())
     cands = [vocab.decode(hyp.generated()).split() for hyp in hyps]
     refs = [list(item.ref_tokens) for item in items]
@@ -173,23 +181,20 @@ def cmd_sweep_lambda(args) -> int:
         raise UsageError(f"bad --values list: {args.values!r}") from None
     if not values:
         raise UsageError("--values must name at least one weight")
-    rc = load_config(args.config, {"seed": args.seed})
+    rc = load_config(args.config, _overrides(args))
     for lam in values:  # each weight passes the checks of a lambda_gr value
-        load_config(args.config, {"seed": args.seed, "lambda_gr": lam})
-    corpus = _load_corpus(args.data)
-    val_corpus = _load_corpus(args.val)
-    vocab = build_vocabulary(corpus, rc.vocab_min_count, rc.prompt)
+        load_config(args.config, {**_overrides(args), "lambda_gr": lam})
+    vocab = build_vocabulary(_load_corpus(args.data), rc.vocab_min_count,
+                             rc.prompt)
     model_cfg = rc.model_config(len(vocab))
-    items = prepare_items(corpus, vocab, model_cfg, prompt=rc.prompt,
-                          bidirectional=not rc.unidirectional_edges)
-    val_items = prepare_items(val_corpus, vocab, model_cfg, prompt=rc.prompt,
-                              bidirectional=not rc.unidirectional_edges)
-    os.makedirs(args.out, exist_ok=True)
-    save_config(rc, os.path.join(args.out, "config.json"))
-    results = sweep_lambda(model_cfg, items, val_items, vocab, values,
-                           rc.train_config(),
-                           tsv_path=os.path.join(args.out, "sweep.tsv"),
-                           json_path=os.path.join(args.out, "sweep_plot.json"))
+    items = _items(args.data, rc, vocab, model_cfg)
+    val_items = _items(args.val, rc, vocab, model_cfg)
+    with _staged(args.out) as stage:
+        save_config(rc, os.path.join(stage, "config.json"))
+        results = sweep_lambda(
+            model_cfg, items, val_items, vocab, values, rc.train_config(),
+            tsv_path=os.path.join(stage, "sweep.tsv"),
+            json_path=os.path.join(stage, "sweep_plot.json"))
     print(json.dumps({"out": args.out,
                       "results": [{"lambda": lam, "val_bleu": bleu}
                                   for lam, bleu in results]}))
@@ -200,7 +205,8 @@ def cmd_sweep_lambda(args) -> int:
 
 
 def _add_decode_flags(p) -> None:
-    p.add_argument("--mode", choices=["greedy", "beam"], default=None)
+    p.add_argument("--mode", dest="decode_mode", choices=["greedy", "beam"],
+                   default=None)
     p.add_argument("--beam-size", type=int, default=None)
     p.add_argument("--length-penalty", type=float, default=None)
 
@@ -224,10 +230,14 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--variation",
                    choices=["base", "grasame", "var1", "var2"], default=None)
-    p.add_argument("--gnn", choices=["sage", "gat", "rgcn"], default=None)
-    p.add_argument("--freeze-base", action="store_true")
-    p.add_argument("--no-gr-loss", action="store_true")
-    p.add_argument("--unidirectional", action="store_true")
+    p.add_argument("--gnn", dest="gnn_family",
+                   choices=["sage", "gat", "rgcn"], default=None)
+    p.add_argument("--freeze-base", dest="freeze_mode", action="store_const",
+                   const="FREEZE_BASE")
+    p.add_argument("--no-gr-loss", dest="disable_gr_loss",
+                   action="store_const", const=True)
+    p.add_argument("--unidirectional", dest="unidirectional_edges",
+                   action="store_const", const=True)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--learning-rate", type=float, default=None)

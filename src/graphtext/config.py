@@ -18,6 +18,9 @@ from .gnn import GnnConfig
 from .model import ModelConfig
 from .training import TrainConfig
 
+# sub-config fields whose RunConfig field has another name
+_RENAMED = {"family": "gnn_family", "mode": "decode_mode"}
+
 
 @dataclass
 class RunConfig:
@@ -73,35 +76,23 @@ class RunConfig:
 
     def model_config(self, vocab_size: int) -> ModelConfig:
         # ModelConfig drops the GNN config for BASE
-        gnn = GnnConfig(family=self.gnn_family, in_dim=self.d_model,
-                        out_dim=self.d_model, gat_heads=self.gat_heads,
-                        sage_aggregator=self.sage_aggregator)
-        return ModelConfig(
-            vocab_size=vocab_size, d_model=self.d_model,
-            num_heads=self.num_heads,
-            num_encoder_layers=self.num_encoder_layers,
-            num_decoder_layers=self.num_decoder_layers,
-            feedforward_dim=self.feedforward_dim, variation=self.variation,
-            gnn=gnn, max_sequence_length=self.max_sequence_length,
-            max_target_length=self.max_target_length,
-            tie_embeddings=self.tie_embeddings)
+        gnn = self._build(GnnConfig, in_dim=self.d_model, out_dim=self.d_model)
+        return self._build(ModelConfig, vocab_size=vocab_size, gnn=gnn)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            epochs=self.epochs, batch_size=self.batch_size,
-            learning_rate=self.learning_rate, beta1=self.beta1,
-            beta2=self.beta2, adam_eps=self.adam_eps,
-            clip_norm=self.clip_norm, lambda_gr=self.lambda_gr,
-            freeze_mode=self.freeze_mode,
-            disable_gr_loss=self.disable_gr_loss, seed=self.seed,
-            eval_every=self.eval_every,
-            stop_token_accuracy=self.stop_token_accuracy,
-            stop_gr_accuracy=self.stop_gr_accuracy)
+        return self._build(TrainConfig)
 
     def decode_config(self) -> DecodeConfig:
-        return DecodeConfig(mode=self.decode_mode, beam_size=self.beam_size,
-                            max_target_length=self.max_target_length,
-                            length_penalty=self.length_penalty)
+        return self._build(DecodeConfig)
+
+    def _build(self, cls, **derived):
+        """``cls`` from this config's fields of the same names plus
+        ``derived``; a field this config does not carry keeps its default."""
+        own = {f.name for f in dataclasses.fields(self)}
+        values = {f.name: getattr(self, _RENAMED.get(f.name, f.name))
+                  for f in dataclasses.fields(cls)
+                  if _RENAMED.get(f.name, f.name) in own}
+        return cls(**values, **derived)
 
 
 # the JSON types each annotation admits; Python counts a bool as an int,

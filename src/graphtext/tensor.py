@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import math
 import struct
+import zlib
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -427,7 +428,7 @@ def backward(loss: Tensor) -> None:
 # parameters, optimizer, checkpoints
 
 _MAGIC = b"GRSM"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2  # the reader also accepts 1
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype(np.float32), 1: np.dtype(np.float64)}
 
@@ -548,20 +549,29 @@ class ParameterStore:
         Layout: magic, format version (u32), parameter count (u32); per
         parameter: name length (u16) + UTF-8 name, dtype code (u8, 0 = f32
         / 1 = f64), rank (u8), dims (u32 each), then the raw row-major
-        little-endian values. Round trips are bit exact.
+        little-endian values; last, the CRC32 (u32) of every byte before
+        it. Version 1 is the same without the CRC32. Round trips are bit
+        exact.
         """
+        crc = 0
         with atomic_write(path) as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<II", _FORMAT_VERSION, len(self._params)))
+            def put(chunk: bytes) -> None:
+                nonlocal crc
+                crc = zlib.crc32(chunk, crc)
+                fh.write(chunk)
+
+            put(_MAGIC)
+            put(struct.pack("<II", _FORMAT_VERSION, len(self._params)))
             for name, t in self._params.items():
                 encoded = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(encoded)))
-                fh.write(encoded)
+                put(struct.pack("<H", len(encoded)))
+                put(encoded)
                 arr = np.asarray(t.data, order="C")  # keeps 0-d rank intact
-                fh.write(struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim))
+                put(struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim))
                 for d in arr.shape:
-                    fh.write(struct.pack("<I", d))
-                fh.write(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+                    put(struct.pack("<I", d))
+                put(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+            fh.write(struct.pack("<I", crc))
 
     def load(self, path: str) -> None:
         """Replace parameter values from ``path``; names and shapes must
@@ -598,8 +608,12 @@ def _parse_checkpoint(blob: bytes) -> dict[str, np.ndarray]:
     if blob[:4] != _MAGIC:
         raise ValueError("not a model checkpoint (bad magic)")
     version, count = struct.unpack_from("<II", blob, 4)
-    if version != _FORMAT_VERSION:
+    if version not in (1, 2):
         raise ValueError(f"unsupported checkpoint version {version}")
+    if version == 2:
+        blob, (crc,) = blob[:-4], struct.unpack_from("<I", blob, len(blob) - 4)
+        if zlib.crc32(blob) != crc:
+            raise ValueError("checksum mismatch")
     off = 12
     out: dict[str, np.ndarray] = {}
     for _ in range(count):

@@ -3,12 +3,15 @@ import math
 import random
 import shutil
 import struct
+import zlib
 from pathlib import Path
 
 import pytest
 
 from graphtext import cli
 from graphtext import tensor as T
+from graphtext.config import load_config
+from graphtext.decoding import DecodeConfig
 from graphtext.tensor import read_checkpoint
 
 DATASET = [
@@ -96,6 +99,29 @@ def test_build_graph_missing_file(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+def test_interrupted_build_graph_keeps_previous_file(tmp_path, monkeypatch):
+    data = write_dataset(tmp_path / "d.jsonl")
+    out = tmp_path / "graphs.jsonl"
+    out.write_text("previous\n")
+    real_iterencode = json.JSONEncoder.iterencode
+    records = []
+
+    def encode_then_fail(self, o, _one_shot=False):
+        if isinstance(o, dict) and "index" in o:
+            records.append(o)
+            if len(records) == 3:
+                raise OSError("disk full")  # part-way through the output
+        return real_iterencode(self, o, _one_shot)
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", encode_then_fail)
+    code = cli.main(["build-graph", "--data", data, "--out", str(out)])
+    assert code == 2
+    assert len(records) == 3
+    assert out.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl",
+                                                          "graphs.jsonl"]
+
+
 def test_train_writes_run_artifacts(workspace):
     run = workspace["run"]
     names = ["config.json", "vocab.txt", "model.ckpt", "metrics.jsonl"]
@@ -136,6 +162,49 @@ def test_train_freeze_base_reports_fewer_trainable(tmp_path, workspace):
     preamble = json.loads(
         open(out / "metrics.jsonl").read().splitlines()[0])
     assert preamble["trainable_params"] < preamble["total_params"]
+
+
+def test_every_flag_reaches_its_config_field(workspace, tmp_path,
+                                             monkeypatch, capsys):
+    set_by_flags = {"variation": "VAR2", "gnn_family": "RGCN",
+                    "freeze_mode": "FREEZE_BASE", "disable_gr_loss": True,
+                    "unidirectional_edges": True, "epochs": 1,
+                    "batch_size": 3, "learning_rate": 0.002,
+                    "lambda_gr": 0.5, "seed": 4}
+    parser = cli.build_parser()
+    # every train flag that writes a setting is set here
+    bare = parser.parse_args(["train", "--data", "d", "--out", "o"])
+    assert set(cli._overrides(bare)) == set(set_by_flags)
+    out = tmp_path / "flags"
+    argv = ["train", "--config", workspace["config"], "--data",
+            workspace["data"], "--out", str(out), "--variation", "var2",
+            "--gnn", "rgcn", "--freeze-base", "--no-gr-loss",
+            "--unidirectional", "--epochs", "1", "--batch-size", "3",
+            "--learning-rate", "0.002", "--lambda-gr", "0.5", "--seed", "4"]
+    assert cli.main(argv) == 0
+    saved = json.loads((out / "config.json").read_text())
+    from_file = vars(load_config(workspace["config"]))
+    for key, value in set_by_flags.items():
+        assert saved[key] == value != from_file[key], key
+    capsys.readouterr()
+
+    bare = parser.parse_args(["eval", "--run", "r", "--data", "d"])
+    assert set(cli._overrides(bare)) == {"decode_mode", "beam_size",
+                                         "length_penalty"}
+    seen = []
+    real_decode_items = cli.decode_items
+
+    def recording_decode_items(model, items, config):
+        seen.append(config)
+        return real_decode_items(model, items, config)
+
+    monkeypatch.setattr(cli, "decode_items", recording_decode_items)
+    for command in ("eval", "generate"):
+        assert cli.main([command, "--run", str(out), "--data",
+                         workspace["data"], "--mode", "greedy",
+                         "--beam-size", "2", "--length-penalty", "0.5"]) == 0
+    assert seen == 2 * [DecodeConfig("GREEDY", 2, CONFIG["max_target_length"],
+                                     0.5)]
 
 
 def test_usage_errors(tmp_path):
@@ -266,11 +335,12 @@ def _copy_run(run, dest, **config_changes):
     return dest
 
 
-def _header_offsets(blob):
-    """Offsets of every checkpoint byte except the parameter values (layout
-    in ParameterStore.save). Values carry no checksum, so a flip there
-    loads as other weights; every other flip must be rejected."""
-    offsets = list(range(12))  # magic, format version, parameter count
+def _checkpoint_offsets(blob):
+    """Offsets of the header bytes and of the value bytes of a version-2
+    checkpoint (layout in ParameterStore.save); the header bytes include
+    the closing CRC32."""
+    header = list(range(12))  # magic, format version, parameter count
+    values = []
     (count,) = struct.unpack_from("<I", blob, 8)
     off = 12
     for _ in range(count):
@@ -278,10 +348,14 @@ def _header_offsets(blob):
         code, rank = blob[off + 2 + nlen], blob[off + 3 + nlen]
         head = 4 + nlen + 4 * rank
         dims = struct.unpack_from(f"<{rank}I", blob, off + 4 + nlen)
-        offsets.extend(range(off, off + head))
-        off += head + math.prod(dims) * (4 if code == 0 else 8)
-    assert off == len(blob)
-    return offsets
+        header.extend(range(off, off + head))
+        off += head
+        nbytes = math.prod(dims) * (4 if code == 0 else 8)
+        values.extend(range(off, off + nbytes))
+        off += nbytes
+    header.extend(range(off, off + 4))
+    assert off + 4 == len(blob)
+    return header, values
 
 
 @pytest.mark.parametrize("bad", [
@@ -335,7 +409,10 @@ def test_damaged_checkpoint_is_data_error(workspace, tmp_path, capsys):
     blob = (Path(workspace["run"]) / "model.ckpt").read_bytes()
     damaged = [blob[:n] for n in (0, 3, 100, rng.randrange(12, len(blob)),
                                   len(blob) - 1)]
-    for pos in rng.sample(_header_offsets(blob), 10):
+    header, values = _checkpoint_offsets(blob)
+    # the CRC32 rejects a flip in the values too, which would otherwise
+    # load as other weights
+    for pos in rng.sample(header, 10) + rng.sample(values, 10):
         flipped = bytearray(blob)
         flipped[pos] ^= rng.randrange(1, 256)
         damaged.append(bytes(flipped))
@@ -346,6 +423,34 @@ def test_damaged_checkpoint_is_data_error(workspace, tmp_path, capsys):
             _assert_data_error(cli.main([command, "--run", str(run),
                                          "--data", workspace["data"]]),
                                capsys)
+
+
+def test_version_1_checkpoint_still_loads(workspace, tmp_path, capsys):
+    """A version-1 file is the version-2 layout without the CRC32."""
+    blob = (Path(workspace["run"]) / "model.ckpt").read_bytes()
+    params = read_checkpoint(str(Path(workspace["run"]) / "model.ckpt"))
+    body = [struct.pack("<I", len(params))]
+    for name, arr in params.items():
+        body += [struct.pack("<H", len(name)), name.encode("utf-8"),
+                 struct.pack(f"<BB{arr.ndim}I", 1, arr.ndim, *arr.shape),
+                 arr.astype("<f8").tobytes()]
+    v2 = b"GRSM" + struct.pack("<I", 2) + b"".join(body)
+    assert blob == v2 + struct.pack("<I", zlib.crc32(v2))
+    run = _copy_run(workspace["run"], tmp_path / "run")
+    v1 = b"GRSM" + struct.pack("<I", 1) + b"".join(body)
+    (run / "model.ckpt").write_bytes(v1)
+    loaded = read_checkpoint(str(run / "model.ckpt"))
+    assert list(loaded) == list(params)
+    for name, arr in params.items():
+        assert loaded[name].dtype == arr.dtype
+        assert loaded[name].tobytes() == arr.tobytes()
+    for command in ("eval", "generate"):
+        outputs = []
+        for run_dir in (workspace["run"], str(run)):
+            assert cli.main([command, "--run", run_dir, "--data",
+                             workspace["data"]]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("change", [{"d_model": 16},
@@ -365,10 +470,29 @@ def test_checkpoint_of_another_model_is_data_error(workspace, tmp_path,
                                      "--data", workspace["data"]]), capsys)
 
 
+RUN_FILES = ["config.json", "metrics.jsonl", "model.ckpt", "vocab.txt"]
+
+
+def test_train_replaces_run_files_and_keeps_others(workspace, tmp_path):
+    run = _copy_run(workspace["run"], tmp_path / "run")
+    (run / "notes.txt").write_text("mine\n")
+    before = {name: (run / name).read_bytes() for name in RUN_FILES}
+    assert cli.main(["train", "--config", workspace["config"], "--data",
+                     workspace["data"], "--out", str(run),
+                     "--variation", "base"]) == 0
+    assert sorted(p.name for p in run.iterdir()) == sorted(RUN_FILES
+                                                           + ["notes.txt"])
+    assert all((run / name).read_bytes() != before[name]
+               for name in ["config.json", "metrics.jsonl", "model.ckpt"])
+    assert json.loads((run / "config.json").read_text())["variation"] == "BASE"
+    assert (run / "notes.txt").read_text() == "mine\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run"]
+
+
 def test_interrupted_train_exits_3_and_keeps_checkpoint(workspace, tmp_path,
                                                         monkeypatch, capsys):
     run = _copy_run(workspace["run"], tmp_path / "run")
-    before = (run / "model.ckpt").read_bytes()
+    before = {name: (run / name).read_bytes() for name in RUN_FILES}
     real_backward = T.backward
     calls = []
 
@@ -382,12 +506,39 @@ def test_interrupted_train_exits_3_and_keeps_checkpoint(workspace, tmp_path,
     try:
         code = cli.main(["train", "--config", workspace["config"], "--data",
                          workspace["data"], "--out", str(run),
-                         "--batch-size", "2"])
+                         "--batch-size", "2", "--variation", "base"])
     except KeyboardInterrupt:
         pytest.fail("the interrupt escaped cli.main")
     err = capsys.readouterr().err
     assert code == 3, err
     assert len(err.splitlines()) == 1, err
     assert len(calls) == 2
-    assert (run / "model.ckpt").read_bytes() == before
-    assert not list(run.glob("*.tmp"))
+    assert {name: (run / name).read_bytes() for name in RUN_FILES} == before
+    assert sorted(p.name for p in run.iterdir()) == RUN_FILES
+    assert [p.name for p in tmp_path.iterdir()] == ["run"]
+
+
+def test_interrupted_sweep_keeps_previous_files(workspace, tmp_path,
+                                                monkeypatch, capsys):
+    out = tmp_path / "sweep"
+    argv = ["sweep-lambda", "--config", workspace["config"], "--data",
+            workspace["data"], "--val", workspace["data"], "--out", str(out)]
+    assert cli.main(argv + ["--values", "0.08"]) == 0
+    names = ["config.json", "sweep.tsv", "sweep_plot.json"]
+    before = {name: (out / name).read_bytes() for name in names}
+    real_backward = T.backward
+    calls = []
+
+    def backward_then_interrupt(loss):
+        calls.append(loss)
+        if len(calls) == 3:  # during the second weight's training
+            raise KeyboardInterrupt
+        real_backward(loss)
+
+    monkeypatch.setattr(T, "backward", backward_then_interrupt)
+    capsys.readouterr()
+    assert cli.main(argv + ["--values", "0.0,0.5", "--seed", "4"]) == 3
+    assert len(calls) == 3
+    assert {name: (out / name).read_bytes() for name in names} == before
+    assert sorted(p.name for p in out.iterdir()) == names
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep"]
