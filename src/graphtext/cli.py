@@ -14,6 +14,7 @@ import dataclasses
 import json
 import os
 import shutil
+import signal
 import sys
 import tempfile
 
@@ -53,11 +54,14 @@ def _load_corpus(path: str):
     return corpus
 
 
+_RUN_FILES = {"config": "config.json", "vocab": "vocab.txt",
+             "checkpoint": "model.ckpt", "metrics": "metrics.jsonl"}
+_SWEEP_FILES = ("config.json", "sweep.tsv", "sweep_plot.json")
+
+
 def _run_paths(run_dir: str) -> dict:
-    return {"config": os.path.join(run_dir, "config.json"),
-            "vocab": os.path.join(run_dir, "vocab.txt"),
-            "checkpoint": os.path.join(run_dir, "model.ckpt"),
-            "metrics": os.path.join(run_dir, "metrics.jsonl")}
+    return {key: os.path.join(run_dir, name)
+            for key, name in _RUN_FILES.items()}
 
 
 def _load_run(run_dir: str, overrides: dict):
@@ -70,19 +74,44 @@ def _load_run(run_dir: str, overrides: dict):
 
 
 @contextlib.contextmanager
-def _staged(out: str):
-    """A fresh directory beside ``out`` to write a run into. When the block
-    completes, each of its files replaces the file of that name in ``out``;
-    on every path the directory is removed, so a failed run leaves ``out``
-    as it was."""
+def _sigint_held():
+    """Hold back Ctrl-C until the block ends, then raise it."""
+    caught = []
+    try:
+        previous = signal.signal(signal.SIGINT, lambda *_: caught.append(1))
+    except ValueError:  # handlers can be set from the main thread only
+        caught = None
+    try:
+        yield
+    finally:
+        if caught is not None:
+            signal.signal(signal.SIGINT, signal.SIG_DFL if previous is None
+                          else previous)
+    if caught:
+        raise KeyboardInterrupt
+
+
+@contextlib.contextmanager
+def _run_dir(out: str, names):
+    """The directory a command writes its files ``names`` into.
+
+    If ``out`` holds none of them, that is ``out`` itself, so a failed run
+    keeps what it wrote so far. Otherwise it is a fresh directory inside
+    ``out``: when the block completes, each of its files replaces the file
+    of that name in ``out``, with Ctrl-C held back over the swap, and on
+    every path it is removed, so a failed run leaves the previous files as
+    they were.
+    """
     os.makedirs(out, exist_ok=True)
-    out = os.path.abspath(out)
-    stage = tempfile.mkdtemp(prefix=f".{os.path.basename(out)}.",
-                             suffix=".tmp", dir=os.path.dirname(out))
+    if not any(os.path.exists(os.path.join(out, n)) for n in names):
+        yield out
+        return
+    stage = tempfile.mkdtemp(prefix=".stage.", suffix=".tmp", dir=out)
     try:
         yield stage
-        for name in sorted(os.listdir(stage)):
-            os.replace(os.path.join(stage, name), os.path.join(out, name))
+        with _sigint_held():
+            for name in sorted(os.listdir(stage)):
+                os.replace(os.path.join(stage, name), os.path.join(out, name))
     finally:
         shutil.rmtree(stage, ignore_errors=True)
 
@@ -93,9 +122,9 @@ def _overrides(args) -> dict:
     return {k: v for k, v in vars(args).items() if k in fields}
 
 
-def _items(path: str, rc: RunConfig, vocab: Vocabulary,
+def _items(corpus, rc: RunConfig, vocab: Vocabulary,
            model_config: ModelConfig) -> list:
-    return prepare_items(_load_corpus(path), vocab, model_config,
+    return prepare_items(corpus, vocab, model_config,
                          prompt=rc.prompt,
                          bidirectional=not rc.unidirectional_edges)
 
@@ -107,20 +136,18 @@ def cmd_build_graph(args) -> int:
     corpus = _load_corpus(args.data)
     vocab = build_vocabulary(corpus)
     totals: dict[str, dict[str, int]] = {}
-    lines = []
-    for i, ex in enumerate(corpus):
-        inp = linearize(ex, DEFAULT_PROMPT, vocab)
-        g = build_graph(inp, bidirectional=not args.unidirectional)
-        counts = edge_counts(g)
-        record = {"index": i, **json.loads(graph_to_json(g)),
-                  "edge_counts": counts}
-        lines.append(json.dumps(record) + "\n")
-        for direction, per_rel in counts.items():
-            slot = totals.setdefault(direction, {})
-            for rel, n in per_rel.items():
-                slot[rel] = slot.get(rel, 0) + n
     with atomic_write(args.out) as fh:
-        fh.write("".join(lines).encode("utf-8"))
+        for i, ex in enumerate(corpus):
+            inp = linearize(ex, DEFAULT_PROMPT, vocab)
+            g = build_graph(inp, bidirectional=not args.unidirectional)
+            counts = edge_counts(g)
+            record = {"index": i, **json.loads(graph_to_json(g)),
+                      "edge_counts": counts}
+            fh.write((json.dumps(record) + "\n").encode("utf-8"))
+            for direction, per_rel in counts.items():
+                slot = totals.setdefault(direction, {})
+                for rel, n in per_rel.items():
+                    slot[rel] = slot.get(rel, 0) + n
     print(json.dumps({"examples": len(corpus), "edge_counts": totals}))
     return EXIT_OK
 
@@ -129,14 +156,15 @@ def cmd_train(args) -> int:
     rc = load_config(args.config, _overrides(args))
     if args.gnn_family is not None and rc.variation == "BASE":
         raise UsageError("--gnn has no effect with --variation base")
-    vocab = build_vocabulary(_load_corpus(args.data), rc.vocab_min_count,
-                             rc.prompt)
+    corpus = _load_corpus(args.data)
+    vocab = build_vocabulary(corpus, rc.vocab_min_count, rc.prompt)
     model_cfg = rc.model_config(len(vocab))
     model = Seq2SeqModel(model_cfg, seed=rc.seed)
-    items = _items(args.data, rc, vocab, model_cfg)
-    val_items = _items(args.val, rc, vocab, model_cfg) if args.val else None
-    with _staged(args.out) as stage:
-        paths = _run_paths(stage)
+    items = _items(corpus, rc, vocab, model_cfg)
+    val_items = (_items(_load_corpus(args.val), rc, vocab, model_cfg)
+                 if args.val else None)
+    with _run_dir(args.out, _RUN_FILES.values()) as run_dir:
+        paths = _run_paths(run_dir)
         save_config(rc, paths["config"])
         vocab.save(paths["vocab"])
         history = run_training(model, items, rc.train_config(), vocab=vocab,
@@ -149,7 +177,7 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     rc, vocab, model = _load_run(args.run, _overrides(args))
-    items = _items(args.data, rc, vocab, model.config)
+    items = _items(_load_corpus(args.data), rc, vocab, model.config)
     lines = "".join(
         json.dumps({"input_id": i, "text": vocab.decode(hyp.generated()),
                     "log_prob": hyp.log_prob}) + "\n"
@@ -164,7 +192,7 @@ def cmd_generate(args) -> int:
 
 def cmd_eval(args) -> int:
     rc, vocab, model = _load_run(args.run, _overrides(args))
-    items = _items(args.data, rc, vocab, model.config)
+    items = _items(_load_corpus(args.data), rc, vocab, model.config)
     hyps = decode_items(model, items, rc.decode_config())
     cands = [vocab.decode(hyp.generated()).split() for hyp in hyps]
     refs = [list(item.ref_tokens) for item in items]
@@ -184,17 +212,17 @@ def cmd_sweep_lambda(args) -> int:
     rc = load_config(args.config, _overrides(args))
     for lam in values:  # each weight passes the checks of a lambda_gr value
         load_config(args.config, {**_overrides(args), "lambda_gr": lam})
-    vocab = build_vocabulary(_load_corpus(args.data), rc.vocab_min_count,
-                             rc.prompt)
+    corpus = _load_corpus(args.data)
+    vocab = build_vocabulary(corpus, rc.vocab_min_count, rc.prompt)
     model_cfg = rc.model_config(len(vocab))
-    items = _items(args.data, rc, vocab, model_cfg)
-    val_items = _items(args.val, rc, vocab, model_cfg)
-    with _staged(args.out) as stage:
-        save_config(rc, os.path.join(stage, "config.json"))
+    items = _items(corpus, rc, vocab, model_cfg)
+    val_items = _items(_load_corpus(args.val), rc, vocab, model_cfg)
+    with _run_dir(args.out, _SWEEP_FILES) as run_dir:
+        save_config(rc, os.path.join(run_dir, "config.json"))
         results = sweep_lambda(
             model_cfg, items, val_items, vocab, values, rc.train_config(),
-            tsv_path=os.path.join(stage, "sweep.tsv"),
-            json_path=os.path.join(stage, "sweep_plot.json"))
+            tsv_path=os.path.join(run_dir, "sweep.tsv"),
+            json_path=os.path.join(run_dir, "sweep_plot.json"))
     print(json.dumps({"out": args.out,
                       "results": [{"lambda": lam, "val_bleu": bleu}
                                   for lam, bleu in results]}))

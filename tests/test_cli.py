@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import random
+import signal
 import shutil
 import struct
 import zlib
@@ -125,7 +127,6 @@ def test_interrupted_build_graph_keeps_previous_file(tmp_path, monkeypatch):
 def test_train_writes_run_artifacts(workspace):
     run = workspace["run"]
     names = ["config.json", "vocab.txt", "model.ckpt", "metrics.jsonl"]
-    import os
     for name in names:
         assert os.path.exists(os.path.join(run, name)), name
     lines = open(os.path.join(run, "metrics.jsonl")).read().splitlines()
@@ -473,13 +474,25 @@ def test_checkpoint_of_another_model_is_data_error(workspace, tmp_path,
 RUN_FILES = ["config.json", "metrics.jsonl", "model.ckpt", "vocab.txt"]
 
 
-def test_train_replaces_run_files_and_keeps_others(workspace, tmp_path):
+def test_train_replaces_run_files_and_keeps_others(workspace, tmp_path,
+                                                   monkeypatch):
     run = _copy_run(workspace["run"], tmp_path / "run")
     (run / "notes.txt").write_text("mine\n")
     before = {name: (run / name).read_bytes() for name in RUN_FILES}
+    real_replace = os.replace
+    moves = []
+
+    def recording_replace(src, dst):
+        moves.append((src, dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
     assert cli.main(["train", "--config", workspace["config"], "--data",
                      workspace["data"], "--out", str(run),
                      "--variation", "base"]) == 0
+    # every file is staged under --out, so no move crosses a mount point
+    assert {os.path.basename(dst) for _, dst in moves} >= set(RUN_FILES)
+    assert all(Path(src).is_relative_to(run) for src, _ in moves)
     assert sorted(p.name for p in run.iterdir()) == sorted(RUN_FILES
                                                            + ["notes.txt"])
     assert all((run / name).read_bytes() != before[name]
@@ -516,6 +529,56 @@ def test_interrupted_train_exits_3_and_keeps_checkpoint(workspace, tmp_path,
     assert {name: (run / name).read_bytes() for name in RUN_FILES} == before
     assert sorted(p.name for p in run.iterdir()) == RUN_FILES
     assert [p.name for p in tmp_path.iterdir()] == ["run"]
+
+
+def test_interrupted_train_into_new_out_keeps_best_checkpoint(
+        workspace, tmp_path, monkeypatch, capsys):
+    run = tmp_path / "run"
+    real_backward = T.backward
+    calls = []
+
+    def backward_then_interrupt(loss):
+        calls.append(loss)
+        if len(calls) == 3:  # the first batch of the second epoch
+            raise KeyboardInterrupt
+        real_backward(loss)
+
+    monkeypatch.setattr(T, "backward", backward_then_interrupt)
+    assert cli.main(["train", "--config", workspace["config"], "--data",
+                     workspace["data"], "--val", workspace["data"], "--out",
+                     str(run), "--batch-size", "2"]) == 3
+    assert sorted(p.name for p in run.iterdir()) == RUN_FILES
+    preamble, record = [json.loads(line) for line
+                        in (run / "metrics.jsonl").read_text().splitlines()]
+    assert "total_params" in preamble
+    assert record["epoch"] == 1 and "val_bleu" in record
+    assert cli.main(["eval", "--run", str(run), "--data",
+                     workspace["data"]]) == 0, capsys.readouterr().err
+
+
+def test_interrupt_during_the_swap_waits_for_every_file(workspace, tmp_path,
+                                                        monkeypatch, capsys):
+    run = _copy_run(workspace["run"], tmp_path / "run")
+    real_replace = os.replace
+    moved = []
+
+    def replace_then_interrupt(src, dst):
+        if ".stage." in str(src) and Path(dst).parent == run:
+            moved.append(os.path.basename(dst))
+            if len(moved) == 1:
+                os.kill(os.getpid(), signal.SIGINT)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_then_interrupt)
+    handler = signal.getsignal(signal.SIGINT)
+    assert cli.main(["train", "--config", workspace["config"], "--data",
+                     workspace["data"], "--out", str(run),
+                     "--variation", "base"]) == 3
+    assert capsys.readouterr().err == "interrupted\n"
+    assert moved == RUN_FILES
+    assert json.loads((run / "config.json").read_text())["variation"] == "BASE"
+    assert sorted(p.name for p in run.iterdir()) == RUN_FILES
+    assert signal.getsignal(signal.SIGINT) is handler
 
 
 def test_interrupted_sweep_keeps_previous_files(workspace, tmp_path,
