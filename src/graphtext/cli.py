@@ -22,7 +22,7 @@ from . import tensor as T
 from .config import RunConfig, load_config, save_config
 from .data import (DEFAULT_PROMPT, DataError, Vocabulary, atomic_write,
                    build_vocabulary, linearize, parse_dataset)
-from .graph import build_graph, edge_counts, graph_to_json
+from .graph import build_graph, edge_counts, graph_record
 from .metrics import chrf_pp, corpus_bleu
 from .model import ModelConfig, Seq2SeqModel
 from .training import decode_items, prepare_items, sweep_lambda
@@ -69,7 +69,7 @@ def _load_run(run_dir: str, overrides: dict):
     rc = load_config(paths["config"], overrides)
     vocab = Vocabulary.load(paths["vocab"])
     model = Seq2SeqModel(rc.model_config(len(vocab)), seed=rc.seed)
-    model.load(paths["checkpoint"])
+    model.store.load(paths["checkpoint"])
     return rc, vocab, model
 
 
@@ -141,8 +141,7 @@ def cmd_build_graph(args) -> int:
             inp = linearize(ex, DEFAULT_PROMPT, vocab)
             g = build_graph(inp, bidirectional=not args.unidirectional)
             counts = edge_counts(g)
-            record = {"index": i, **json.loads(graph_to_json(g)),
-                      "edge_counts": counts}
+            record = {"index": i, **graph_record(g), "edge_counts": counts}
             fh.write((json.dumps(record) + "\n").encode("utf-8"))
             for direction, per_rel in counts.items():
                 slot = totals.setdefault(direction, {})

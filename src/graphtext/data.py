@@ -337,11 +337,9 @@ def linearize(example: Example, prompt: str, vocab: Vocabulary,
         raise DataError(
             f"linearized length {len(surface)} exceeds the"
             f" {max_sequence_length}-token limit")
-    out = TokenizedGraphInput(token_ids=vocab.encode(surface), surface=surface,
-                              kinds=kinds, triple_index=tri,
-                              entity_span_id=span, span_keys=span_keys)
-    out.validate()
-    return out
+    return TokenizedGraphInput(token_ids=vocab.encode(surface), surface=surface,
+                               kinds=kinds, triple_index=tri,
+                               entity_span_id=span, span_keys=span_keys)
 
 
 def encode_target(text: str, vocab: Vocabulary,

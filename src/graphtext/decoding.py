@@ -13,6 +13,7 @@ log-probability wins, again with a lexicographic tie-break.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -36,8 +37,10 @@ class DecodeConfig:
         self.mode = self.mode.upper()
         if self.mode not in MODES:
             raise ValueError(f"unknown decode mode {self.mode!r}")
-        if self.beam_size < 1:
-            raise ValueError("beam_size must be >= 1")
+        if self.beam_size < 1 or self.max_target_length < 1:
+            raise ValueError("beam_size and max_target_length must be >= 1")
+        if not math.isfinite(self.length_penalty):
+            raise ValueError("length_penalty must be finite")
 
     @property
     def effective_beam(self) -> int:

@@ -17,7 +17,6 @@ the labels for the reconstruction objective.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -59,9 +58,6 @@ class HierGraph:
     def forward_edges(self) -> list[Edge]:
         return [e for e in self.edges
                 if e.dir is Direction.FORWARD and e.rel is not RelationType.SELF]
-
-    def __len__(self) -> int:
-        return len(self.edges)
 
 
 def build_graph(inp: TokenizedGraphInput, bidirectional: bool = True) -> HierGraph:
@@ -130,11 +126,11 @@ def reconstruction_targets(graph: HierGraph) -> list[tuple[int, int, RelationTyp
                   key=lambda t: (t[0], t[1], t[2].value))
 
 
-def graph_to_json(graph: HierGraph) -> str:
+def graph_record(graph: HierGraph) -> dict:
+    """The graph as plain JSON values, edges sorted by (src, dst,
+    relation, direction)."""
     order = {r: i for i, r in enumerate(RelationType)}
     edges = sorted(graph.edges,
                    key=lambda e: (e.src, e.dst, order[e.rel], e.dir.value))
-    return json.dumps({
-        "num_nodes": graph.num_nodes,
-        "edges": [[e.src, e.dst, e.rel.value, e.dir.value] for e in edges],
-    }, indent=2)
+    return {"num_nodes": graph.num_nodes,
+            "edges": [[e.src, e.dst, e.rel.value, e.dir.value] for e in edges]}

@@ -233,14 +233,6 @@ class Seq2SeqModel:
         pair = T.merge_heads(T.embedding_lookup(enc_states, ends))
         return T.add(T.matmul(pair, self.gr_w), self.gr_b)
 
-    # -- persistence ----------------------------------------------------------
-
-    def save(self, path: str) -> None:
-        self.store.save(path)
-
-    def load(self, path: str) -> None:
-        self.store.load(path)
-
 
 def relation_label_ids(targets: list[tuple[int, int, RelationType]]) -> list[int]:
     return [LABEL_INDEX[rel] for _, _, rel in targets]

@@ -61,8 +61,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
@@ -74,10 +74,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
@@ -446,7 +442,6 @@ class ParameterStore:
         self._params: dict[str, Tensor] = {}
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
-        self._trainable: set[str] | None = None  # None means every name
         self.step_count = 0
 
     def create(self, name: str, array: np.ndarray) -> Tensor:
@@ -457,9 +452,6 @@ class ParameterStore:
         self._m[name] = np.zeros_like(t.data)
         self._v[name] = np.zeros_like(t.data)
         return t
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
 
     def get(self, name: str) -> Tensor:
         return self._params[name]
@@ -482,25 +474,19 @@ class ParameterStore:
     def set_trainable(self, names: Iterable[str] | None) -> None:
         """Restrict training to ``names`` (None lifts the restriction).
 
-        Frozen tensors get ``requires_grad`` cleared so backward skips
-        them entirely; their Adam moments stay untouched as well.
+        A tensor's ``requires_grad`` is its trainable flag: frozen tensors
+        have it cleared, so backward skips them entirely and Adam leaves
+        them and their moments untouched.
         """
-        if names is None:
-            self._trainable = None
-        else:
-            chosen = set(names)
-            unknown = chosen - set(self._params)
-            if unknown:
-                raise KeyError(f"unknown parameter names: {sorted(unknown)}")
-            self._trainable = chosen
+        chosen = set(self._params if names is None else names)
+        unknown = chosen - set(self._params)
+        if unknown:
+            raise KeyError(f"unknown parameter names: {sorted(unknown)}")
         for name, t in self._params.items():
-            t.requires_grad = self.is_trainable(name)
-
-    def is_trainable(self, name: str) -> bool:
-        return self._trainable is None or name in self._trainable
+            t.requires_grad = name in chosen
 
     def trainable_names(self) -> list[str]:
-        return [n for n in self._params if self.is_trainable(n)]
+        return [n for n, t in self._params.items() if t.requires_grad]
 
     def num_trainable_values(self) -> int:
         return sum(self._params[n].data.size for n in self.trainable_names())

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -45,7 +45,8 @@ class TrainConfig:
     seed: int = 123
     eval_every: int = 1
     # optional early stopping on training accuracy; every provided
-    # threshold must be met before training halts
+    # threshold must be met before training halts, except that
+    # stop_gr_accuracy is ignored while disable_gr_loss is set
     stop_token_accuracy: float | None = None
     stop_gr_accuracy: float | None = None
 
@@ -100,13 +101,40 @@ def prepare_items(examples: list[Example], vocab: Vocabulary,
 
 @dataclass
 class LossBreakdown:
-    l_tg: float
-    l_gr: float
-    l_total: float
-    token_accuracy: float
-    gr_accuracy: float
-    num_tokens: int
-    num_pairs: int
+    """Cross-entropy sums and counts of a batch, or of several added up.
+
+    ``l_total`` is the batch's combined loss value; a sum of records
+    carries the sum of theirs. Every mean below is a ratio of the sums,
+    so adding batch records gives the epoch's exact figures.
+    """
+    tg_sum: float = 0.0
+    gr_sum: float = 0.0
+    num_tokens: int = 0
+    num_pairs: int = 0
+    tok_correct: int = 0
+    gr_correct: int = 0
+    l_total: float = 0.0
+
+    def __add__(self, other: LossBreakdown) -> LossBreakdown:
+        return LossBreakdown(*(getattr(self, f.name) + getattr(other, f.name)
+                               for f in fields(self)))
+
+    # the means are sum * (1 / count), the product the loss tensor takes
+    @property
+    def l_tg(self) -> float:
+        return self.tg_sum * (1.0 / self.num_tokens)
+
+    @property
+    def l_gr(self) -> float:
+        return self.gr_sum * (1.0 / self.num_pairs) if self.num_pairs else 0.0
+
+    @property
+    def token_accuracy(self) -> float:
+        return self.tok_correct / self.num_tokens
+
+    @property
+    def gr_accuracy(self) -> float:
+        return self.gr_correct / self.num_pairs if self.num_pairs else 0.0
 
 
 def gnn_parameter_names(store: T.ParameterStore) -> list[str]:
@@ -128,10 +156,7 @@ def compute_batch_loss(model: Seq2SeqModel, items: list[TrainItem],
     """Forward the batch and assemble the combined loss tensor."""
     tg_terms: list[T.Tensor] = []
     gr_terms: list[T.Tensor] = []
-    num_tokens = 0
-    num_pairs = 0
-    tok_correct = 0
-    gr_correct = 0
+    bd = LossBreakdown()
     for item in items:
         enc = model.encode(item.inp, item.gt)
         prefix = item.target_ids[:-1]
@@ -139,30 +164,26 @@ def compute_batch_loss(model: Seq2SeqModel, items: list[TrainItem],
         logits = model.decode(prefix, enc)
         tg_terms.append(T.cross_entropy(logits, labels, ignore_id=PAD_ID,
                                         reduction="sum"))
-        num_tokens += len(labels)
-        tok_correct += int((logits.data.argmax(axis=-1)
-                            == np.asarray(labels)).sum())
+        bd.num_tokens += len(labels)
+        bd.tok_correct += int((logits.data.argmax(axis=-1)
+                               == np.asarray(labels)).sum())
         if not disable_gr_loss and item.gr_labels:
             gr_logits = model.reconstruct_relations(enc, item.gr_pairs)
             gr_terms.append(T.cross_entropy(gr_logits, item.gr_labels,
                                             reduction="sum"))
-            num_pairs += len(item.gr_labels)
-            gr_correct += int((gr_logits.data.argmax(axis=-1)
-                               == np.asarray(item.gr_labels)).sum())
-    loss = T.scale(_tensor_sum(tg_terms), 1.0 / num_tokens)
-    l_tg = float(loss.data)
-    l_gr = 0.0
-    gr_acc = 0.0
+            bd.num_pairs += len(item.gr_labels)
+            bd.gr_correct += int((gr_logits.data.argmax(axis=-1)
+                                  == np.asarray(item.gr_labels)).sum())
+    tg_total = _tensor_sum(tg_terms)
+    bd.tg_sum = float(tg_total.data)
+    loss = T.scale(tg_total, 1.0 / bd.num_tokens)
     if gr_terms:
-        gr_loss = T.scale(_tensor_sum(gr_terms), 1.0 / num_pairs)
-        l_gr = float(gr_loss.data)
-        gr_acc = gr_correct / num_pairs
+        gr_total = _tensor_sum(gr_terms)
+        bd.gr_sum = float(gr_total.data)
+        gr_loss = T.scale(gr_total, 1.0 / bd.num_pairs)
         loss = T.add(loss, T.scale(gr_loss, lambda_gr))
-    breakdown = LossBreakdown(
-        l_tg=l_tg, l_gr=l_gr, l_total=float(loss.data),
-        token_accuracy=tok_correct / num_tokens, gr_accuracy=gr_acc,
-        num_tokens=num_tokens, num_pairs=num_pairs)
-    return loss, breakdown
+    bd.l_total = float(loss.data)
+    return loss, bd
 
 
 def _tensor_sum(terms: list[T.Tensor]) -> T.Tensor:
@@ -179,10 +200,9 @@ def decode_items(model: Seq2SeqModel, items: list[TrainItem],
 
 
 def evaluate_bleu(model: Seq2SeqModel, items: list[TrainItem],
-                  vocab: Vocabulary,
-                  decode_config: DecodeConfig | None = None) -> float:
-    """Corpus BLEU of greedy (by default) decodes against the references."""
-    hyps = decode_items(model, items, decode_config or DecodeConfig("GREEDY"))
+                  vocab: Vocabulary) -> float:
+    """Corpus BLEU of greedy decodes against the references."""
+    hyps = decode_items(model, items, DecodeConfig("GREEDY"))
     return corpus_bleu([vocab.decode(h.generated()).split() for h in hyps],
                        [list(item.ref_tokens) for item in items])
 
@@ -194,10 +214,10 @@ def train(model: Seq2SeqModel, items: list[TrainItem], config: TrainConfig,
           checkpoint_path: str | None = None) -> list[dict]:
     """Run the optimization loop and return the per-epoch history.
 
-    Each history record carries the epoch's exact loss breakdown
-    (cross-entropy sums divided by epoch-wide counts). When a validation
-    set is given, greedy BLEU is measured every ``eval_every`` epochs and
-    the best-scoring model state is written to ``checkpoint_path``.
+    Each history record holds the epoch's losses and accuracies as ratios
+    of its summed batch counts. When a validation set is given, greedy
+    BLEU is measured every ``eval_every`` epochs and the best-scoring
+    model state is written to ``checkpoint_path``.
     """
     if not items:
         raise ValueError("no training items")
@@ -216,8 +236,7 @@ def train(model: Seq2SeqModel, items: list[TrainItem], config: TrainConfig,
         for epoch in range(1, config.epochs + 1):
             order = list(range(len(items)))
             rng.shuffle(order)
-            sums = {"tg": 0.0, "gr": 0.0}
-            counts = {"tokens": 0, "pairs": 0, "tok_ok": 0.0, "gr_ok": 0.0}
+            total = LossBreakdown()
             for start in range(0, len(order), config.batch_size):
                 batch = [items[i] for i in order[start:start + config.batch_size]]
                 model.store.zero_grads()
@@ -231,28 +250,20 @@ def train(model: Seq2SeqModel, items: list[TrainItem], config: TrainConfig,
                     config.learning_rate, beta1=config.beta1,
                     beta2=config.beta2, eps=config.adam_eps,
                     clip_norm=config.clip_norm)
-                sums["tg"] += bd.l_tg * bd.num_tokens
-                sums["gr"] += bd.l_gr * bd.num_pairs
-                counts["tokens"] += bd.num_tokens
-                counts["pairs"] += bd.num_pairs
-                counts["tok_ok"] += bd.token_accuracy * bd.num_tokens
-                counts["gr_ok"] += bd.gr_accuracy * bd.num_pairs
-            l_tg = sums["tg"] / counts["tokens"]
-            l_gr = sums["gr"] / counts["pairs"] if counts["pairs"] else 0.0
+                total += bd
             record = {
                 "epoch": epoch,
-                "l_tg": l_tg,
-                "l_gr": l_gr,
-                "l_total": l_tg + config.lambda_gr * l_gr,
-                "token_accuracy": counts["tok_ok"] / counts["tokens"],
-                "gr_accuracy": (counts["gr_ok"] / counts["pairs"]
-                                if counts["pairs"] else 0.0),
+                "l_tg": total.l_tg,
+                "l_gr": total.l_gr,
+                "l_total": total.l_tg + config.lambda_gr * total.l_gr,
+                "token_accuracy": total.token_accuracy,
+                "gr_accuracy": total.gr_accuracy,
             }
             if val_items and epoch % config.eval_every == 0:
                 record["val_bleu"] = evaluate_bleu(model, val_items, vocab)
                 if checkpoint_path and record["val_bleu"] > best_bleu:
                     best_bleu = record["val_bleu"]
-                    model.save(checkpoint_path)
+                    model.store.save(checkpoint_path)
             history.append(record)
             if log_file:
                 log_file.write(json.dumps(record) + "\n")
@@ -260,7 +271,7 @@ def train(model: Seq2SeqModel, items: list[TrainItem], config: TrainConfig,
                 break
         if checkpoint_path and best_bleu < 0.0:
             # no validation pass ever ran, keep the final state instead
-            model.save(checkpoint_path)
+            model.store.save(checkpoint_path)
     finally:
         if log_file:
             log_file.close()
@@ -271,7 +282,9 @@ def _stop_now(config: TrainConfig, record: dict) -> bool:
     checks = []
     if config.stop_token_accuracy is not None:
         checks.append(record["token_accuracy"] >= config.stop_token_accuracy)
-    if config.stop_gr_accuracy is not None:
+    # with the reconstruction loss off no pair is scored, so its accuracy
+    # stays 0 and cannot reach a threshold
+    if config.stop_gr_accuracy is not None and not config.disable_gr_loss:
         checks.append(record["gr_accuracy"] >= config.stop_gr_accuracy)
     return bool(checks) and all(checks)
 

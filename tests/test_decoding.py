@@ -161,6 +161,15 @@ def test_decode_config_validation():
     assert X.DecodeConfig(mode="greedy").effective_beam == 1
 
 
+@pytest.mark.parametrize("bad", [{"max_target_length": 0},
+                                 {"max_target_length": -2},
+                                 {"length_penalty": float("nan")},
+                                 {"length_penalty": float("inf")}])
+def test_decode_config_rejects_empty_budget_and_non_finite_penalty(bad):
+    with pytest.raises(ValueError):
+        X.DecodeConfig(**bad)
+
+
 def test_model_decode_beam_one_equals_greedy():
     ex = D.Example([D.Triple("Iraq", "language", "Arabic")],
                    "Iraq language is Arabic.")

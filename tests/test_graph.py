@@ -170,7 +170,7 @@ def test_every_special_has_incoming_r1_and_entities_have_r3():
 def test_graph_json_roundtrip():
     inp = linearized(iraq_example())
     g = G.build_graph(inp)
-    obj = json.loads(G.graph_to_json(g))
+    obj = json.loads(json.dumps(G.graph_record(g)))
     assert obj["num_nodes"] == g.num_nodes
     edges = obj["edges"]
     # every edge exactly once, sorted by (src, dst, relation, direction)

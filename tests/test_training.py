@@ -155,7 +155,7 @@ def test_metrics_log_structure(tmp_path):
         assert abs(rec["l_total"]
                    - (rec["l_tg"] + 0.08 * rec["l_gr"])) < 1e-9
     restored = Seq2SeqModel(cfg, seed=99)
-    restored.load(str(ckpt))
+    restored.store.load(str(ckpt))
 
 
 def test_early_stop_on_threshold():
@@ -165,6 +165,40 @@ def test_early_stop_on_threshold():
                             stop_token_accuracy=0.0)
     history = TR.train(model, items, config)
     assert len(history) == 1
+
+
+def test_early_stop_ignores_gr_threshold_without_gr_loss():
+    # no pair is scored, so gr_accuracy stays 0.0 below the threshold
+    vocab, cfg, items = make_setup()
+    model = Seq2SeqModel(cfg, seed=2)
+    config = TR.TrainConfig(epochs=3, batch_size=3, seed=2,
+                            disable_gr_loss=True, stop_token_accuracy=0.0,
+                            stop_gr_accuracy=0.5)
+    assert len(TR.train(model, items, config)) == 1
+
+
+def test_epoch_record_is_ratios_of_summed_batch_counts(monkeypatch):
+    # (c / n) * n != c for each of these counts, and the sums do not
+    # survive sum * (1 / n) * n either: an epoch rebuilt from batch means
+    # misses every one of the exact values below
+    batches = iter([
+        TR.LossBreakdown(tg_sum=13.3, gr_sum=2.2, num_tokens=39,
+                         num_pairs=59, tok_correct=25, gr_correct=31,
+                         l_total=1.0),
+        TR.LossBreakdown(tg_sum=16.5, gr_sum=4.0, num_tokens=41,
+                         num_pairs=29, tok_correct=7, gr_correct=15,
+                         l_total=1.0)])
+    monkeypatch.setattr(TR, "compute_batch_loss",
+                        lambda *args: (T.Tensor(0.0), next(batches)))
+    vocab, cfg, items = make_setup()
+    model = Seq2SeqModel(cfg, seed=0)
+    [record] = TR.train(model, items[:2], TR.TrainConfig(epochs=1,
+                                                         batch_size=1))
+    assert record["token_accuracy"] == (25 + 7) / (39 + 41)
+    assert record["gr_accuracy"] == (31 + 15) / (59 + 29)
+    assert record["l_tg"] == (13.3 + 16.5) * (1.0 / (39 + 41))
+    assert record["l_gr"] == (2.2 + 4.0) * (1.0 / (59 + 29))
+    assert record["l_total"] == record["l_tg"] + 0.08 * record["l_gr"]
 
 
 def test_non_finite_loss_raises():
