@@ -179,7 +179,7 @@ def cmd_generate(args) -> int:
     items = _items(_load_corpus(args.data), rc, vocab, model.config)
     lines = "".join(
         json.dumps({"input_id": i, "text": vocab.decode(hyp.generated()),
-                    "log_prob": hyp.log_prob}) + "\n"
+                    "log_prob": hyp.log_prob, "capped": hyp.capped()}) + "\n"
         for i, hyp in enumerate(decode_items(model, items, rc.decode_config())))
     if args.out:
         with atomic_write(args.out) as fh:
@@ -195,9 +195,11 @@ def cmd_eval(args) -> int:
     hyps = decode_items(model, items, rc.decode_config())
     cands = [vocab.decode(hyp.generated()).split() for hyp in hyps]
     refs = [list(item.ref_tokens) for item in items]
+    capped = sum(hyp.capped() for hyp in hyps)
     print(json.dumps({"bleu": corpus_bleu(cands, refs),
                       "chrf_pp": chrf_pp(cands, refs),
-                      "num_examples": len(items)}))
+                      "num_examples": len(items),
+                      "capped_frac": capped / len(items)}))
     return EXIT_OK
 
 

@@ -1,15 +1,27 @@
 """Greedy and beam-search decoding.
 
 The alive prefixes are a (k, t) token array beside a (k,) score array.
-Each step adds the scores to the stacked (k, V) next-token log-probs and
-orders all k*V continuations with one lexsort on (score descending,
-parent prefix's lexicographic rank, token id). Alive prefixes are
-distinct and equally long, so that is the order of the whole sequences:
-equal scores resolve toward smaller ids. The best continuations fill the
-slots; one that ends in the end marker retires into a finished pool and
-takes its slot with it. With a single slot this is greedy argmax
-decoding. The best finished hypothesis under length-normalized
-log-probability wins, again with a lexicographic tie-break.
+Each step makes one call ``step_fn(seqs, parents) -> (k, V)`` for the
+next-token log-probs of every alive prefix, where row i of ``seqs``
+extends row ``parents[i]`` of the previous call's. ``decode_example``
+answers it with one cached model step: a ``model.DecoderCache`` holds
+each decoder layer's self-attention keys and values per row, reordered
+by ``parents``, and its cross-attention keys and values, projected once
+per example, so a step runs one new position per alive prefix.
+
+The scores are added to the (k, V) log-probs; every continuation that
+scores at least the slots-th best is kept (``np.partition``, ties at the
+threshold included), and those are ordered with one lexsort on (score
+descending, parent prefix's lexicographic rank, token id). Alive
+prefixes are distinct and equally long, so that is the order of the
+whole sequences: equal scores resolve toward smaller ids, and the
+selection is the full sort's. A NaN score is a ``NumericsError``. The
+best continuations fill the slots; one that ends in the end marker
+retires into a finished pool and takes its slot with it. With a single
+slot this is greedy argmax decoding. The best finished hypothesis under
+length-normalized log-probability wins, again with a lexicographic
+tie-break. A hypothesis that reached the length cap instead of the end
+marker is ``capped``.
 """
 from __future__ import annotations
 
@@ -22,6 +34,7 @@ import numpy as np
 from . import tensor as T
 from .data import BOS_ID, EOS_ID, TokenizedGraphInput
 from .gnn import GraphTensors
+from .model import DecoderCache, Seq2SeqModel
 
 MODES = ("GREEDY", "BEAM")
 
@@ -59,37 +72,59 @@ class Hypothesis:
             toks = toks[:-1]
         return toks
 
+    def capped(self, eos_id: int = EOS_ID) -> bool:
+        """True when the length cap ended the hypothesis: its last token is
+        not the end marker."""
+        return self.token_ids[-1] != eos_id
+
 
 def normalized_score(hyp: Hypothesis, length_penalty: float) -> float:
     n = max(len(hyp.token_ids) - 1, 1)  # generated tokens, EOS included
     return hyp.log_prob / (n ** length_penalty)
 
 
-StepFn = Callable[[list[int]], np.ndarray]
+StepFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def beam_search(step_fn: StepFn, config: DecodeConfig,
                 bos_id: int = BOS_ID, eos_id: int = EOS_ID) -> Hypothesis:
-    """Run the beam over ``step_fn(prefix) -> log-probs`` and return the
-    best finished hypothesis."""
+    """Run the beam over ``step_fn(seqs, parents) -> (k, V)`` next-token
+    log-probs and return the best finished hypothesis. ``seqs`` is the
+    (k, t) array of alive prefixes; row i extends row ``parents[i]`` of the
+    previous call's ``seqs`` (the first call has one row and parents [0])."""
     seqs = np.array([[bos_id]])  # (k, t) alive prefixes
     scores = np.zeros(1)  # (k,) their log-probs
+    parents = np.zeros(1, dtype=np.int64)
     finished: list[Hypothesis] = []
     slots = config.effective_beam
     for _ in range(config.max_target_length - 1):  # budget excludes BOS
         if not len(seqs):
             break
-        cand = scores[:, None] + np.stack([step_fn(s) for s in seqs.tolist()])
+        cand = scores[:, None] + step_fn(seqs, parents)
+        best = cand.max(axis=1)  # NaN when its row holds a NaN
+        if np.isnan(best).any():
+            raise T.NumericsError("beam search: a step scored NaN")
+        flat = cand.ravel()
+        if slots < flat.size:
+            # only scores >= the slots-th best can win; the slots-th best
+            # row maximum is no higher, so it prefilters the partition
+            low = np.sort(best)[-slots] if len(best) >= slots else -np.inf
+            keep = np.flatnonzero(flat >= low)
+            kth = np.partition(flat[keep], -slots)[-slots]
+            keep = keep[flat[keep] >= kth]
+        else:
+            keep = np.arange(flat.size)
         # prefixes are distinct and equally long: this is whole-sequence order
         rank = np.argsort(np.lexsort(seqs.T[::-1]))
-        parent, tok = np.divmod(np.arange(cand.size), cand.shape[1])
-        top = np.lexsort((tok, rank[parent], -cand.ravel()))[:slots]
-        seqs = np.column_stack((seqs[parent[top]], tok[top]))
-        scores = cand.ravel()[top]
-        done = seqs[:, -1] == eos_id
+        parent, tok = np.divmod(keep, cand.shape[1])
+        top = np.lexsort((tok, rank[parent], -flat[keep]))[:slots]
+        parents, tok = parent[top], tok[top]
+        seqs = np.column_stack((seqs[parents], tok))
+        scores = flat[keep[top]]
+        done = tok == eos_id
         finished += _hypotheses(seqs[done], scores[done])
         slots -= int(done.sum())
-        seqs, scores = seqs[~done], scores[~done]
+        seqs, scores, parents = seqs[~done], scores[~done], parents[~done]
     finished += _hypotheses(seqs, scores)  # length-capped: no EOS at the end
     return min(finished,
                key=lambda h: (-normalized_score(h, config.length_penalty),
@@ -100,20 +135,25 @@ def _hypotheses(seqs: np.ndarray, scores: np.ndarray) -> list[Hypothesis]:
     return [Hypothesis(s, float(x)) for s, x in zip(seqs.tolist(), scores)]
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    m = logits.max()
-    return logits - (m + np.log(np.exp(logits - m).sum()))
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise over the last axis."""
+    m = logits.max(axis=-1, keepdims=True)
+    return logits - (m + np.log(np.exp(logits - m).sum(axis=-1,
+                                                        keepdims=True)))
 
 
-def decode_example(model, inp: TokenizedGraphInput,
+def decode_example(model: Seq2SeqModel, inp: TokenizedGraphInput,
                    gt: GraphTensors | None, config: DecodeConfig) -> Hypothesis:
-    """Encode once, then beam-decode against the cached encoder states."""
+    """Encode once, then beam-decode with one cached decoder step per beam
+    step: each call runs the newest token of every alive prefix."""
     with T.no_grad():
         enc = model.encode(inp, gt)
+        cache = DecoderCache(model, enc)
 
-        def step_fn(prefix: list[int]) -> np.ndarray:
-            logits = model.decode(prefix, enc)
-            return log_softmax(logits.data[-1])
+        def step_fn(seqs: np.ndarray, parents: np.ndarray) -> np.ndarray:
+            cache.reorder(parents)
+            logits = model.decode(seqs[:, -1], enc, cache)
+            return _log_softmax(logits.data[:, -1])
 
         limit = min(config.max_target_length, model.config.max_target_length)
         return beam_search(step_fn, replace(config, max_target_length=limit))

@@ -11,9 +11,11 @@ according to the selected variation:
 
 The decoder is a standard causal transformer with cross-attention. Both
 halves are pre-norm (residual adds wrap layer-normed sublayers) with a
-final layer norm; positions use a learned embedding table. A small
-bilinear head scores ordered node pairs against the five structural
-relation labels for the reconstruction objective.
+final layer norm; positions use a learned embedding table. Decoding
+runs the decoder one position at a time against a ``DecoderCache`` of
+the earlier positions' keys and values. A small bilinear head scores
+ordered node pairs against the five structural relation labels for the
+reconstruction objective.
 """
 from __future__ import annotations
 
@@ -69,26 +71,38 @@ class ModelConfig:
             raise ValueError("GNN dims must equal d_model for the residual path")
 
 
-def multi_head_attention(q_in: T.Tensor, kv_in: T.Tensor,
+def multi_head_attention(q_in: T.Tensor,
+                         kv_in: T.Tensor | tuple[T.Tensor, T.Tensor],
                          wq: T.Tensor, wk: T.Tensor, wv: T.Tensor, wo: T.Tensor,
                          num_heads: int, mask: np.ndarray | None = None
                          ) -> tuple[T.Tensor, T.Tensor]:
     """Scaled dot-product attention; heads are column blocks of the merged
-    projection matrices. ``mask`` is (query, key) boolean, True = attend, for
-    every head. Returns the output and the (head, query, key) weights."""
+    projection matrices, and leading axes of ``q_in`` are a batch.
+    ``kv_in`` is the states keys and values are projected from, or the
+    (keys, values) pair already projected, (..., head, key, d/h) each, as a
+    :class:`DecoderCache` holds them. ``mask`` is (query, key) boolean,
+    True = attend, for every head. Returns the output and the
+    (..., head, query, key) weights."""
     dk = wq.shape[1] // num_heads
     q = T.split_heads(T.matmul(q_in, wq), num_heads)
-    k = T.split_heads(T.matmul(kv_in, wk), num_heads)
-    v = T.split_heads(T.matmul(kv_in, wv), num_heads)
+    k, v = kv_in if isinstance(kv_in, tuple) else _kv_heads(kv_in, wk, wv,
+                                                            num_heads)
     scores = T.scale(T.matmul(q, k, transpose_b=True), 1.0 / math.sqrt(dk))
     alpha = T.softmax_last_dim(scores, mask=mask)
     out = T.matmul(T.merge_heads(T.matmul(alpha, v)), wo)
     return out, alpha
 
 
-def graph_guided_attention(x: T.Tensor, gt: GraphTensors | None,
-                           gnn_layer: GnnLayer | None, wq, wk, wv, wo,
-                           num_heads: int, variation: str) -> T.Tensor:
+def _kv_heads(states: T.Tensor, wk: T.Tensor, wv: T.Tensor,
+              num_heads: int) -> tuple[T.Tensor, T.Tensor]:
+    """The keys and values of ``states``, (..., head, position, d/h) each."""
+    return (T.split_heads(T.matmul(states, wk), num_heads),
+            T.split_heads(T.matmul(states, wv), num_heads))
+
+
+def _graph_guided_attention(x: T.Tensor, gt: GraphTensors | None,
+                            gnn_layer: GnnLayer | None, wq, wk, wv, wo,
+                            num_heads: int, variation: str) -> T.Tensor:
     """Route token states (and their GNN update) into attention."""
     if variation == "BASE":
         return multi_head_attention(x, x, wq, wk, wv, wo, num_heads)[0]
@@ -171,10 +185,13 @@ class Seq2SeqModel:
 
     # -- forward passes -----------------------------------------------------
 
-    def _embed(self, token_ids: list[int]) -> T.Tensor:
-        n = len(token_ids)
+    def _embed(self, token_ids, start: int = 0) -> T.Tensor:
+        """Token plus position embeddings; positions run along the last
+        axis of ``token_ids`` from ``start``."""
+        n = np.shape(token_ids)[-1]
         return T.add(T.embedding_lookup(self.emb_tok, token_ids),
-                     T.embedding_lookup(self.emb_pos, list(range(n))))
+                     T.embedding_lookup(self.emb_pos,
+                                        list(range(start, start + n))))
 
     def _feedforward(self, layer, u: T.Tensor) -> T.Tensor:
         hidden = T.relu(T.add(T.matmul(u, layer["ff_w1"]), layer["ff_b1"]))
@@ -191,34 +208,53 @@ class Seq2SeqModel:
         x = self._embed(token_ids)
         for layer in self.enc_layers:
             u = T.layer_norm(x, layer["ln1_g"], layer["ln1_b"])
-            x = T.add(x, graph_guided_attention(
+            x = T.add(x, _graph_guided_attention(
                 u, gt, layer["gnn"], layer["wq"], layer["wk"], layer["wv"],
                 layer["wo"], self.config.num_heads, self.config.variation))
             u = T.layer_norm(x, layer["ln2_g"], layer["ln2_b"])
             x = T.add(x, self._feedforward(layer, u))
         return T.layer_norm(x, self.enc_ln_g, self.enc_ln_b)
 
-    def decode(self, prefix_ids: list[int], enc_states: T.Tensor) -> T.Tensor:
-        """Teacher-forced logits (prefix_len x vocab) under a causal mask."""
-        m = len(prefix_ids)
+    def decode(self, token_ids, enc_states: T.Tensor,
+               cache: DecoderCache | None = None) -> T.Tensor:
+        """Teacher-forced logits (prefix_len x vocab) under a causal mask.
+
+        With a ``cache`` (no-grad only), ``token_ids`` holds the next token
+        of each cache row, all at the cache's next position. The step
+        attends over each row's cached keys and values, appends its own,
+        and returns (rows x 1 x vocab) logits.
+        """
+        if cache is None:
+            start, ids = 0, token_ids
+        else:  # one sequence of one token per cache row
+            start, ids = cache.length, np.asarray(token_ids)[:, None]
+            if len(ids) != cache.rows:
+                raise T.ShapeError(
+                    f"{len(ids)} next tokens for {cache.rows} cache rows")
+        m = start + np.shape(ids)[-1]
         if m > self.config.max_target_length:
             raise T.ShapeError(
                 f"target length {m} exceeds the model maximum")
-        y = self._embed(prefix_ids)
-        causal = np.tril(np.ones((m, m), dtype=bool))
-        for layer in self.dec_layers:
+        y = self._embed(ids, start)
+        causal = np.tril(np.ones((m, m), dtype=bool)) if cache is None else None
+        heads = self.config.num_heads
+        for i, layer in enumerate(self.dec_layers):
             u = T.layer_norm(y, layer["ln1_g"], layer["ln1_b"])
-            att, _ = multi_head_attention(u, u, layer["sq"], layer["sk"],
-                                          layer["sv"], layer["so"],
-                                          self.config.num_heads, mask=causal)
+            kv = u if cache is None else cache._extend(i, u, layer["sk"],
+                                                       layer["sv"])
+            att, _ = multi_head_attention(u, kv, layer["sq"], layer["sk"],
+                                          layer["sv"], layer["so"], heads,
+                                          mask=causal)
             y = T.add(y, att)
             u = T.layer_norm(y, layer["ln2_g"], layer["ln2_b"])
-            att, _ = multi_head_attention(u, enc_states, layer["cq"],
-                                          layer["ck"], layer["cv"],
-                                          layer["co"], self.config.num_heads)
+            kv = enc_states if cache is None else cache.cross[i]
+            att, _ = multi_head_attention(u, kv, layer["cq"], layer["ck"],
+                                          layer["cv"], layer["co"], heads)
             y = T.add(y, att)
             u = T.layer_norm(y, layer["ln3_g"], layer["ln3_b"])
             y = T.add(y, self._feedforward(layer, u))
+        if cache is not None:
+            cache.length = m
         y = T.layer_norm(y, self.dec_ln_g, self.dec_ln_b)
         return T.matmul(y, self.lm_head, transpose_b=True)
 
@@ -232,6 +268,41 @@ class Seq2SeqModel:
         # (pairs, 2 * d_model): the source state, then the target state
         pair = T.merge_heads(T.embedding_lookup(enc_states, ends))
         return T.add(T.matmul(pair, self.gr_w), self.gr_b)
+
+
+class DecoderCache:
+    """What an incremental decode of one example keeps between steps. Per
+    decoder layer: the self-attention keys and values of every position so
+    far, one row per live hypothesis, and the cross-attention keys and
+    values, projected once from the encoder states. No-grad only: the
+    cached arrays carry no tape."""
+
+    def __init__(self, model: Seq2SeqModel, enc_states: T.Tensor):
+        heads = model.config.num_heads
+        self.num_heads = heads
+        self.length = 0  # positions cached in every row
+        self.rows = 1
+        self.cross = [_kv_heads(enc_states, layer["ck"], layer["cv"], heads)
+                      for layer in model.dec_layers]
+        empty = np.zeros((1, heads, 0, model.config.d_model // heads))
+        self.keys = [empty] * len(model.dec_layers)
+        self.values = list(self.keys)
+
+    def reorder(self, parents) -> None:
+        """Row i becomes a copy of the current row ``parents[i]``; rows not
+        named are dropped."""
+        self.rows = len(parents)
+        self.keys = [k[parents] for k in self.keys]
+        self.values = [v[parents] for v in self.values]
+
+    def _extend(self, i: int, states: T.Tensor, wk: T.Tensor, wv: T.Tensor
+                ) -> tuple[T.Tensor, T.Tensor]:
+        """Append the keys and values of ``states`` (rows, 1, d) to layer
+        ``i`` and return all of that layer's keys and values."""
+        k, v = _kv_heads(states, wk, wv, self.num_heads)
+        self.keys[i] = np.concatenate((self.keys[i], k.data), axis=-2)
+        self.values[i] = np.concatenate((self.values[i], v.data), axis=-2)
+        return T.Tensor(self.keys[i]), T.Tensor(self.values[i])
 
 
 def relation_label_ids(targets: list[tuple[int, int, RelationType]]) -> list[int]:

@@ -115,11 +115,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
+def _broadcast(op, a: Tensor, b: Tensor) -> np.ndarray:
+    """``op`` over both operands' values with numpy broadcasting."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return op(a.data, b.data)
     except ValueError:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are incompatible") from None
+        raise ShapeError(f"{op.__name__}: shapes {a.shape} and {b.shape}"
+                         " are incompatible") from None
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +129,7 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "add")
-    data = a.data + b.data
+    data = _broadcast(np.add, a, b)
 
     def backward(g: np.ndarray) -> None:
         a.accumulate_grad(_unbroadcast(g, a.shape))
@@ -139,8 +140,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product with numpy broadcasting."""
-    _check_broadcast(a, b, "mul")
-    data = a.data * b.data
+    data = _broadcast(np.multiply, a, b)
 
     def backward(g: np.ndarray) -> None:
         a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
@@ -206,29 +206,31 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
 
 
 def split_heads(a: Tensor, num_heads: int) -> Tensor:
-    """(n, h*k) -> (h, n, k): column block i of ``a`` becomes head i."""
-    if a.data.ndim != 2 or num_heads < 1 or a.shape[1] % num_heads:
+    """(..., n, h*k) -> (..., h, n, k): column block i of ``a`` becomes
+    head i; leading axes are kept."""
+    if a.data.ndim < 2 or num_heads < 1 or a.shape[-1] % num_heads:
         raise ShapeError(f"split_heads: cannot split {a.shape} into {num_heads} heads")
-    n, width = a.shape
-    data = a.data.reshape(n, num_heads, width // num_heads).transpose(1, 0, 2)
+    *lead, n, width = a.shape
+    data = a.data.reshape(*lead, n, num_heads, width // num_heads).swapaxes(-2, -3)
 
     def backward(g: np.ndarray) -> None:
-        a.accumulate_grad(g.transpose(1, 0, 2).reshape(n, width))
+        a.accumulate_grad(g.swapaxes(-2, -3).reshape(a.shape))
 
     return _result(data, (a,), backward)
 
 
 def merge_heads(a: Tensor) -> Tensor:
-    """(k, n, w) -> (n, k*w): column block i of the result is slice i of
-    ``a``. The inverse of :func:`split_heads`; it also lays out relation
-    channels and the two ends of node pairs side by side."""
-    if a.data.ndim != 3:
-        raise ShapeError(f"merge_heads: expected a 3-D operand, got {a.shape}")
-    h, n, k = a.shape
-    data = a.data.transpose(1, 0, 2).reshape(n, h * k)
+    """(..., k, n, w) -> (..., n, k*w): column block i of the result is
+    slice i of ``a``; leading axes are kept. The inverse of
+    :func:`split_heads`; it also lays out relation channels and the two
+    ends of node pairs side by side."""
+    if a.data.ndim < 3:
+        raise ShapeError(f"merge_heads: expected at least 3 axes, got {a.shape}")
+    *lead, h, n, k = a.shape
+    data = a.data.swapaxes(-2, -3).reshape(*lead, n, h * k)
 
     def backward(g: np.ndarray) -> None:
-        a.accumulate_grad(g.reshape(n, h, k).transpose(1, 0, 2))
+        a.accumulate_grad(g.reshape(*lead, n, h, k).swapaxes(-2, -3))
 
     return _result(data, (a,), backward)
 
@@ -288,9 +290,10 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(
             f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} != ({d},)")
-    mu = a.data.mean(axis=-1, keepdims=True)
+    # sum / d is the bits of mean(), without its Python-level wrapper
+    mu = a.data.sum(axis=-1, keepdims=True) / d
     centered = a.data - mu
-    var = (centered ** 2).mean(axis=-1, keepdims=True)
+    var = (centered ** 2).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     data = xhat * gain.data + bias.data
@@ -561,18 +564,22 @@ class ParameterStore:
 
     def load(self, path: str) -> None:
         """Replace parameter values from ``path``; names and shapes must
-        match this store exactly. Optimizer moments are reset."""
+        match this store exactly and every value must be finite. Nothing
+        is replaced unless all of them pass. Optimizer moments are reset."""
         loaded = read_checkpoint(path)
         if list(loaded) != list(self._params):
             raise CheckpointError(
                 f"checkpoint {path} parameter names do not match the model")
         for name, arr in loaded.items():
-            t = self._params[name]
-            if arr.shape != t.data.shape:
+            if arr.shape != self._params[name].data.shape:
                 raise CheckpointError(
-                    f"checkpoint shape {arr.shape} != model shape {t.data.shape}"
-                    f" for {name!r}")
-            t.data = arr
+                    f"checkpoint shape {arr.shape} != model shape"
+                    f" {self._params[name].data.shape} for {name!r}")
+            if not np.isfinite(arr).all():
+                raise CheckpointError(
+                    f"checkpoint {path} holds a non-finite value in {name!r}")
+        for name, arr in loaded.items():
+            self._params[name].data = arr
             self._m[name] = np.zeros_like(arr)
             self._v[name] = np.zeros_like(arr)
         self.step_count = 0

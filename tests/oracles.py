@@ -3,9 +3,10 @@
 Everything in this module is written independently of the package code:
 finite differences instead of the tape, a textbook Adam update, and a
 direct softmax. The loop beam search that the array one replaced is kept
-here too; it shares only the ``Hypothesis`` container and the length
-normalization with the package. Tests compare library output against
-these.
+here too, with the adapter that runs a per-prefix step under the beam's
+batched step contract; it shares only the ``Hypothesis`` container and
+the length normalization with the package. Tests compare library output
+against these.
 """
 from __future__ import annotations
 
@@ -98,6 +99,13 @@ def recorded_nodes(out) -> int:
             recorded.add(id(node))
             stack.extend(node._parents)
     return len(recorded)
+
+
+def per_prefix_step(step):
+    """The beam's step contract, ``step_fn(seqs, parents) -> (k, V)``, from
+    a per-prefix ``step(prefix) -> (V,)``: one call per alive prefix,
+    stacked in row order."""
+    return lambda seqs, parents: np.stack([step(s) for s in seqs.tolist()])
 
 
 def reference_beam_search(step_fn, config, bos_id: int = BOS_ID,

@@ -23,7 +23,8 @@ from graphtext.metrics import chrf_pp, corpus_bleu
 
 import corpus as synth
 import test_decoding as toy
-from oracles import finite_difference, relative_error, sampled_finite_difference
+from oracles import (finite_difference, per_prefix_step, relative_error,
+                     sampled_finite_difference)
 from test_graph import (forward_set, iraq_example, monocacy_example,
                         oracle_forward_edges)
 from test_model import relu_kink_margin
@@ -458,7 +459,8 @@ def test_criterion_6_ablation_direction():
 def test_criterion_7_beam_exhaustive_optimality():
     config = X.DecodeConfig(mode="BEAM", beam_size=3,
                             max_target_length=toy.TOY_MAX_LEN)
-    hyp = X.beam_search(toy.toy_step, config, bos_id=0, eos_id=toy.TOY_EOS)
+    hyp = X.beam_search(per_prefix_step(toy.toy_step), config, bos_id=0,
+                        eos_id=toy.TOY_EOS)
     _, seq, lp_sum, score = toy.exhaustive_best(
         toy.TOY_TABLE, toy.TOY_MAX_LEN - 1, toy.TOY_EOS, 1.0)
     exact = (hyp.token_ids == [0] + seq

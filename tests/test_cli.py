@@ -13,6 +13,7 @@ import pytest
 from graphtext import cli
 from graphtext import tensor as T
 from graphtext.config import load_config
+from graphtext.data import EOS_ID
 from graphtext.decoding import DecodeConfig
 from graphtext.tensor import read_checkpoint
 
@@ -227,6 +228,7 @@ def test_generate_writes_jsonl(workspace, tmp_path):
         assert rec["input_id"] == i
         assert isinstance(rec["text"], str)
         assert rec["log_prob"] <= 0.0
+        assert isinstance(rec["capped"], bool)
 
 
 def test_interrupted_generate_keeps_previous_file(workspace, tmp_path,
@@ -256,7 +258,7 @@ def test_eval_prints_metrics(workspace, capsys):
                      workspace["data"], "--mode", "greedy"])
     assert code == 0
     out = json.loads(capsys.readouterr().out)
-    assert set(out) == {"bleu", "chrf_pp", "num_examples"}
+    assert set(out) == {"bleu", "chrf_pp", "num_examples", "capped_frac"}
     assert out["num_examples"] == len(DATASET)
     assert 0.0 <= out["bleu"] <= 100.0
 
@@ -469,6 +471,51 @@ def test_checkpoint_of_another_model_is_data_error(workspace, tmp_path,
     for command in ("eval", "generate"):
         _assert_data_error(cli.main([command, "--run", str(run),
                                      "--data", workspace["data"]]), capsys)
+
+
+def _resave_checkpoint(run, edit):
+    """Re-save ``run``'s checkpoint, a valid file with its CRC32, after
+    ``edit`` changed the name -> array mapping in place."""
+    params = read_checkpoint(str(run / "model.ckpt"))
+    edit(params)
+    store = T.ParameterStore()
+    for name, arr in params.items():
+        store.create(name, arr)
+    store.save(str(run / "model.ckpt"))
+
+
+def test_non_finite_checkpoint_value_is_data_error(workspace, tmp_path,
+                                                    capsys):
+    run = _copy_run(workspace["run"], tmp_path / "run")
+    _resave_checkpoint(run, lambda p: p["dec.ln.g"].__setitem__(0, math.inf))
+    for command in ("eval", "generate"):
+        _assert_data_error(cli.main([command, "--run", str(run),
+                                     "--data", workspace["data"]]), capsys)
+
+
+@pytest.mark.parametrize("eos_sign", [1.0, -1.0])
+def test_generate_and_eval_report_length_caps(workspace, tmp_path, capsys,
+                                              eos_sign):
+    """The final decoder layer norm emits the all-ones vector at every
+    position, and the (tied) EOS embedding is +-100 ones: EOS scores
+    highest at every step, so nothing is capped, or lowest, so every
+    hypothesis runs to the length cap."""
+    def steer(params):
+        params["dec.ln.g"][:] = 0.0
+        params["dec.ln.b"][:] = 1.0
+        params["emb.tok"][EOS_ID] = 100.0 * eos_sign
+
+    run = _copy_run(workspace["run"], tmp_path / "run")
+    _resave_checkpoint(run, steer)
+    capped = eos_sign < 0
+    assert cli.main(["generate", "--run", str(run), "--data",
+                     workspace["data"]]) == 0
+    lines = [json.loads(x) for x in capsys.readouterr().out.splitlines()]
+    assert [rec["capped"] for rec in lines] == [capped] * len(DATASET)
+    assert all(rec["text"] == "" for rec in lines if not rec["capped"])
+    assert cli.main(["eval", "--run", str(run), "--data",
+                     workspace["data"]]) == 0
+    assert json.loads(capsys.readouterr().out)["capped_frac"] == capped
 
 
 RUN_FILES = ["config.json", "metrics.jsonl", "model.ckpt", "vocab.txt"]

@@ -6,8 +6,9 @@ from graphtext import decoding as X
 from graphtext import gnn as N
 from graphtext import graph as G
 from graphtext import model as M
+from graphtext import tensor as T
 
-from oracles import reference_beam_search
+from oracles import per_prefix_step, reference_beam_search, reference_softmax
 
 # Hand-crafted position-indexed log-prob table: 5 tokens, EOS = 4.
 # Greedy ends immediately (EOS wins step 0) but the two-token path
@@ -65,17 +66,20 @@ def exhaustive_best(table, max_new, eos, length_penalty):
 
 
 def test_beam_one_is_greedy_argmax_walk():
-    hyp = X.beam_search(toy_step, toy_config(1), bos_id=0, eos_id=TOY_EOS)
+    hyp = X.beam_search(per_prefix_step(toy_step), toy_config(1), bos_id=0,
+                        eos_id=TOY_EOS)
     # manual walk: step 0 argmax over TOY_TABLE[0] is EOS
     assert hyp.token_ids == [0, TOY_EOS]
     assert abs(hyp.log_prob - (-0.5)) < 1e-12
     greedy_mode = X.beam_search(
-        toy_step, toy_config(5, mode="GREEDY"), bos_id=0, eos_id=TOY_EOS)
+        per_prefix_step(toy_step), toy_config(5, mode="GREEDY"), bos_id=0,
+        eos_id=TOY_EOS)
     assert greedy_mode.token_ids == hyp.token_ids
 
 
 def test_beam_three_matches_exhaustive_enumeration():
-    hyp = X.beam_search(toy_step, toy_config(3), bos_id=0, eos_id=TOY_EOS)
+    hyp = X.beam_search(per_prefix_step(toy_step), toy_config(3), bos_id=0,
+                        eos_id=TOY_EOS)
     _, seq, lp_sum, score = exhaustive_best(TOY_TABLE, TOY_MAX_LEN - 1,
                                             TOY_EOS, 1.0)
     assert hyp.token_ids == [0] + seq == [0, 2, TOY_EOS]
@@ -86,7 +90,8 @@ def test_beam_three_matches_exhaustive_enumeration():
 def test_larger_beams_never_score_worse():
     scores = []
     for b in range(1, 6):
-        hyp = X.beam_search(toy_step, toy_config(b), bos_id=0, eos_id=TOY_EOS)
+        hyp = X.beam_search(per_prefix_step(toy_step), toy_config(b),
+                            bos_id=0, eos_id=TOY_EOS)
         scores.append(X.normalized_score(hyp, 1.0))
     assert scores == sorted(scores)
     _, _, _, best = exhaustive_best(TOY_TABLE, TOY_MAX_LEN - 1, TOY_EOS, 1.0)
@@ -96,8 +101,8 @@ def test_larger_beams_never_score_worse():
 def test_immediate_eos_gives_empty_generation():
     table = np.full((1, 5), -5.0)
     table[0, TOY_EOS] = -0.01
-    hyp = X.beam_search(lambda p: table[0], toy_config(3), bos_id=0,
-                        eos_id=TOY_EOS)
+    hyp = X.beam_search(per_prefix_step(lambda p: table[0]), toy_config(3),
+                        bos_id=0, eos_id=TOY_EOS)
     assert hyp.token_ids == [0, TOY_EOS]
     assert hyp.generated(TOY_EOS) == []
 
@@ -105,8 +110,8 @@ def test_immediate_eos_gives_empty_generation():
 def test_length_cap_marks_unfinished_as_finished():
     never_eos = np.log(np.full(5, 0.2))
     never_eos[TOY_EOS] = -50.0
-    hyp = X.beam_search(lambda p: never_eos, toy_config(2), bos_id=0,
-                        eos_id=TOY_EOS)
+    hyp = X.beam_search(per_prefix_step(lambda p: never_eos), toy_config(2),
+                        bos_id=0, eos_id=TOY_EOS)
     assert len(hyp.token_ids) == TOY_MAX_LEN
     assert TOY_EOS not in hyp.token_ids[1:]
 
@@ -115,11 +120,19 @@ def test_length_cap_marks_unfinished_as_finished():
 @pytest.mark.parametrize("beam", [1, 2, 3, 4, 5])
 def test_beam_matches_loop_reference_under_ties(vocab, beam):
     # log-probs depend on the position and the last token; multiples of 0.5
-    # over a few levels make exact score ties common
+    # over a few levels make exact score ties common, two levels make the
+    # slots-th best score tie across several parents, and -inf entries
+    # leave fewer finite candidates than slots
     eos = vocab - 1
+    tables = []
     for seed in range(20):
-        table = -0.5 * np.random.default_rng(seed).integers(
-            0, 4, size=(6, vocab, vocab)).astype(float)
+        rng = np.random.default_rng(seed)
+        shape = (6, vocab, vocab)
+        tables.append(-0.5 * rng.integers(0, 4, size=shape).astype(float))
+        tables.append(-0.5 * rng.integers(0, 2, size=shape).astype(float))
+        tables.append(np.where(rng.random(shape) < 0.7, -np.inf,
+                               -0.5 * rng.integers(0, 2, size=shape)))
+    for table in tables:
 
         def step(prefix):
             return table[len(prefix) - 1, prefix[-1]]
@@ -128,7 +141,8 @@ def test_beam_matches_loop_reference_under_ties(vocab, beam):
             for lp in (0.0, 1.0, 1.5):
                 cfg = X.DecodeConfig(beam_size=beam, max_target_length=cap,
                                      length_penalty=lp)
-                got = X.beam_search(step, cfg, bos_id=0, eos_id=eos)
+                got = X.beam_search(per_prefix_step(step), cfg, bos_id=0,
+                                    eos_id=eos)
                 want = reference_beam_search(step, cfg, bos_id=0, eos_id=eos)
                 assert got.token_ids == want.token_ids
                 assert got.log_prob == want.log_prob
@@ -136,8 +150,8 @@ def test_beam_matches_loop_reference_under_ties(vocab, beam):
 
 def test_exact_ties_resolve_to_smallest_token_ids():
     flat = np.log(np.full(5, 0.2))
-    hyp = X.beam_search(lambda p: flat, toy_config(3), bos_id=0,
-                        eos_id=TOY_EOS)
+    hyp = X.beam_search(per_prefix_step(lambda p: flat), toy_config(3),
+                        bos_id=0, eos_id=TOY_EOS)
     # every candidate scores identically, so lexicographic order decides:
     # token 0 repeatedly, never EOS, until the cap... but EOS-ended [0,0,4]
     # and [0,0,0] tie too; the id sequence [0,0,0] sorts first.
@@ -145,7 +159,8 @@ def test_exact_ties_resolve_to_smallest_token_ids():
 
 
 def test_log_prob_non_increasing():
-    hyp = X.beam_search(toy_step, toy_config(3), bos_id=0, eos_id=TOY_EOS)
+    hyp = X.beam_search(per_prefix_step(toy_step), toy_config(3), bos_id=0,
+                        eos_id=TOY_EOS)
     running = 0.0
     for i, tok in enumerate(hyp.token_ids[1:]):
         running += float(TOY_TABLE[i][tok])
@@ -193,3 +208,40 @@ def test_model_decode_beam_one_equals_greedy():
         again = X.decode_example(
             model, inp, gt, X.DecodeConfig(mode="GREEDY", max_target_length=10))
         assert again.token_ids == greedy.token_ids
+
+
+def test_nan_step_is_a_numerics_error():
+    table = np.log(np.full(5, 0.2))
+    table[2] = np.nan
+    with pytest.raises(T.NumericsError):
+        X.beam_search(per_prefix_step(lambda p: table), toy_config(3),
+                      bos_id=0, eos_id=TOY_EOS)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("beam", [1, 2, 3, 4])
+def test_cached_model_beam_matches_per_prefix_reference(beam, seed):
+    """decode_example's cached steps against the loop beam over a full
+    teacher-forced decode of each prefix."""
+    ex = D.Example([D.Triple("Iraq", "language", "Arabic"),
+                    D.Triple("Iraq", "capital", "Baghdad")],
+                   "Iraq language is Arabic.")
+    vocab = D.build_vocabulary([ex])
+    inp = D.linearize(ex, D.DEFAULT_PROMPT, vocab)
+    gt = N.graph_tensors(G.build_graph(inp))
+    cfg = M.ModelConfig(vocab_size=len(vocab), d_model=8, num_heads=2,
+                        num_encoder_layers=1, num_decoder_layers=2,
+                        feedforward_dim=16, variation="GRASAME",
+                        gnn=N.GnnConfig(in_dim=8, out_dim=8),
+                        max_sequence_length=48, max_target_length=10)
+    model = M.Seq2SeqModel(cfg, seed=seed)
+    config = X.DecodeConfig(beam_size=beam, max_target_length=10)
+    got = X.decode_example(model, inp, gt, config)
+    with T.no_grad():
+        enc = model.encode(inp, gt)
+
+        want = reference_beam_search(
+            lambda p: np.log(reference_softmax(model.decode(p, enc).data[-1])),
+            config)
+    assert got.token_ids == want.token_ids
+    assert abs(got.log_prob - want.log_prob) <= 1e-12

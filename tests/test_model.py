@@ -186,6 +186,50 @@ def test_decoder_causality():
     assert not np.allclose(logits[2:], altered[2:])
 
 
+CACHE_MODELS = [("BASE", None)] + [
+    (variation, family) for variation in ("GRASAME", "VAR1", "VAR2")
+    for family in ("SAGE", "GAT", "RGCN")]
+
+
+@pytest.mark.parametrize("variation,family", CACHE_MODELS)
+def test_cached_step_matches_full_prefix_recompute(variation, family):
+    """Step by step over random prefixes, the cached step's logits for each
+    row equal the last row of a teacher-forced decode of that row's whole
+    prefix. Parents repeat rows and drop rows along the way."""
+    vocab, inp, graph, gt = iraq_inputs()
+    cfg = toy_config(variation, vocab=len(vocab), max_target_length=9,
+                     **({"family": family} if family else {}))
+    rng = np.random.default_rng(len(CACHE_MODELS))
+    model = M.Seq2SeqModel(cfg, seed=5)
+    # rows 0 and then 1 are picked twice, and then row 1 is dropped
+    scripted = [[0], [0, 0], [1, 1, 0], [2, 0]]
+    with T.no_grad():
+        enc = model.encode(inp, gt)
+        cache = M.DecoderCache(model, enc)
+        seqs = np.array([[D.BOS_ID]])
+        parents = np.zeros(1, dtype=np.int64)
+        for step in range(cfg.max_target_length):
+            cache.reorder(parents)
+            with pytest.raises(T.ShapeError):  # one next token per row
+                model.decode(np.zeros(len(seqs) + 1, dtype=int), enc, cache)
+            got = model.decode(seqs[:, -1], enc, cache).data
+            assert got.shape == (len(seqs), 1, len(vocab))
+            for row, prefix in enumerate(seqs.tolist()):
+                want = model.decode(prefix, enc).data[-1]
+                assert np.abs(got[row, -1] - want).max() <= 1e-12
+                assert np.abs(np.log(reference_softmax(got[row, -1]))
+                              - np.log(reference_softmax(want))).max() <= 1e-12
+            if step + 1 < len(scripted):
+                parents = np.array(scripted[step + 1])
+            else:
+                parents = rng.integers(0, len(seqs), size=rng.integers(1, 5))
+            seqs = np.column_stack(
+                (seqs[parents], rng.integers(0, len(vocab), len(parents))))
+        cache.reorder(parents)
+        with pytest.raises(T.ShapeError):  # position 9 of a 9-token model
+            model.decode(seqs[:, -1], enc, cache)
+
+
 def test_cross_attention_rows_sum_to_one():
     rng = np.random.default_rng(9)
     d = 8

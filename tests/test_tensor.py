@@ -62,6 +62,25 @@ def test_matmul_transpose_grads(ta, tb):
     fd_check(lambda: T.tsum(T.mul(T.matmul(a, b, ta, tb), w)), [a, b])
 
 
+def test_heads_split_and_merge_over_leading_axes():
+    """With leading axes each slice splits and merges as a 2-D operand
+    does, and the gradients match central differences."""
+    rng = np.random.default_rng(3)
+    a = leaf(rng, 2, 3, 1, 6)
+    split = T.split_heads(a, 3)
+    assert split.shape == (2, 3, 3, 1, 2)
+    for i in range(2):
+        for j in range(3):
+            one = T.split_heads(T.Tensor(a.data[i, j]), 3).data
+            assert np.array_equal(split.data[i, j], one)
+    assert np.array_equal(T.merge_heads(split).data, a.data)
+    w_split = T.Tensor(rng.standard_normal(split.shape))
+    fd_check(lambda: T.tsum(T.mul(T.split_heads(a, 3), w_split)), [a])
+    b = leaf(rng, 2, 3, 4, 5)
+    w_merge = T.Tensor(rng.standard_normal((2, 4, 15)))
+    fd_check(lambda: T.tsum(T.mul(T.merge_heads(b), w_merge)), [b])
+
+
 def test_relu_and_leaky_grads():
     rng = np.random.default_rng(3)
     x = T.Tensor(rng.standard_normal((4, 4)) + 0.3, requires_grad=True)
@@ -334,3 +353,18 @@ def test_checkpoint_rejects_garbage(tmp_path):
     other.save(str(store2))
     with pytest.raises(ValueError):
         store.load(str(store2))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_load_rejects_non_finite_values_and_keeps_the_store(tmp_path, bad):
+    rng = np.random.default_rng(19)
+    store = make_store(rng)
+    names = store.names()
+    store.get(names[-1]).data.reshape(-1)[0] = bad
+    path = str(tmp_path / "model.ckpt")
+    store.save(path)
+    fresh = make_store(np.random.default_rng(20))
+    before = {n: t.data.tobytes() for n, t in fresh.items()}
+    with pytest.raises(T.CheckpointError, match="non-finite"):
+        fresh.load(path)
+    assert {n: t.data.tobytes() for n, t in fresh.items()} == before
