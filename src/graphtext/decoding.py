@@ -72,10 +72,10 @@ class Hypothesis:
             toks = toks[:-1]
         return toks
 
-    def capped(self, eos_id: int = EOS_ID) -> bool:
+    def capped(self) -> bool:
         """True when the length cap ended the hypothesis: its last token is
         not the end marker."""
-        return self.token_ids[-1] != eos_id
+        return self.token_ids[-1] != EOS_ID
 
 
 def normalized_score(hyp: Hypothesis, length_penalty: float) -> float:
@@ -101,17 +101,12 @@ def beam_search(step_fn: StepFn, config: DecodeConfig,
         if not len(seqs):
             break
         cand = scores[:, None] + step_fn(seqs, parents)
-        best = cand.max(axis=1)  # NaN when its row holds a NaN
-        if np.isnan(best).any():
-            raise T.NumericsError("beam search: a step scored NaN")
         flat = cand.ravel()
-        if slots < flat.size:
-            # only scores >= the slots-th best can win; the slots-th best
-            # row maximum is no higher, so it prefilters the partition
-            low = np.sort(best)[-slots] if len(best) >= slots else -np.inf
-            keep = np.flatnonzero(flat >= low)
-            kth = np.partition(flat[keep], -slots)[-slots]
-            keep = keep[flat[keep] >= kth]
+        if np.isnan(flat).any():
+            raise T.NumericsError("beam search: a step scored NaN")
+        if slots < flat.size:  # only scores >= the slots-th best can win
+            kth = np.partition(flat, -slots)[-slots]
+            keep = np.flatnonzero(flat >= kth)
         else:
             keep = np.arange(flat.size)
         # prefixes are distinct and equally long: this is whole-sequence order

@@ -227,6 +227,8 @@ class Seq2SeqModel:
         if cache is None:
             start, ids = 0, token_ids
         else:  # one sequence of one token per cache row
+            if T._GRAD_ENABLED:  # the cache keeps values, not the tape
+                raise RuntimeError("a cached decode step runs under T.no_grad()")
             start, ids = cache.length, np.asarray(token_ids)[:, None]
             if len(ids) != cache.rows:
                 raise T.ShapeError(

@@ -115,13 +115,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _broadcast(op, a: Tensor, b: Tensor) -> np.ndarray:
-    """``op`` over both operands' values with numpy broadcasting."""
+def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
     try:
-        return op(a.data, b.data)
+        np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
-        raise ShapeError(f"{op.__name__}: shapes {a.shape} and {b.shape}"
-                         " are incompatible") from None
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are incompatible") from None
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +127,8 @@ def _broadcast(op, a: Tensor, b: Tensor) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    data = _broadcast(np.add, a, b)
+    _check_broadcast(a, b, "add")
+    data = a.data + b.data
 
     def backward(g: np.ndarray) -> None:
         a.accumulate_grad(_unbroadcast(g, a.shape))
@@ -140,7 +139,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product with numpy broadcasting."""
-    data = _broadcast(np.multiply, a, b)
+    _check_broadcast(a, b, "mul")
+    data = a.data * b.data
 
     def backward(g: np.ndarray) -> None:
         a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
@@ -290,10 +290,9 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(
             f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} != ({d},)")
-    # sum / d is the bits of mean(), without its Python-level wrapper
-    mu = a.data.sum(axis=-1, keepdims=True) / d
+    mu = a.data.mean(axis=-1, keepdims=True)
     centered = a.data - mu
-    var = (centered ** 2).sum(axis=-1, keepdims=True) / d
+    var = (centered ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     data = xhat * gain.data + bias.data

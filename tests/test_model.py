@@ -230,6 +230,23 @@ def test_cached_step_matches_full_prefix_recompute(variation, family):
             model.decode(seqs[:, -1], enc, cache)
 
 
+def test_cached_step_outside_no_grad_is_refused():
+    """The cache holds values without a tape, so a cached step with
+    recording on would drop the gradients of the self-attention keys and
+    values; it is refused before the cache changes."""
+    vocab, inp, graph, gt = iraq_inputs()
+    model = M.Seq2SeqModel(toy_config("GRASAME", vocab=len(vocab)), seed=5)
+    enc = model.encode(inp, gt)
+    with T.no_grad():
+        cache = M.DecoderCache(model, enc)
+    with pytest.raises(RuntimeError, match="no_grad"):
+        model.decode(np.array([D.BOS_ID]), enc, cache)
+    assert cache.length == 0 and cache.keys[0].shape[-2] == 0
+    with T.no_grad():  # the same cache still steps under no_grad
+        assert model.decode(np.array([D.BOS_ID]), enc, cache).shape == (
+            1, 1, len(vocab))
+
+
 def test_cross_attention_rows_sum_to_one():
     rng = np.random.default_rng(9)
     d = 8
