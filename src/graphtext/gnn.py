@@ -7,9 +7,13 @@ base relation x direction): the per-bucket neighbour means sit side by
 side and one weight maps them all, so SAGE and RGCN share one combine.
 
 Graphs are small (a few hundred nodes), so neighborhoods are dense
-matrices precomputed once per example by :func:`graph_tensors`; relation
-buckets and GAT heads are leading tensor axes, so a layer forward is a
-fixed handful of tape ops whatever the bucket or head count.
+matrices precomputed once per example by :func:`graph_tensors`. A layer
+runs on the packed rows of a batch, one segment of rows per example:
+SAGE and RGCN multiply each example's own matrices by its own rows inside
+one tape op, and relation buckets and GAT heads are tensor axes, so a
+SAGE or RGCN forward is a fixed handful of tape ops whatever the batch,
+bucket or head count. GAT runs its per-example aggregate on each
+example's row slice.
 """
 from __future__ import annotations
 
@@ -60,15 +64,15 @@ class GraphTensors:
     """Dense neighborhood structure shared by all families.
 
     ``in_mask[v, u]`` is True when an edge u -> v of any type exists;
-    self-loops guarantee every row is non-empty. ``relations[b]`` is the
-    in-degree-normalized adjacency of bucket b, all zeros when the bucket
-    has no edges.
+    self-loops guarantee every row is non-empty. ``relations[:, b]`` is
+    the in-degree-normalized adjacency of bucket b, all zeros when the
+    bucket has no edges; node-major, so that row v's buckets sit together.
     """
     num_nodes: int
     in_mask: np.ndarray
     mean_matrix: T.Tensor
     sum_matrix: T.Tensor
-    relations: T.Tensor  # (NUM_RELATION_BUCKETS, n, n)
+    relations: T.Tensor  # (n, NUM_RELATION_BUCKETS, n)
 
     @property
     def bucket_matrices(self) -> list[T.Tensor | None]:
@@ -76,16 +80,17 @@ class GraphTensors:
         bucket. No layer reads them: the benchmark's tracer counts graph
         bytes through this name, and it can go once the benchmark reads
         ``relations`` instead."""
-        return [T.Tensor(m) if m.any() else None for m in self.relations.data]
+        return [T.Tensor(m) if m.any() else None
+                for m in self.relations.data.swapaxes(0, 1)]
 
 
 def graph_tensors(graph: HierGraph) -> GraphTensors:
     n = graph.num_nodes
     adj = np.zeros((n, n), dtype=bool)
-    relations = np.zeros((NUM_RELATION_BUCKETS, n, n), dtype=np.float64)
+    relations = np.zeros((n, NUM_RELATION_BUCKETS, n), dtype=np.float64)
     for e in graph.edges:
         adj[e.dst, e.src] = True
-        relations[bucket_index(e.rel, e.dir), e.dst, e.src] = 1.0
+        relations[e.dst, bucket_index(e.rel, e.dir), e.src] = 1.0
     if not adj.any(axis=1).all():
         raise ValueError("graph has a node with no incoming edge")
     deg = adj.sum(axis=1, keepdims=True).astype(np.float64)
@@ -135,18 +140,36 @@ class GnnLayer:
 
     # -- aggregate ----------------------------------------------------------
 
-    def aggregate(self, states: T.Tensor, gt: GraphTensors) -> T.Tensor:
+    def aggregate(self, states: T.Tensor,
+                  gt: GraphTensors | list[GraphTensors]) -> T.Tensor:
+        """Messages for each row of ``states``. ``gt`` is one example's
+        graph tensors, or a list of them for a packed batch: one per
+        consecutive segment of rows."""
+        gts = [gt] if isinstance(gt, GraphTensors) else gt
         fam = self.config.family
         if fam == "GAT":
-            return self._gat(states, gt)
+            return self._gat_rows(states, gts)
         if fam == "RGCN":  # per-bucket neighbour means side by side
-            return T.merge_heads(T.matmul(gt.relations, states))
+            return T.segment_matmul([g.relations.data for g in gts], states)
         agg = self.config.sage_aggregator
-        if agg == "MEAN":
-            return T.matmul(gt.mean_matrix, states)
+        if agg == "MEAN":  # as one-channel stacks
+            return T.segment_matmul([g.mean_matrix.data[:, None]
+                                     for g in gts], states)
         if agg == "SUM":
-            return T.matmul(gt.sum_matrix, states)
-        return T.neighbor_max(states, gt.in_mask)
+            return T.segment_matmul([g.sum_matrix.data[:, None]
+                                     for g in gts], states)
+        return T.neighbor_max(states, [g.in_mask for g in gts])
+
+    def _gat_rows(self, states: T.Tensor, gts: list[GraphTensors]) -> T.Tensor:
+        """The one-example aggregate on each example's slice of rows."""
+        parts, start = [], 0
+        for gt in gts:
+            rows = np.arange(start, start + gt.num_nodes)
+            parts.append(self._gat(T.embedding_lookup(states, rows), gt))
+            start += gt.num_nodes
+        if start != states.shape[0]:
+            raise T.ShapeError(f"graphs cover {start} of {states.shape[0]} rows")
+        return T.concat(parts)
 
     def _gat(self, states: T.Tensor, gt: GraphTensors) -> T.Tensor:
         """Head-averaged messages over in-neighbourhood attention."""
@@ -162,14 +185,17 @@ class GnnLayer:
 
     # -- combine ------------------------------------------------------------
 
-    def combine(self, states: T.Tensor, messages: T.Tensor) -> T.Tensor:
+    def _combine(self, states: T.Tensor, messages: T.Tensor) -> T.Tensor:
         if self.config.family == "GAT":
             return T.add(messages, states)
         mixed = T.add(T.matmul(states, self.p["w_self"]),
                       T.matmul(messages, self.p["w_neigh"]))
         return T.relu(T.add(mixed, self.p["b"]))
 
-    def forward(self, states: T.Tensor, gt: GraphTensors) -> T.Tensor:
+    def forward(self, states: T.Tensor,
+                gt: GraphTensors | list[GraphTensors]) -> T.Tensor:
+        """One aggregate+combine step over ``states``; ``gt`` as in
+        :meth:`aggregate`."""
         if self.config.identity_mode:
             return states
-        return self.combine(states, self.aggregate(states, gt))
+        return self._combine(states, self.aggregate(states, gt))

@@ -11,15 +11,17 @@ according to the selected variation:
 
 The decoder is a standard causal transformer with cross-attention. Both
 halves are pre-norm (residual adds wrap layer-normed sublayers) with a
-final layer norm; positions use a learned embedding table. Decoding
-runs the decoder one position at a time against a ``DecoderCache`` of
-the earlier positions' keys and values. A small bilinear head scores
-ordered node pairs against the five structural relation labels for the
-reconstruction objective.
+final layer norm; positions use a learned embedding table. A batch runs
+packed: its examples' token rows are concatenated into one block per
+side, with no padding, and every row-wise layer is one tape op over the
+block; attention and the graph step keep each example to its own rows.
+Decoding runs the decoder one position at a time against a
+``DecoderCache`` of the earlier positions' keys and values. A small
+bilinear head scores ordered node pairs against the five structural
+relation labels for the reconstruction objective.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,49 +75,60 @@ class ModelConfig:
 
 def multi_head_attention(q_in: T.Tensor,
                          kv_in: T.Tensor | tuple[T.Tensor, T.Tensor],
-                         wq: T.Tensor, wk: T.Tensor, wv: T.Tensor, wo: T.Tensor,
-                         num_heads: int, mask: np.ndarray | None = None
-                         ) -> tuple[T.Tensor, T.Tensor]:
-    """Scaled dot-product attention; heads are column blocks of the merged
-    projection matrices, and leading axes of ``q_in`` are a batch.
-    ``kv_in`` is the states keys and values are projected from, or the
-    (keys, values) pair already projected, (..., head, key, d/h) each, as a
-    :class:`DecoderCache` holds them. ``mask`` is (query, key) boolean,
-    True = attend, for every head. Returns the output and the
-    (..., head, query, key) weights."""
-    dk = wq.shape[1] // num_heads
-    q = T.split_heads(T.matmul(q_in, wq), num_heads)
-    k, v = kv_in if isinstance(kv_in, tuple) else _kv_heads(kv_in, wk, wv,
-                                                            num_heads)
-    scores = T.scale(T.matmul(q, k, transpose_b=True), 1.0 / math.sqrt(dk))
-    alpha = T.softmax_last_dim(scores, mask=mask)
-    out = T.matmul(T.merge_heads(T.matmul(alpha, v)), wo)
-    return out, alpha
+                         weights: tuple[T.Tensor, T.Tensor, T.Tensor, T.Tensor],
+                         num_heads: int,
+                         segments: list[tuple[int, int]] | None = None,
+                         causal: bool = False
+                         ) -> tuple[T.Tensor, list[np.ndarray]]:
+    """Scaled dot-product attention under the projections ``weights``,
+    (query, key, value, output); heads are column blocks of them. ``kv_in``
+    is the states keys and values are projected from, or the (keys, values)
+    pair already projected, as a :class:`DecoderCache` holds them.
+    ``segments`` and ``causal`` are :func:`tensor.attention`'s: None lets
+    every query attend every key, with leading axes of ``q_in`` a batch; a
+    list of (query rows, key rows) counts keeps each example of a packed
+    batch to its own rows. Returns the output and the weights, one
+    (..., head, query, key) array per segment."""
+    wq, wk, wv, wo = weights
+    k, v = kv_in if isinstance(kv_in, tuple) else (T.matmul(kv_in, wk),
+                                                   T.matmul(kv_in, wv))
+    out, alpha = T.attention(T.matmul(q_in, wq), k, v, num_heads, segments,
+                             causal)
+    return T.matmul(out, wo), alpha
 
 
-def _kv_heads(states: T.Tensor, wk: T.Tensor, wv: T.Tensor,
-              num_heads: int) -> tuple[T.Tensor, T.Tensor]:
-    """The keys and values of ``states``, (..., head, position, d/h) each."""
-    return (T.split_heads(T.matmul(states, wk), num_heads),
-            T.split_heads(T.matmul(states, wv), num_heads))
-
-
-def _graph_guided_attention(x: T.Tensor, gt: GraphTensors | None,
-                            gnn_layer: GnnLayer | None, wq, wk, wv, wo,
-                            num_heads: int, variation: str) -> T.Tensor:
+def _graph_guided_attention(x: T.Tensor, gts: list[GraphTensors | None],
+                            gnn_layer: GnnLayer | None, weights,
+                            num_heads: int, variation: str,
+                            segments: list[tuple[int, int]]) -> T.Tensor:
     """Route token states (and their GNN update) into attention."""
     if variation == "BASE":
-        return multi_head_attention(x, x, wq, wk, wv, wo, num_heads)[0]
-    if gt is None or gnn_layer is None:
+        return multi_head_attention(x, x, weights, num_heads, segments)[0]
+    if gnn_layer is None or any(gt is None for gt in gts):
         raise ValueError(f"variation {variation} requires a token graph")
-    xt = gnn_layer.forward(x, gt)
+    xt = gnn_layer.forward(x, gts)
     if variation == "GRASAME":
         q_in, kv_in = xt, x
     elif variation == "VAR1":
         q_in, kv_in = x, xt
     else:  # VAR2
         q_in, kv_in = xt, xt
-    return multi_head_attention(q_in, kv_in, wq, wk, wv, wo, num_heads)[0]
+    return multi_head_attention(q_in, kv_in, weights, num_heads, segments)[0]
+
+
+def _token_lists(inp) -> list:
+    """The token ids of each example: ``inp`` is one input (a
+    TokenizedGraphInput or its ids) or a list of them."""
+    if isinstance(inp, TokenizedGraphInput) or not len(inp) or isinstance(
+            inp[0], (int, np.integer)):
+        inp = [inp]
+    return [x.token_ids if isinstance(x, TokenizedGraphInput) else x
+            for x in inp]
+
+
+def _positions(lengths: list[int]) -> np.ndarray:
+    """Position ids of packed rows: each example counts from 0."""
+    return np.concatenate([np.arange(n) for n in lengths])
 
 
 class Seq2SeqModel:
@@ -185,39 +198,56 @@ class Seq2SeqModel:
 
     # -- forward passes -----------------------------------------------------
 
-    def _embed(self, token_ids, start: int = 0) -> T.Tensor:
-        """Token plus position embeddings; positions run along the last
-        axis of ``token_ids`` from ``start``."""
-        n = np.shape(token_ids)[-1]
+    def _embed(self, token_ids, positions) -> T.Tensor:
+        """Token plus position embeddings; ``positions`` runs along the
+        last axis of ``token_ids``."""
         return T.add(T.embedding_lookup(self.emb_tok, token_ids),
-                     T.embedding_lookup(self.emb_pos,
-                                        list(range(start, start + n))))
+                     T.embedding_lookup(self.emb_pos, positions))
 
     def _feedforward(self, layer, u: T.Tensor) -> T.Tensor:
         hidden = T.relu(T.add(T.matmul(u, layer["ff_w1"]), layer["ff_b1"]))
         return T.add(T.matmul(hidden, layer["ff_w2"]), layer["ff_b2"])
 
-    def encode(self, inp: TokenizedGraphInput | list[int],
-               gt: GraphTensors | None) -> T.Tensor:
-        """Final encoder states (seq x d_model), ready for the decoder and
-        the relation head."""
-        token_ids = inp.token_ids if isinstance(inp, TokenizedGraphInput) else inp
-        if len(token_ids) > self.config.max_sequence_length:
-            raise T.ShapeError(
-                f"input length {len(token_ids)} exceeds the model maximum")
-        x = self._embed(token_ids)
+    def encode(self, inp, gt) -> T.Tensor:
+        """Final encoder states, one row per input token, ready for the
+        decoder and the relation head.
+
+        ``inp`` is one input (a TokenizedGraphInput or its token ids) and
+        ``gt`` its graph tensors (None for BASE). Lists of both are a packed
+        batch: the examples' rows follow one another, and each example
+        attends and aggregates over its own rows only.
+        """
+        ids = _token_lists(inp)
+        if gt is None or isinstance(gt, GraphTensors):
+            gt = [gt] * len(ids)
+        if len(gt) != len(ids):
+            raise T.ShapeError(f"{len(gt)} graphs for {len(ids)} inputs")
+        lengths = [len(x) for x in ids]
+        for n in lengths:
+            if n > self.config.max_sequence_length:
+                raise T.ShapeError(f"input length {n} exceeds the model maximum")
+        segments = [(n, n) for n in lengths]
+        x = self._embed(np.concatenate(ids), _positions(lengths))
         for layer in self.enc_layers:
             u = T.layer_norm(x, layer["ln1_g"], layer["ln1_b"])
             x = T.add(x, _graph_guided_attention(
-                u, gt, layer["gnn"], layer["wq"], layer["wk"], layer["wv"],
-                layer["wo"], self.config.num_heads, self.config.variation))
+                u, gt, layer["gnn"],
+                (layer["wq"], layer["wk"], layer["wv"], layer["wo"]),
+                self.config.num_heads, self.config.variation, segments))
             u = T.layer_norm(x, layer["ln2_g"], layer["ln2_b"])
             x = T.add(x, self._feedforward(layer, u))
         return T.layer_norm(x, self.enc_ln_g, self.enc_ln_b)
 
     def decode(self, token_ids, enc_states: T.Tensor,
-               cache: DecoderCache | None = None) -> T.Tensor:
-        """Teacher-forced logits (prefix_len x vocab) under a causal mask.
+               cache: DecoderCache | None = None,
+               enc_lengths: list[int] | None = None) -> T.Tensor:
+        """Teacher-forced logits, one row per target position, under a
+        causal mask.
+
+        ``token_ids`` is one prefix, which cross-attends every row of
+        ``enc_states``, or a list of prefixes: a packed batch whose example
+        i cross-attends its own ``enc_lengths[i]`` rows, in order, of the
+        states :meth:`encode` returned for the batch.
 
         With a ``cache`` (no-grad only), ``token_ids`` holds the next token
         of each cache row, all at the cache's next position. The step
@@ -225,33 +255,45 @@ class Seq2SeqModel:
         and returns (rows x 1 x vocab) logits.
         """
         if cache is None:
-            start, ids = 0, token_ids
+            prefixes = _token_lists(token_ids)
+            lengths = [len(p) for p in prefixes]
+            if enc_lengths is None and len(prefixes) == 1:
+                enc_lengths = [enc_states.shape[0]]
+            if enc_lengths is None or len(enc_lengths) != len(prefixes):
+                raise T.ShapeError(
+                    f"{len(prefixes)} prefixes need as many encoder lengths")
+            m = max(lengths)
+            ids, positions = np.concatenate(prefixes), _positions(lengths)
+            self_segments = [(n, n) for n in lengths]
+            cross_segments = list(zip(lengths, enc_lengths))
         else:  # one sequence of one token per cache row
             if T._GRAD_ENABLED:  # the cache keeps values, not the tape
                 raise RuntimeError("a cached decode step runs under T.no_grad()")
-            start, ids = cache.length, np.asarray(token_ids)[:, None]
+            ids = np.asarray(token_ids)[:, None]
             if len(ids) != cache.rows:
                 raise T.ShapeError(
                     f"{len(ids)} next tokens for {cache.rows} cache rows")
-        m = start + np.shape(ids)[-1]
+            m = cache.length + 1
+            positions = [cache.length]
+            self_segments = cross_segments = None
         if m > self.config.max_target_length:
             raise T.ShapeError(
                 f"target length {m} exceeds the model maximum")
-        y = self._embed(ids, start)
-        causal = np.tril(np.ones((m, m), dtype=bool)) if cache is None else None
+        y = self._embed(ids, positions)
         heads = self.config.num_heads
         for i, layer in enumerate(self.dec_layers):
             u = T.layer_norm(y, layer["ln1_g"], layer["ln1_b"])
             kv = u if cache is None else cache._extend(i, u, layer["sk"],
                                                        layer["sv"])
-            att, _ = multi_head_attention(u, kv, layer["sq"], layer["sk"],
-                                          layer["sv"], layer["so"], heads,
-                                          mask=causal)
+            att, _ = multi_head_attention(
+                u, kv, (layer["sq"], layer["sk"], layer["sv"], layer["so"]),
+                heads, self_segments, causal=cache is None)
             y = T.add(y, att)
             u = T.layer_norm(y, layer["ln2_g"], layer["ln2_b"])
             kv = enc_states if cache is None else cache.cross[i]
-            att, _ = multi_head_attention(u, kv, layer["cq"], layer["ck"],
-                                          layer["cv"], layer["co"], heads)
+            att, _ = multi_head_attention(
+                u, kv, (layer["cq"], layer["ck"], layer["cv"], layer["co"]),
+                heads, cross_segments)
             y = T.add(y, att)
             u = T.layer_norm(y, layer["ln3_g"], layer["ln3_b"])
             y = T.add(y, self._feedforward(layer, u))
@@ -275,18 +317,17 @@ class Seq2SeqModel:
 class DecoderCache:
     """What an incremental decode of one example keeps between steps. Per
     decoder layer: the self-attention keys and values of every position so
-    far, one row per live hypothesis, and the cross-attention keys and
-    values, projected once from the encoder states. No-grad only: the
-    cached arrays carry no tape."""
+    far, (row, position, d_model) with one row per live hypothesis, and the
+    cross-attention keys and values, projected once from the encoder
+    states. No-grad only: the cached arrays carry no tape."""
 
     def __init__(self, model: Seq2SeqModel, enc_states: T.Tensor):
-        heads = model.config.num_heads
-        self.num_heads = heads
         self.length = 0  # positions cached in every row
         self.rows = 1
-        self.cross = [_kv_heads(enc_states, layer["ck"], layer["cv"], heads)
+        self.cross = [(T.matmul(enc_states, layer["ck"]),
+                       T.matmul(enc_states, layer["cv"]))
                       for layer in model.dec_layers]
-        empty = np.zeros((1, heads, 0, model.config.d_model // heads))
+        empty = np.zeros((1, 0, model.config.d_model))
         self.keys = [empty] * len(model.dec_layers)
         self.values = list(self.keys)
 
@@ -301,7 +342,7 @@ class DecoderCache:
                 ) -> tuple[T.Tensor, T.Tensor]:
         """Append the keys and values of ``states`` (rows, 1, d) to layer
         ``i`` and return all of that layer's keys and values."""
-        k, v = _kv_heads(states, wk, wv, self.num_heads)
+        k, v = T.matmul(states, wk), T.matmul(states, wv)
         self.keys[i] = np.concatenate((self.keys[i], k.data), axis=-2)
         self.values[i] = np.concatenate((self.values[i], v.data), axis=-2)
         return T.Tensor(self.keys[i]), T.Tensor(self.values[i])

@@ -78,7 +78,7 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
+    def _accumulate_grad(self, g: np.ndarray) -> None:
         if not self.requires_grad:
             return
         if self.grad is None:
@@ -131,8 +131,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
     def backward(g: np.ndarray) -> None:
-        a.accumulate_grad(_unbroadcast(g, a.shape))
-        b.accumulate_grad(_unbroadcast(g, b.shape))
+        a._accumulate_grad(_unbroadcast(g, a.shape))
+        b._accumulate_grad(_unbroadcast(g, b.shape))
 
     return _result(data, (a, b), backward)
 
@@ -143,8 +143,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def backward(g: np.ndarray) -> None:
-        a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
-        b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
+        a._accumulate_grad(_unbroadcast(g * b.data, a.shape))
+        b._accumulate_grad(_unbroadcast(g * a.data, b.shape))
 
     return _result(data, (a, b), backward)
 
@@ -154,7 +154,7 @@ def scale(a: Tensor, s: float) -> Tensor:
     data = a.data * s
 
     def backward(g: np.ndarray) -> None:
-        a.accumulate_grad(g * s)
+        a._accumulate_grad(g * s)
 
     return _result(data, (a,), backward)
 
@@ -162,25 +162,36 @@ def scale(a: Tensor, s: float) -> Tensor:
 def matmul(a: Tensor, b: Tensor, transpose_a: bool = False,
            transpose_b: bool = False) -> Tensor:
     """Matrix product over the last two axes, broadcast over any leading
-    axes (numpy ``@``); a transpose flag swaps its operand's last two axes."""
+    axes (numpy ``@``); a transpose flag swaps its operand's last two axes.
+    A 2-D right operand meets the untransposed left operand's leading axes
+    folded into its rows: one product, and one for its own gradient."""
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul: operands need rank >= 2, got {a.shape} and {b.shape}")
     am = np.swapaxes(a.data, -1, -2) if transpose_a else a.data
     bm = np.swapaxes(b.data, -1, -2) if transpose_b else b.data
+    fold = bm.ndim == 2 and am.ndim > 2 and not transpose_a
+    if fold:
+        am = am.reshape(-1, am.shape[-1])
     try:
         data = am @ bm
     except ValueError:  # inner or batch dims differ
-        raise ShapeError(f"matmul: cannot multiply {am.shape} by {bm.shape}") from None
+        raise ShapeError(f"matmul: cannot multiply {a.shape} by {b.shape}") from None
+    if fold:
+        data = data.reshape(*a.shape[:-1], data.shape[-1])
 
     def backward(g: np.ndarray) -> None:
+        if fold:
+            g = g.reshape(am.shape[0], -1)
         if a.requires_grad:
             ga = g @ np.swapaxes(bm, -1, -2)
             ga = np.swapaxes(ga, -1, -2) if transpose_a else ga
-            a.accumulate_grad(_unbroadcast(ga, a.shape))
+            if fold:
+                ga = ga.reshape(a.shape)
+            a._accumulate_grad(_unbroadcast(ga, a.shape))
         if b.requires_grad:
             gb = np.swapaxes(am, -1, -2) @ g
             gb = np.swapaxes(gb, -1, -2) if transpose_b else gb
-            b.accumulate_grad(_unbroadcast(gb, b.shape))
+            b._accumulate_grad(_unbroadcast(gb, b.shape))
 
     return _result(data, (a, b), backward)
 
@@ -190,7 +201,7 @@ def relu(a: Tensor) -> Tensor:
     data = np.where(keep, a.data, 0.0)
 
     def backward(g: np.ndarray) -> None:
-        a.accumulate_grad(g * keep)
+        a._accumulate_grad(g * keep)
 
     return _result(data, (a,), backward)
 
@@ -200,37 +211,22 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     data = np.where(pos, a.data, slope * a.data)
 
     def backward(g: np.ndarray) -> None:
-        a.accumulate_grad(g * np.where(pos, 1.0, slope))
-
-    return _result(data, (a,), backward)
-
-
-def split_heads(a: Tensor, num_heads: int) -> Tensor:
-    """(..., n, h*k) -> (..., h, n, k): column block i of ``a`` becomes
-    head i; leading axes are kept."""
-    if a.data.ndim < 2 or num_heads < 1 or a.shape[-1] % num_heads:
-        raise ShapeError(f"split_heads: cannot split {a.shape} into {num_heads} heads")
-    *lead, n, width = a.shape
-    data = a.data.reshape(*lead, n, num_heads, width // num_heads).swapaxes(-2, -3)
-
-    def backward(g: np.ndarray) -> None:
-        a.accumulate_grad(g.swapaxes(-2, -3).reshape(a.shape))
+        a._accumulate_grad(g * np.where(pos, 1.0, slope))
 
     return _result(data, (a,), backward)
 
 
 def merge_heads(a: Tensor) -> Tensor:
     """(..., k, n, w) -> (..., n, k*w): column block i of the result is
-    slice i of ``a``; leading axes are kept. The inverse of
-    :func:`split_heads`; it also lays out relation channels and the two
-    ends of node pairs side by side."""
+    slice i of ``a``; leading axes are kept. It lays the two ends of node
+    pairs side by side."""
     if a.data.ndim < 3:
         raise ShapeError(f"merge_heads: expected at least 3 axes, got {a.shape}")
     *lead, h, n, k = a.shape
     data = a.data.swapaxes(-2, -3).reshape(*lead, n, h * k)
 
     def backward(g: np.ndarray) -> None:
-        a.accumulate_grad(g.reshape(*lead, n, h, k).swapaxes(-2, -3))
+        a._accumulate_grad(g.reshape(*lead, n, h, k).swapaxes(-2, -3))
 
     return _result(data, (a,), backward)
 
@@ -250,7 +246,7 @@ def embedding_lookup(table: Tensor, ids: Sequence) -> Tensor:
         if table.requires_grad:
             full = np.zeros_like(table.data)
             np.add.at(full, idx, g)
-            table.accumulate_grad(full)
+            table._accumulate_grad(full)
 
     return _result(data, (table,), backward)
 
@@ -278,14 +274,14 @@ def softmax_last_dim(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         dot = (g * y).sum(axis=-1, keepdims=True)
-        a.accumulate_grad(y * (g - dot))
+        a._accumulate_grad(y * (g - dot))
 
     return _result(y, (a,), backward)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each row of the last axis to zero mean / unit variance,
-    then apply the learned affine transform."""
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize each row of the last axis to zero mean / unit variance
+    (variance plus 1e-5), then apply the learned affine transform."""
     d = a.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(
@@ -293,21 +289,21 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = a.data.mean(axis=-1, keepdims=True)
     centered = a.data - mu
     var = (centered ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = centered * inv
     data = xhat * gain.data + bias.data
 
     def backward(g: np.ndarray) -> None:
         if gain.requires_grad:
-            gain.accumulate_grad((g * xhat).reshape(-1, d).sum(axis=0))
+            gain._accumulate_grad((g * xhat).reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
-            bias.accumulate_grad(g.reshape(-1, d).sum(axis=0))
+            bias._accumulate_grad(g.reshape(-1, d).sum(axis=0))
         if a.requires_grad:
             gx = g * gain.data
             # d/dx of (x - mu) * inv with mu, inv functions of the row
             term = gx - gx.mean(axis=-1, keepdims=True) \
                 - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-            a.accumulate_grad(term * inv)
+            a._accumulate_grad(term * inv)
 
     return _result(data, (a, gain, bias), backward)
 
@@ -347,35 +343,167 @@ def cross_entropy(logits: Tensor, target_ids: Sequence[int],
         grad = probs.copy()
         grad[rows[keep], ids[keep]] -= 1.0
         grad[~keep] = 0.0
-        logits.accumulate_grad(grad * (float(g) / denom))
+        logits._accumulate_grad(grad * (float(g) / denom))
 
     return _result(data, (logits,), backward)
 
 
-def neighbor_max(states: Tensor, in_mask: np.ndarray) -> Tensor:
-    """Per-row elementwise max over selected rows of ``states``.
+def neighbor_max(states: Tensor, in_masks: Sequence[np.ndarray]) -> Tensor:
+    """Per-row elementwise max over selected rows of ``states``, segment by
+    segment.
 
-    ``in_mask[v, u]`` selects row u as an input for output row v; every
-    output row needs at least one selected input. Gradient flows to the
-    argmax entry per (row, feature).
+    The rows are cut into consecutive segments, one per (n, n) mask, and
+    ``in_masks[i][v, u]`` selects row u of segment i as an input for its
+    output row v; every output row needs at least one selected input.
+    Gradient flows to the argmax entry per (row, feature).
     """
-    mask = np.asarray(in_mask, dtype=bool)
-    n, d = states.shape
-    if mask.shape != (n, n):
-        raise ShapeError(f"neighbor_max: mask {mask.shape} != ({n}, {n})")
-    if not mask.any(axis=1).all():
-        raise ShapeError("neighbor_max: a row selects no inputs")
-    expanded = np.where(mask[:, :, None], states.data[None, :, :], -np.inf)
-    arg = expanded.argmax(axis=1)  # (n, d): source row per output cell
+    rows, d = states.shape
+    arg = np.empty((rows, d), dtype=np.int64)  # source row per output cell
+    start = 0
+    for mask in in_masks:
+        mask = np.asarray(mask, dtype=bool)
+        n = len(mask)
+        if mask.shape != (n, n) or start + n > rows:
+            raise ShapeError(f"neighbor_max: mask {mask.shape} at row {start}"
+                             f" of {states.shape}")
+        if not mask.any(axis=1).all():
+            raise ShapeError("neighbor_max: a row selects no inputs")
+        seg = states.data[start:start + n]
+        expanded = np.where(mask[:, :, None], seg[None, :, :], -np.inf)
+        arg[start:start + n] = expanded.argmax(axis=1) + start
+        start += n
+    if start != rows:
+        raise ShapeError(f"neighbor_max: masks cover {start} of {rows} rows")
     data = np.take_along_axis(states.data, arg, axis=0)
 
     def backward(g: np.ndarray) -> None:
         full = np.zeros_like(states.data)
-        cols = np.broadcast_to(np.arange(d), (n, d))
+        cols = np.broadcast_to(np.arange(d), (rows, d))
         np.add.at(full, (arg, cols), g)
-        states.accumulate_grad(full)
+        states._accumulate_grad(full)
 
     return _result(data, (states,), backward)
+
+
+def segment_matmul(blocks: Sequence[np.ndarray], x: Tensor) -> Tensor:
+    """A block-diagonal product without the zero blocks.
+
+    The rows of ``x`` (N, d) are cut into consecutive segments, one per
+    constant block, and segment i meets ``blocks[i]``: c matrices of
+    n x n stacked node-major as (n, c, n). Output row v of the segment
+    holds its c channel rows side by side, so the result is (N, c * d) and
+    each segment's product is one matrix multiply.
+    """
+    if x.data.ndim != 2 or not blocks:
+        raise ShapeError(f"segment_matmul: need 2-D rows and a block, got {x.shape}")
+    rows, d = x.shape
+    channels = blocks[0].shape[1]
+    sizes = [blk.shape[0] for blk in blocks]
+    if any(blk.shape != (n, channels, n) for blk, n in zip(blocks, sizes)) \
+            or sum(sizes) != rows:
+        raise ShapeError(f"segment_matmul: blocks {[b.shape for b in blocks]}"
+                         f" do not cut rows {x.shape}")
+    # each block as (n * c, n): row v * c + b is row v of channel b
+    flat = [blk.reshape(n * channels, n) for blk, n in zip(blocks, sizes)]
+    bounds = np.cumsum([0] + sizes)
+    data = np.empty((rows, channels * d))
+    for f, lo, hi in zip(flat, bounds, bounds[1:]):
+        data[lo:hi] = (f @ x.data[lo:hi]).reshape(hi - lo, channels * d)
+
+    def backward(g: np.ndarray) -> None:
+        gx = np.empty_like(x.data)
+        for f, lo, hi in zip(flat, bounds, bounds[1:]):
+            gx[lo:hi] = f.T @ g[lo:hi].reshape((hi - lo) * channels, d)
+        x._accumulate_grad(gx)
+
+    return _result(data, (x,), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
+              segments: Sequence[tuple[int, int]] | None = None,
+              causal: bool = False) -> tuple[Tensor, list[np.ndarray]]:
+    """Multi-head scaled dot-product attention as one op.
+
+    Head i is column block i of the (..., rows, d) operands: its weights
+    are softmax(q_i k_i^T / sqrt(d / h)) over the key rows, and its output
+    is those weights times v_i. With ``segments`` None every query row
+    attends every key row, and leading axes broadcast. A list of
+    (query rows, key rows) counts cuts 2-D operands into consecutive
+    blocks, one per example, and each query block attends its own key
+    block only. ``causal`` lets query j of a block see keys 0..j only.
+
+    Returns the output and the weights, one (..., head, query, key) array
+    per block; beside its inputs, backward keeps only the weights.
+    """
+    d = q.shape[-1]
+    if (min(q.data.ndim, k.data.ndim) < 2 or num_heads < 1 or d % num_heads
+            or k.shape[-1] != d or v.shape != k.shape):
+        raise ShapeError(f"attention: queries {q.shape}, keys {k.shape} and"
+                         f" values {v.shape} with {num_heads} heads")
+    dk = d // num_heads
+    factor = 1.0 / math.sqrt(dk)
+
+    def split(x: np.ndarray) -> np.ndarray:  # (..., n, d) -> (..., h, n, dk)
+        return x.reshape(*x.shape[:-1], num_heads, dk).swapaxes(-2, -3)
+
+    def merge(x: np.ndarray) -> np.ndarray:  # (..., h, n, dk) -> (..., n, d)
+        return x.swapaxes(-2, -3).reshape(*x.shape[:-3], x.shape[-2], d)
+
+    if segments is None:
+        blocks = [(slice(None), slice(None))]
+    else:
+        counts = np.array(segments, dtype=np.int64).reshape(-1, 2)
+        nq, nk = (np.concatenate(([0], np.cumsum(c))) for c in counts.T)
+        if (not len(counts) or q.data.ndim != 2 or k.data.ndim != 2
+                or nq[-1] != q.shape[0] or nk[-1] != k.shape[0]
+                or min(np.diff(nk)) < 1):
+            raise ShapeError(f"attention: segments {list(segments)} do not cut"
+                             f" queries {q.shape} and keys {k.shape}")
+        blocks = [(slice(a, b), slice(c, e))
+                  for a, b, c, e in zip(nq, nq[1:], nk, nk[1:])]
+    weights, outs = [], []
+    for qs, ks in blocks:
+        s = split(q.data[..., qs, :]) @ split(k.data[..., ks, :]).swapaxes(-1, -2)
+        s *= factor
+        if causal:
+            s = np.where(np.tri(*s.shape[-2:], dtype=bool), s, -np.inf)
+        s = np.exp(s - s.max(axis=-1, keepdims=True))
+        w = s / s.sum(axis=-1, keepdims=True)
+        weights.append(w)
+        outs.append(merge(w @ split(v.data[..., ks, :])))
+    data = np.concatenate(outs, axis=-2)
+
+    def backward(g: np.ndarray) -> None:
+        grads: tuple[list, list, list] = ([], [], [])
+        for (qs, ks), w in zip(blocks, weights):
+            gh = split(g[..., qs, :])
+            kh = split(k.data[..., ks, :])
+            gw = gh @ split(v.data[..., ks, :]).swapaxes(-1, -2)
+            gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
+            gs *= factor
+            grads[0].append(merge(gs @ kh))
+            grads[1].append(merge(gs.swapaxes(-1, -2) @ split(q.data[..., qs, :])))
+            grads[2].append(merge(w.swapaxes(-1, -2) @ gh))
+        for t, parts in zip((q, k, v), grads):
+            t._accumulate_grad(_unbroadcast(np.concatenate(parts, axis=-2),
+                                            t.shape))
+
+    return _result(data, (q, k, v), backward), weights
+
+
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """The rows of ``parts`` one after another (along axis 0)."""
+    try:
+        data = np.concatenate([p.data for p in parts])
+    except ValueError:
+        raise ShapeError(f"concat: cannot stack {[p.shape for p in parts]}") from None
+    bounds = np.cumsum([0] + [p.shape[0] for p in parts])
+
+    def backward(g: np.ndarray) -> None:
+        for p, lo, hi in zip(parts, bounds, bounds[1:]):
+            p._accumulate_grad(g[lo:hi])
+
+    return _result(data, parts, backward)
 
 
 def tsum(a: Tensor, axis: int | None = None) -> Tensor:
@@ -385,7 +513,7 @@ def tsum(a: Tensor, axis: int | None = None) -> Tensor:
     def backward(g: np.ndarray) -> None:
         if axis is not None:
             g = np.expand_dims(g, axis)
-        a.accumulate_grad(np.broadcast_to(g, a.shape))
+        a._accumulate_grad(np.broadcast_to(g, a.shape))
 
     return _result(data, (a,), backward)
 
@@ -415,7 +543,7 @@ def backward(loss: Tensor) -> None:
         for p in node._parents:
             if id(p) not in seen and p.requires_grad:
                 stack.append((p, False))
-    loss.accumulate_grad(np.ones_like(loss.data))
+    loss._accumulate_grad(np.ones_like(loss.data))
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)

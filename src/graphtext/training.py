@@ -3,10 +3,12 @@
 The total objective is the token-level cross-entropy of the decoder plus
 a weighted auxiliary term that asks a linear head on the encoder states
 to name the relation type of every labeled forward edge in the token
-graph. Batches are processed one example at a time but the losses are
-normalized over the whole batch (summed cross-entropy divided by the
-batch-wide token and pair counts), so the gradients match what a padded
-batched implementation would produce.
+graph. A batch runs as one packed forward and one backward: the
+examples' source tokens form one block of rows and their target tokens
+another, with no padding, so the vocabulary head, each cross-entropy and
+the relation head are one tape op per batch. The losses are normalized
+over the whole batch (summed cross-entropy divided by the batch-wide
+token and pair counts).
 """
 from __future__ import annotations
 
@@ -143,7 +145,7 @@ def gnn_parameter_names(store: T.ParameterStore) -> list[str]:
             if ".gnn." in n or n.startswith("gr_head.")]
 
 
-def apply_freeze(model: Seq2SeqModel, mode: str) -> None:
+def _apply_freeze(model: Seq2SeqModel, mode: str) -> None:
     if mode == "FREEZE_BASE":
         model.store.set_trainable(gnn_parameter_names(model.store))
     else:
@@ -153,44 +155,37 @@ def apply_freeze(model: Seq2SeqModel, mode: str) -> None:
 def compute_batch_loss(model: Seq2SeqModel, items: list[TrainItem],
                        lambda_gr: float, disable_gr_loss: bool = False
                        ) -> tuple[T.Tensor, LossBreakdown]:
-    """Forward the batch and assemble the combined loss tensor."""
-    tg_terms: list[T.Tensor] = []
-    gr_terms: list[T.Tensor] = []
-    bd = LossBreakdown()
-    for item in items:
-        enc = model.encode(item.inp, item.gt)
-        prefix = item.target_ids[:-1]
-        labels = item.target_ids[1:]
-        logits = model.decode(prefix, enc)
-        tg_terms.append(T.cross_entropy(logits, labels, ignore_id=PAD_ID,
-                                        reduction="sum"))
-        bd.num_tokens += len(labels)
-        bd.tok_correct += int((logits.data.argmax(axis=-1)
-                               == np.asarray(labels)).sum())
-        if not disable_gr_loss and item.gr_labels:
-            gr_logits = model.reconstruct_relations(enc, item.gr_pairs)
-            gr_terms.append(T.cross_entropy(gr_logits, item.gr_labels,
-                                            reduction="sum"))
-            bd.num_pairs += len(item.gr_labels)
-            bd.gr_correct += int((gr_logits.data.argmax(axis=-1)
-                                  == np.asarray(item.gr_labels)).sum())
-    tg_total = _tensor_sum(tg_terms)
-    bd.tg_sum = float(tg_total.data)
+    """Forward the batch, packed, and assemble the combined loss tensor."""
+    enc = model.encode([item.inp for item in items],
+                       [item.gt for item in items])
+    logits = model.decode([item.target_ids[:-1] for item in items], enc,
+                          enc_lengths=[len(item.inp) for item in items])
+    labels = np.concatenate([item.target_ids[1:] for item in items])
+    tg_total = T.cross_entropy(logits, labels, ignore_id=PAD_ID,
+                               reduction="sum")
+    bd = LossBreakdown(
+        tg_sum=float(tg_total.data), num_tokens=len(labels),
+        tok_correct=int((logits.data.argmax(axis=-1) == labels).sum()))
     loss = T.scale(tg_total, 1.0 / bd.num_tokens)
-    if gr_terms:
-        gr_total = _tensor_sum(gr_terms)
+    # each example's node ids, shifted to its rows of the packed states
+    pairs, gr_labels, start = [], [], 0
+    for item in items:
+        if not disable_gr_loss:
+            pairs += [(u + start, v + start, rel)
+                      for u, v, rel in item.gr_pairs]
+            gr_labels += item.gr_labels
+        start += len(item.inp)
+    if pairs:
+        gr_logits = model.reconstruct_relations(enc, pairs)
+        gr_total = T.cross_entropy(gr_logits, gr_labels, reduction="sum")
         bd.gr_sum = float(gr_total.data)
+        bd.num_pairs = len(gr_labels)
+        bd.gr_correct = int((gr_logits.data.argmax(axis=-1)
+                             == np.asarray(gr_labels)).sum())
         gr_loss = T.scale(gr_total, 1.0 / bd.num_pairs)
         loss = T.add(loss, T.scale(gr_loss, lambda_gr))
     bd.l_total = float(loss.data)
     return loss, bd
-
-
-def _tensor_sum(terms: list[T.Tensor]) -> T.Tensor:
-    total = terms[0]
-    for t in terms[1:]:
-        total = T.add(total, t)
-    return total
 
 
 def decode_items(model: Seq2SeqModel, items: list[TrainItem],
@@ -223,7 +218,7 @@ def train(model: Seq2SeqModel, items: list[TrainItem], config: TrainConfig,
         raise ValueError("no training items")
     if val_items and vocab is None:
         raise ValueError("validation requires the vocabulary")
-    apply_freeze(model, config.freeze_mode)
+    _apply_freeze(model, config.freeze_mode)
     rng = random.Random(config.seed)
     history: list[dict] = []
     log_file = open(log_path, "w") if log_path else None
@@ -237,6 +232,7 @@ def train(model: Seq2SeqModel, items: list[TrainItem], config: TrainConfig,
             order = list(range(len(items)))
             rng.shuffle(order)
             total = LossBreakdown()
+            norms = []
             for start in range(0, len(order), config.batch_size):
                 batch = [items[i] for i in order[start:start + config.batch_size]]
                 model.store.zero_grads()
@@ -246,10 +242,10 @@ def train(model: Seq2SeqModel, items: list[TrainItem], config: TrainConfig,
                     raise T.NumericsError(
                         f"non-finite loss at epoch {epoch}: {bd.l_total}")
                 T.backward(loss)
-                model.store.adam_step(
+                norms.append(model.store.adam_step(
                     config.learning_rate, beta1=config.beta1,
                     beta2=config.beta2, eps=config.adam_eps,
-                    clip_norm=config.clip_norm)
+                    clip_norm=config.clip_norm))
                 total += bd
             record = {
                 "epoch": epoch,
@@ -258,6 +254,9 @@ def train(model: Seq2SeqModel, items: list[TrainItem], config: TrainConfig,
                 "l_total": total.l_tg + config.lambda_gr * total.l_gr,
                 "token_accuracy": total.token_accuracy,
                 "gr_accuracy": total.gr_accuracy,
+                # pre-clip global gradient norms of the epoch's steps
+                "grad_norm_mean": sum(norms) / len(norms),
+                "grad_norm_max": max(norms),
             }
             if val_items and epoch % config.eval_every == 0:
                 record["val_bleu"] = evaluate_bleu(model, val_items, vocab)

@@ -5,8 +5,9 @@ finite differences instead of the tape, a textbook Adam update, and a
 direct softmax. The loop beam search that the array one replaced is kept
 here too, with the adapter that runs a per-prefix step under the beam's
 batched step contract; it shares only the ``Hypothesis`` container and
-the length normalization with the package. Tests compare library output
-against these.
+the length normalization with the package. So is the per-example batch
+loss that the packed one replaced, which runs the model one example at a
+time. Tests compare library output against these.
 """
 from __future__ import annotations
 
@@ -14,8 +15,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from graphtext.data import BOS_ID, EOS_ID
+from graphtext import tensor as T
+from graphtext.data import BOS_ID, EOS_ID, PAD_ID
 from graphtext.decoding import Hypothesis, normalized_score
+from graphtext.training import LossBreakdown
 
 
 def finite_difference(f: Callable[[], float], arrays: Sequence[np.ndarray],
@@ -137,3 +140,45 @@ def reference_beam_search(step_fn, config, bos_id: int = BOS_ID,
     return min(finished,
                key=lambda h: (-normalized_score(h, config.length_penalty),
                               h.token_ids))
+
+
+def loop_batch_loss(model, items, lambda_gr: float,
+                    disable_gr_loss: bool = False):
+    """The batch loss one example at a time: each example is encoded and
+    decoded on its own, and the per-example cross-entropy sums are added
+    on the tape. Returns (loss tensor, LossBreakdown)."""
+    tg_terms, gr_terms = [], []
+    bd = LossBreakdown()
+    for item in items:
+        enc = model.encode(item.inp, item.gt)
+        labels = item.target_ids[1:]
+        logits = model.decode(item.target_ids[:-1], enc)
+        tg_terms.append(T.cross_entropy(logits, labels, ignore_id=PAD_ID,
+                                        reduction="sum"))
+        bd.num_tokens += len(labels)
+        bd.tok_correct += int((logits.data.argmax(axis=-1)
+                               == np.asarray(labels)).sum())
+        if not disable_gr_loss and item.gr_labels:
+            gr_logits = model.reconstruct_relations(enc, item.gr_pairs)
+            gr_terms.append(T.cross_entropy(gr_logits, item.gr_labels,
+                                            reduction="sum"))
+            bd.num_pairs += len(item.gr_labels)
+            bd.gr_correct += int((gr_logits.data.argmax(axis=-1)
+                                  == np.asarray(item.gr_labels)).sum())
+    tg_total = _tape_sum(tg_terms)
+    bd.tg_sum = float(tg_total.data)
+    loss = T.scale(tg_total, 1.0 / bd.num_tokens)
+    if gr_terms:
+        gr_total = _tape_sum(gr_terms)
+        bd.gr_sum = float(gr_total.data)
+        loss = T.add(loss, T.scale(T.scale(gr_total, 1.0 / bd.num_pairs),
+                                   lambda_gr))
+    bd.l_total = float(loss.data)
+    return loss, bd
+
+
+def _tape_sum(terms):
+    total = terms[0]
+    for t in terms[1:]:
+        total = T.add(total, t)
+    return total

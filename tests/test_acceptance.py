@@ -139,15 +139,16 @@ def _op_sweep():
     b3, b4 = p(rng.normal(size=(2, 3, 4))), p(rng.normal(size=(4, 5)))
     case("matmul[broadcast]", [b3, b4],
          lambda x=b3, y=b4: weighted(T.matmul(x, y), w235))
+    w215 = const((2, 1, 5))
+    b5, b6 = p(rng.normal(size=(2, 1, 4))), p(rng.normal(size=(5, 4)))
+    case("matmul[broadcast-tb]", [b5, b6],
+         lambda x=b5, y=b6: weighted(T.matmul(x, y, transpose_b=True), w215))
     w43 = const((4, 3))
     r1 = p(away((3, 4)))
     case("relu", [r1], lambda x=r1: weighted(T.relu(x), w34))
     r2 = p(away((3, 4)))
     case("leaky_relu", [r2],
          lambda x=r2: weighted(T.leaky_relu(x, 0.2), w34))
-    w233 = const((2, 3, 3))
-    sh = p(rng.normal(size=(3, 6)))
-    case("split_heads", [sh], lambda x=sh: weighted(T.split_heads(x, 2), w233))
     w36 = const((3, 6))
     mh = p(rng.normal(size=(2, 3, 3)))
     case("merge_heads", [mh], lambda x=mh: weighted(T.merge_heads(x), w36))
@@ -183,7 +184,45 @@ def _op_sweep():
     case("cross_entropy[sum]", [ce3],
          lambda x=ce3: T.cross_entropy(x, [5, 2, 0, 1], reduction="sum"))
     case("neighbor_max", [nb_states],
-         lambda x=nb_states: weighted(T.neighbor_max(x, nb_mask), w43))
+         lambda x=nb_states: weighted(T.neighbor_max(x, [nb_mask]), w43))
+    nb2 = p(np.arange(18, dtype=np.float64).reshape(6, 3) * 0.5
+            + rng.uniform(0.0, 0.2, size=(6, 3)))
+    w63 = const((6, 3))
+    case("neighbor_max[segments]", [nb2],
+         lambda x=nb2: weighted(T.neighbor_max(x, [nb_mask[:2, :2],
+                                                   nb_mask]), w63))
+    sg = p(rng.normal(size=(6, 3)))
+    blocks = [rng.normal(size=(2, 1, 2)), rng.normal(size=(4, 1, 4))]
+    case("segment_matmul", [sg],
+         lambda x=sg: weighted(T.segment_matmul(blocks, x), w63))
+    sg2 = p(rng.normal(size=(5, 2)))
+    stacks = [rng.normal(size=(2, 3, 2)), rng.normal(size=(3, 3, 3))]
+    w56 = const((5, 6))
+    case("segment_matmul[channels]", [sg2],
+         lambda x=sg2: weighted(T.segment_matmul(stacks, x), w56))
+    aq, ak, av = (p(rng.normal(size=(3, 4))), p(rng.normal(size=(5, 4))),
+                  p(rng.normal(size=(5, 4))))
+    case("attention", [aq, ak, av],
+         lambda q=aq, k=ak, v=av: weighted(T.attention(q, k, v, 2)[0], w34))
+    sq, sk, sv = (p(rng.normal(size=(5, 4))), p(rng.normal(size=(5, 4))),
+                  p(rng.normal(size=(5, 4))))
+    w54 = const((5, 4))
+    case("attention[segments-causal]", [sq, sk, sv],
+         lambda q=sq, k=sk, v=sv: weighted(
+             T.attention(q, k, v, 2, [(2, 2), (3, 3)], causal=True)[0], w54))
+    cq, ck, cv = (p(rng.normal(size=(3, 4))), p(rng.normal(size=(5, 4))),
+                  p(rng.normal(size=(5, 4))))
+    case("attention[segments-cross]", [cq, ck, cv],
+         lambda q=cq, k=ck, v=cv: weighted(
+             T.attention(q, k, v, 2, [(1, 3), (2, 2)])[0], w34))
+    bq, bk, bv = (p(rng.normal(size=(2, 1, 4))), p(rng.normal(size=(5, 4))),
+                  p(rng.normal(size=(5, 4))))
+    w214 = const((2, 1, 4))
+    case("attention[broadcast]", [bq, bk, bv],
+         lambda q=bq, k=bk, v=bv: weighted(T.attention(q, k, v, 2)[0], w214))
+    c1, c2 = p(rng.normal(size=(2, 3))), p(rng.normal(size=(4, 3)))
+    case("concat", [c1, c2],
+         lambda x=c1, y=c2: weighted(T.concat([x, y]), w63))
     ts = p(rng.normal(size=(3, 4)))
     case("tsum", [ts], lambda x=ts: T.tsum(x))
     ts2 = p(rng.normal(size=(2, 3, 4)))

@@ -157,7 +157,7 @@ def test_rgcn_tape_size_does_not_grow_with_buckets(bidirectional):
     layer, _ = make_layer("RGCN", 4)
     states = T.Tensor(np.random.default_rng(15).standard_normal(
         (graph.num_nodes, 4)), requires_grad=True)
-    assert recorded_nodes(layer.forward(states, gt)) == 7
+    assert recorded_nodes(layer.forward(states, gt)) == 6
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4, 8])
@@ -167,7 +167,9 @@ def test_gat_tape_size_does_not_grow_with_heads(heads):
     layer, _ = make_layer("GAT", 4, gat_heads=heads)
     states = T.Tensor(np.random.default_rng(16).standard_normal(
         (graph.num_nodes, 4)), requires_grad=True)
-    assert recorded_nodes(layer.forward(states, gt)) == 10
+    # the per-example aggregate runs on the example's row slice, gathered
+    # by one lookup and stacked by one concat
+    assert recorded_nodes(layer.forward(states, gt)) == 12
 
 
 def test_identity_mode_is_exact_and_parameter_free():

@@ -58,25 +58,35 @@ def iraq_inputs(vocab_size=None):
 
 @pytest.mark.parametrize("heads", [1, 2, 4])
 def test_attention_matches_bruteforce_oracle(heads):
+    """Each example of a packed batch attends its own rows only, causally
+    or not, and matches the oracle run on that example alone."""
     rng = np.random.default_rng(0)
-    n, m, d = 3, 5, 8
-    q_in = T.Tensor(rng.standard_normal((n, d)))
-    kv_in = T.Tensor(rng.standard_normal((m, d)))
+    d = 8
     ws = [T.Tensor(rng.standard_normal((d, d)) * 0.5) for _ in range(4)]
-    mask = rng.random((n, m)) > 0.3
-    mask[:, 0] = True  # keep every row attendable
-    out, alpha = M.multi_head_attention(q_in, kv_in, *ws, num_heads=heads,
-                                        mask=mask)
-    ref_out, ref_w = oracle_attention(q_in.data, kv_in.data,
-                                      *[w.data for w in ws], num_heads=heads,
-                                      mask=mask)
-    assert np.allclose(out.data, ref_out, atol=1e-10)
-    assert alpha.shape == (heads, n, m)
-    for h, ref in enumerate(ref_w):
-        got = alpha.data[h]
-        assert np.allclose(got, ref, atol=1e-10)
-        assert np.allclose(got.sum(axis=1), 1.0, atol=1e-9)
-        assert np.all(got[~mask] == 0.0)
+    q_rows, kv_rows = [3, 1, 4], [5, 2, 4]
+    q_in = T.Tensor(rng.standard_normal((sum(q_rows), d)))
+    kv_in = T.Tensor(rng.standard_normal((sum(kv_rows), d)))
+    for q, kv, segments, causal in [
+            (q_in, kv_in, list(zip(q_rows, kv_rows)), False),
+            (kv_in, kv_in, list(zip(kv_rows, kv_rows)), True)]:
+        out, alpha = M.multi_head_attention(q, kv, ws, heads, segments, causal)
+        assert len(alpha) == len(segments)
+        qo = ko = 0
+        for (nq, nk), got in zip(segments, alpha):
+            mask = np.tri(nq, nk, dtype=bool) if causal else None
+            ref_out, ref_w = oracle_attention(
+                q.data[qo:qo + nq], kv.data[ko:ko + nk],
+                *[w.data for w in ws], num_heads=heads, mask=mask)
+            assert np.allclose(out.data[qo:qo + nq], ref_out, atol=1e-10)
+            assert got.shape == (heads, nq, nk)
+            for h, ref in enumerate(ref_w):
+                assert np.allclose(got[h], ref, atol=1e-10)
+                assert np.allclose(got[h].sum(axis=1), 1.0, atol=1e-9)
+                if causal:
+                    assert np.all(got[h][~mask] == 0.0)
+            qo, ko = qo + nq, ko + nk
+    with pytest.raises(T.ShapeError):  # the segments miss a key row
+        M.multi_head_attention(q_in, kv_in, ws, heads, [(8, 10)])
 
 
 def test_single_token_attention_weight_is_one():
@@ -84,23 +94,23 @@ def test_single_token_attention_weight_is_one():
     d = 8
     x = T.Tensor(rng.standard_normal((1, d)))
     ws = [T.Tensor(rng.standard_normal((d, d))) for _ in range(4)]
-    _, alpha = M.multi_head_attention(x, x, *ws, num_heads=4)
+    _, alpha = M.multi_head_attention(x, x, ws, num_heads=4)
     for h in range(4):
-        assert np.allclose(alpha.data[h], [[1.0]])
+        assert np.allclose(alpha[0][h], [[1.0]])
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4, 8])
 def test_attention_tape_size_does_not_grow_with_heads(heads):
     """Counts the tape nodes one attention call records: the head split is
-    a tensor axis, so a per-head loop would add nodes per head."""
+    a tensor axis inside one attention op, so a per-head loop would add
+    nodes per head."""
     rng = np.random.default_rng(2)
     d = 16
     x = T.Tensor(rng.standard_normal((3, d)))
     ws = [T.Tensor(rng.standard_normal((d, d)), requires_grad=True)
           for _ in range(4)]
-    out, _ = M.multi_head_attention(x, x, *ws, num_heads=heads,
-                                    mask=np.tril(np.ones((3, 3), dtype=bool)))
-    assert recorded_nodes(out) == 12
+    out, _ = M.multi_head_attention(x, x, ws, heads, [(3, 3)], causal=True)
+    assert recorded_nodes(out) == 5
 
 
 @pytest.mark.parametrize("variation", ["GRASAME", "VAR1", "VAR2"])
@@ -152,7 +162,7 @@ def test_zeroed_output_paths_leave_residual_stream():
         layer["ff_b2"].data[:] = 0.0
     with T.no_grad():
         out = model.encode(inp, None)
-        emb = model._embed(inp.token_ids)
+        emb = model._embed(inp.token_ids, np.arange(len(inp)))
         expected = T.layer_norm(emb, model.enc_ln_g, model.enc_ln_b)
     assert np.allclose(out.data, expected.data, atol=1e-12)
     assert out.shape == (len(inp), model.config.d_model)
@@ -253,9 +263,9 @@ def test_cross_attention_rows_sum_to_one():
     dec_states = T.Tensor(rng.standard_normal((4, d)))
     enc_states = T.Tensor(rng.standard_normal((6, d)))
     ws = [T.Tensor(rng.standard_normal((d, d))) for _ in range(4)]
-    _, alpha = M.multi_head_attention(dec_states, enc_states, *ws, num_heads=2)
+    _, alpha = M.multi_head_attention(dec_states, enc_states, ws, num_heads=2)
     for h in range(2):
-        assert np.allclose(alpha.data[h].sum(axis=1), 1.0, atol=1e-9)
+        assert np.allclose(alpha[0][h].sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_reconstruction_head_contracts():

@@ -48,8 +48,9 @@ def test_shape_mismatch_raises():
         T.matmul(a, b)
     with pytest.raises(T.ShapeError):  # batch dims 2 and 3 do not broadcast
         T.matmul(T.Tensor(np.zeros((2, 4, 3))), T.Tensor(np.zeros((3, 3, 5))))
-    with pytest.raises(T.ShapeError):
-        T.split_heads(T.Tensor(np.zeros((2, 6))), 4)
+    with pytest.raises(T.ShapeError):  # 6 columns do not split into 4 heads
+        x = T.Tensor(np.zeros((2, 6)))
+        T.attention(x, x, x, 4)
 
 
 @pytest.mark.parametrize("ta,tb", [(False, False), (True, False),
@@ -62,23 +63,85 @@ def test_matmul_transpose_grads(ta, tb):
     fd_check(lambda: T.tsum(T.mul(T.matmul(a, b, ta, tb), w)), [a, b])
 
 
-def test_heads_split_and_merge_over_leading_axes():
-    """With leading axes each slice splits and merges as a 2-D operand
-    does, and the gradients match central differences."""
+def test_merge_heads_over_leading_axes():
+    """With leading axes each slice merges as a 3-D operand does, and the
+    gradients match central differences."""
     rng = np.random.default_rng(3)
-    a = leaf(rng, 2, 3, 1, 6)
-    split = T.split_heads(a, 3)
-    assert split.shape == (2, 3, 3, 1, 2)
-    for i in range(2):
-        for j in range(3):
-            one = T.split_heads(T.Tensor(a.data[i, j]), 3).data
-            assert np.array_equal(split.data[i, j], one)
-    assert np.array_equal(T.merge_heads(split).data, a.data)
-    w_split = T.Tensor(rng.standard_normal(split.shape))
-    fd_check(lambda: T.tsum(T.mul(T.split_heads(a, 3), w_split)), [a])
     b = leaf(rng, 2, 3, 4, 5)
+    merged = T.merge_heads(b)
+    assert merged.shape == (2, 4, 15)
+    for i in range(2):
+        assert np.array_equal(merged.data[i],
+                              T.merge_heads(T.Tensor(b.data[i])).data)
     w_merge = T.Tensor(rng.standard_normal((2, 4, 15)))
     fd_check(lambda: T.tsum(T.mul(T.merge_heads(b), w_merge)), [b])
+
+
+def test_matmul_folds_leading_axes_against_a_matrix():
+    """A (rows, t, d) operand against a 2-D one gives each row's own
+    product, and gradients match central differences."""
+    rng = np.random.default_rng(4)
+    a = leaf(rng, 3, 2, 4)
+    b = leaf(rng, 5, 4)
+    out = T.matmul(a, b, transpose_b=True)
+    for i in range(3):
+        assert np.allclose(out.data[i], a.data[i] @ b.data.T, atol=1e-12)
+    w = T.Tensor(rng.standard_normal((3, 2, 5)))
+    fd_check(lambda: T.tsum(T.mul(T.matmul(a, b, transpose_b=True), w)),
+             [a, b])
+
+
+def test_packed_ops_match_each_segment_alone():
+    """Each segment op on packed rows equals the op run on every segment
+    alone, and nothing crosses a segment boundary."""
+    rng = np.random.default_rng(11)
+    sizes = [3, 1, 4]
+    x = T.Tensor(rng.standard_normal((8, 6)))
+    bounds = np.cumsum([0] + sizes)
+    parts = [x.data[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    blocks = [rng.standard_normal((n, n)) for n in sizes]
+    stacks = [rng.standard_normal((n, 2, n)) for n in sizes]
+    masks = [(rng.random((n, n)) > 0.5) | np.eye(n, dtype=bool) for n in sizes]
+    got = T.segment_matmul([m[:, None] for m in blocks], x).data
+    assert np.allclose(got, np.concatenate([m @ p for m, p in zip(blocks, parts)]),
+                       atol=1e-12)
+    got = T.segment_matmul(stacks, x).data
+    want = [np.concatenate([m[:, c] @ p for c in range(2)], axis=1)
+            for m, p in zip(stacks, parts)]
+    assert np.allclose(got, np.concatenate(want), atol=1e-12)
+    got = T.neighbor_max(x, masks).data
+    want = [T.neighbor_max(T.Tensor(p), [m]).data for m, p in zip(masks, parts)]
+    assert np.array_equal(got, np.concatenate(want))
+    heads, segs = 2, [(n, n) for n in sizes]
+    got, weights = T.attention(x, x, x, heads, segs, causal=True)
+    for (lo, hi), w in zip(zip(bounds, bounds[1:]), weights):
+        one = T.Tensor(x.data[lo:hi])
+        alone, [w_alone] = T.attention(one, one, one, heads, [(hi - lo,) * 2],
+                                       causal=True)
+        assert np.allclose(got.data[lo:hi], alone.data, atol=1e-12)
+        assert np.allclose(w, w_alone, atol=1e-12)
+    assert np.array_equal(T.concat([T.Tensor(p) for p in parts]).data, x.data)
+    with pytest.raises(T.ShapeError):
+        T.segment_matmul(stacks[:2], x)
+    with pytest.raises(T.ShapeError):
+        T.neighbor_max(x, masks[1:])
+    with pytest.raises(T.ShapeError):
+        T.attention(x, x, x, heads, segs[:2])
+
+
+def test_attention_broadcasts_leading_axes():
+    """Without segments, leading axes of the queries broadcast against
+    un-batched keys and values: row i attends as if alone."""
+    rng = np.random.default_rng(12)
+    q = leaf(rng, 3, 1, 4)
+    k, v = leaf(rng, 5, 4), leaf(rng, 5, 4)
+    out, [w] = T.attention(q, k, v, 2)
+    assert out.shape == (3, 1, 4) and w.shape == (3, 2, 1, 5)
+    for i in range(3):
+        alone, _ = T.attention(T.Tensor(q.data[i]), k, v, 2)
+        assert np.allclose(out.data[i], alone.data, atol=1e-12)
+    g = T.Tensor(rng.standard_normal((3, 1, 4)))
+    fd_check(lambda: T.tsum(T.mul(T.attention(q, k, v, 2)[0], g)), [q, k, v])
 
 
 def test_relu_and_leaky_grads():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,6 +10,7 @@ from graphtext import training as TR
 from graphtext.data import Example, Triple, build_vocabulary, tokenize
 from graphtext.gnn import GnnConfig
 from graphtext.model import ModelConfig, Seq2SeqModel
+from oracles import loop_batch_loss, recorded_nodes, relative_error
 
 EXAMPLES = [
     Example([Triple("Iraq", "language", "Arabic")],
@@ -27,13 +29,14 @@ EXAMPLES = [
 ]
 
 
-def make_setup(variation="GRASAME", d_model=8):
+def make_setup(variation="GRASAME", d_model=8, layers=1, **gnn_kw):
     vocab = build_vocabulary(EXAMPLES)
     gnn = None
     if variation != "BASE":
-        gnn = GnnConfig(family="SAGE", in_dim=d_model, out_dim=d_model)
+        gnn = GnnConfig(**{"family": "SAGE", **gnn_kw}, in_dim=d_model,
+                        out_dim=d_model)
     cfg = ModelConfig(vocab_size=len(vocab), d_model=d_model, num_heads=2,
-                      num_encoder_layers=1, num_decoder_layers=1,
+                      num_encoder_layers=layers, num_decoder_layers=layers,
                       feedforward_dim=16, variation=variation, gnn=gnn,
                       max_sequence_length=48, max_target_length=24)
     items = TR.prepare_items(EXAMPLES, vocab, cfg)
@@ -151,11 +154,75 @@ def test_metrics_log_structure(tmp_path):
     assert len(lines) == 3
     for i, rec in enumerate(lines[1:], start=1):
         assert rec["epoch"] == i
-        assert {"l_tg", "l_gr", "l_total", "val_bleu"} <= set(rec)
+        assert {"l_tg", "l_gr", "l_total", "val_bleu", "grad_norm_mean",
+                "grad_norm_max"} <= set(rec)
+        assert 0.0 < rec["grad_norm_mean"] <= rec["grad_norm_max"]
         assert abs(rec["l_total"]
                    - (rec["l_tg"] + 0.08 * rec["l_gr"])) < 1e-9
     restored = Seq2SeqModel(cfg, seed=99)
     restored.store.load(str(ckpt))
+
+
+PACKED_MODELS = [("BASE", {})] + [
+    (variation, gnn) for variation in ("GRASAME", "VAR1", "VAR2")
+    for gnn in ({"sage_aggregator": "MEAN"}, {"sage_aggregator": "SUM"},
+                {"sage_aggregator": "MAX"}, {"family": "GAT"},
+                {"family": "RGCN"})]
+# name -> (lambda_gr, disable_gr_loss, freeze_mode)
+LOSS_SETTINGS = {"with_gr": (0.08, False, "NONE"),
+                 "disable_gr_loss": (0.08, True, "NONE"),
+                 "lambda_zero": (0.0, False, "NONE"),
+                 "freeze_base": (0.08, False, "FREEZE_BASE")}
+
+
+def _loss_and_grads(model, build):
+    model.store.zero_grads()
+    loss, bd = build()
+    T.backward(loss)
+    return loss.item(), bd, {n: t.grad for n, t in model.store.items()}
+
+
+@pytest.mark.parametrize("variation,gnn", PACKED_MODELS)
+def test_packed_batch_matches_loop_reference(variation, gnn):
+    """The packed batch loss, every LossBreakdown field and every parameter
+    gradient agree with the per-example loop to 1e-10 relative: on mixed
+    lengths, a batch of one and a batch with an item that has no
+    reconstruction pairs, under each loss setting."""
+    vocab, cfg, items = make_setup(variation, layers=2, **gnn)
+    model = Seq2SeqModel(cfg, seed=21)
+    no_pairs = dataclasses.replace(items[1], gr_pairs=[], gr_labels=[])
+    batches = [items, items[2:3], [items[0], no_pairs, items[2]]]
+    for name, (lam, no_gr, freeze) in LOSS_SETTINGS.items():
+        TR._apply_freeze(model, freeze)
+        for batch in batches:
+            got = _loss_and_grads(model, lambda: TR.compute_batch_loss(
+                model, batch, lam, no_gr))
+            want = _loss_and_grads(model, lambda: loop_batch_loss(
+                model, batch, lam, no_gr))
+            assert relative_error(got[0], want[0]) <= 1e-10, name
+            for f in dataclasses.fields(TR.LossBreakdown):
+                a, b = getattr(got[1], f.name), getattr(want[1], f.name)
+                assert relative_error(a, b) <= 1e-10, (name, f.name)
+            for p, g in got[2].items():
+                ref = want[2][p]
+                assert (g is None) == (ref is None), (name, p)
+                if g is not None:
+                    assert relative_error(g, ref) <= 1e-10, (name, p)
+    # the last batch scored: the item without pairs adds none
+    assert got[1].num_pairs == (len(items[0].gr_labels)
+                                + len(items[2].gr_labels))
+
+
+@pytest.mark.parametrize("variation,gnn", [
+    m for m in PACKED_MODELS if m[1].get("family") != "GAT"])
+def test_batch_tape_size_does_not_grow_with_examples(variation, gnn):
+    """A packed batch records the same tape ops whatever its example count
+    (GAT, which runs per example on row slices, is left out)."""
+    vocab, cfg, items = make_setup(variation, **gnn)
+    model = Seq2SeqModel(cfg, seed=3)
+    six, _ = TR.compute_batch_loss(model, items[:6], lambda_gr=0.08)
+    one, _ = TR.compute_batch_loss(model, items[2:3], lambda_gr=0.08)
+    assert recorded_nodes(six) == recorded_nodes(one)
 
 
 def test_early_stop_on_threshold():
