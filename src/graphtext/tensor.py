@@ -7,6 +7,18 @@ that has ``requires_grad`` set. There is no general autodiff: the op
 vocabulary is exactly what the model needs, which keeps each backward
 rule small enough to verify against finite differences.
 
+An intermediate tensor takes its first incoming gradient array over
+rather than copying it, and adds any later one out of place, since an op
+may hand the same array to two parents. Parameters live in a
+:class:`ParameterStore`, which lays them out in one flat buffer per dtype:
+each parameter's value and gradient are views into a value and a gradient
+buffer, gradients accumulate into those views in place, ``zero_grads`` is
+one fill, and Adam updates the trainable ranges in place, chunk by chunk.
+Adam evaluates the update in Kingma & Ba's efficient order with the clip
+scale folded into the moment coefficients, so it rounds differently from
+the textbook expressions; the values it trains agree with theirs to
+1e-12.
+
 Values are double precision. A tensor built from float32 data keeps that
 dtype, and checkpoints record each tensor's dtype, but no model or
 training path creates float32 tensors.
@@ -54,12 +66,17 @@ def no_grad() -> Iterator[None]:
 class Tensor:
     """A dense array plus an optional gradient accumulator.
 
-    ``grad`` is lazily allocated on first accumulation and always matches
-    the value's shape. Tensors created by ops carry the backward closure
-    and parent links used by :func:`backward`.
+    ``grad`` matches the value's shape. On a tensor outside a laid-out
+    :class:`ParameterStore` it is None until the first accumulation, which
+    takes the incoming array over; a later accumulation makes a new sum
+    and never writes into it, because an op may hand one array to several
+    parents. A laid-out parameter's ``grad`` is a view into its store's
+    flat gradient buffer that accumulates in place. Tensors created by ops
+    carry the backward closure and parent links used by :func:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
+                 "_flat")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -70,6 +87,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
+        self._flat = False  # grad is a view into a store's gradient buffer
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -81,12 +99,19 @@ class Tensor:
     def _accumulate_grad(self, g: np.ndarray) -> None:
         if not self.requires_grad:
             return
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        if self._flat:
+            self.grad += g
+        elif self.grad is None:
+            self.grad = np.asarray(g)
+        else:
+            self.grad = self.grad + g
 
     def zero_grad(self) -> None:
-        self.grad = None
+        """Drop the gradient, or zero a parameter's view in place."""
+        if self._flat:
+            self.grad.fill(0)
+        else:
+            self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -243,12 +268,31 @@ def embedding_lookup(table: Tensor, ids: Sequence) -> Tensor:
     data = table.data[idx]
 
     def backward(g: np.ndarray) -> None:
-        if table.requires_grad:
+        if not table.requires_grad:
+            return
+        if table._flat:
+            _scatter_rows(table.grad, idx, g)
+        else:
             full = np.zeros_like(table.data)
-            np.add.at(full, idx, g)
+            _scatter_rows(full, idx, g)
             table._accumulate_grad(full)
 
     return _result(data, (table,), backward)
+
+
+def _scatter_rows(dest: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
+    """dest[idx[j]] += g[j] for every lookup j, repeated ids included.
+
+    One reduceat over the stably sorted lookups sums the rows of each id,
+    and each sum is added to ``dest`` once. It agrees with ``np.add.at``
+    to rounding (about 5e-16 relative) at about half its time."""
+    ids = idx.reshape(-1)
+    if not ids.size:
+        return
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    starts = np.flatnonzero(np.diff(ids, prepend=-1))
+    dest[ids[starts]] += np.add.reduceat(g.reshape(ids.size, -1)[order], starts)
 
 
 def softmax_last_dim(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -559,6 +603,39 @@ _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {0: np.dtype(np.float32), 1: np.dtype(np.float64)}
 
 
+_CHUNK = 32768  # values per in-place Adam chunk
+
+
+class _FlatGroup:
+    """The parameters of one dtype laid out end to end: their values,
+    gradients and Adam moments are four flat buffers, and each parameter
+    holds views of its [lo, hi) range of the first two. ``scratch`` is
+    the chunk-sized temporary of the in-place Adam update."""
+
+    __slots__ = ("members", "values", "grads", "m", "v", "scratch")
+
+    def __init__(self, members: list[tuple[str, Tensor]]):
+        dtype = members[0][1].data.dtype
+        total = sum(t.data.size for _, t in members)
+        self.values = np.empty(total, dtype=dtype)
+        self.grads = np.zeros(total, dtype=dtype)
+        self.m = np.zeros(total, dtype=dtype)
+        self.v = np.zeros(total, dtype=dtype)
+        self.scratch = np.empty(min(total, _CHUNK), dtype=dtype)
+        self.members: list[tuple[str, Tensor, int, int]] = []
+        lo = 0
+        for name, t in members:
+            hi = lo + t.data.size
+            data = self.values[lo:hi].reshape(t.data.shape)
+            data[...] = t.data
+            grad = self.grads[lo:hi].reshape(t.data.shape)
+            if t.grad is not None:
+                grad[...] = t.grad
+            t.data, t.grad, t._flat = data, grad, True
+            self.members.append((name, t, lo, hi))
+            lo = hi
+
+
 class ParameterStore:
     """Named trainable tensors plus Adam state.
 
@@ -566,21 +643,30 @@ class ParameterStore:
     insertion order everywhere, which keeps initialization and checkpoint
     layout deterministic. A subset of names can be marked trainable; the
     rest are frozen: they receive no gradient and Adam never touches them.
+
+    The first :meth:`zero_grads` or :meth:`adam_step` lays the parameters
+    out, in creation order, in one flat value buffer per dtype; from then
+    on each ``data`` is a view into it, each ``grad`` a view into a
+    matching gradient buffer, and Adam's two moments are two more flat
+    buffers. Gradients accumulate in place into the views, and
+    ``zero_grads`` is one fill per dtype. Parameters are created before
+    that; write into ``data`` and ``grad`` (``[...] =``) rather than
+    rebinding them, which Adam refuses.
     """
 
     def __init__(self) -> None:
         self._params: dict[str, Tensor] = {}
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._groups: list[_FlatGroup] | None = None
         self.step_count = 0
 
     def create(self, name: str, array: np.ndarray) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
+        if self._groups is not None:
+            raise RuntimeError(
+                f"cannot create {name!r}: the store is already laid out")
         t = Tensor(np.array(array, copy=True), requires_grad=True)
         self._params[name] = t
-        self._m[name] = np.zeros_like(t.data)
-        self._v[name] = np.zeros_like(t.data)
         return t
 
     def get(self, name: str) -> Tensor:
@@ -596,8 +682,18 @@ class ParameterStore:
         return sum(t.data.size for t in self._params.values())
 
     def zero_grads(self) -> None:
-        for t in self._params.values():
-            t.zero_grad()
+        """Zero every gradient: one fill per dtype buffer."""
+        for group in self._layout():
+            group.grads.fill(0)
+
+    def _layout(self) -> list[_FlatGroup]:
+        """The flat buffers, laid out on first use."""
+        if self._groups is None:
+            by_dtype: dict[np.dtype, list[tuple[str, Tensor]]] = {}
+            for name, t in self._params.items():
+                by_dtype.setdefault(t.data.dtype, []).append((name, t))
+            self._groups = [_FlatGroup(m) for m in by_dtype.values()]
+        return self._groups
 
     # -- freezing ----------------------------------------------------------
 
@@ -623,38 +719,62 @@ class ParameterStore:
 
     # -- optimizer ----------------------------------------------------------
 
+    @staticmethod
+    def _trainable_ranges(group: _FlatGroup) -> list[tuple[int, int]]:
+        """The [lo, hi) runs of trainable values, neighbours merged."""
+        ranges: list[tuple[int, int]] = []
+        for name, t, lo, hi in group.members:
+            if t.data.base is not group.values or t.grad.base is not group.grads:
+                raise RuntimeError(
+                    f"parameter {name!r}: data or grad was rebound; write"
+                    " into it with [...] = instead")
+            if not t.requires_grad:
+                continue
+            if ranges and ranges[-1][1] == lo:
+                ranges[-1] = (ranges[-1][0], hi)
+            else:
+                ranges.append((lo, hi))
+        return ranges
+
     def adam_step(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                   eps: float = 1e-8, clip_norm: float | None = None) -> float:
-        """One Adam update over the trainable subset; missing grads are
-        treated as zero. Returns the pre-clip global gradient norm."""
-        names = self.trainable_names()
+        """One Adam update over the trainable subset, in place and chunk by
+        chunk. Returns the pre-clip global gradient norm."""
+        work = [(grp, self._trainable_ranges(grp)) for grp in self._layout()]
         sq = 0.0
-        for n in names:
-            g = self._params[n].grad
-            if g is not None:
-                sq += float((g * g).sum())
+        for group, ranges in work:
+            for lo, hi in ranges:
+                g = group.grads[lo:hi]
+                sq += float(np.dot(g, g))
         norm = sq ** 0.5
         scale_f = 1.0
         if clip_norm is not None and norm > clip_norm > 0:
             scale_f = clip_norm / norm
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - beta1 ** t
-        bc2 = 1.0 - beta2 ** t
-        for n in names:
-            p = self._params[n]
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            elif scale_f != 1.0:
-                g = g * scale_f
-            m = self._m[n]
-            v = self._v[n]
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * g * g
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        # the clip scale moves into the moment coefficients, and both bias
+        # corrections into the step size and epsilon (Kingma & Ba's
+        # efficient order): twelve passes over each chunk, one division
+        c1 = (1.0 - beta1) * scale_f
+        c2 = (1.0 - beta2) * scale_f * scale_f
+        step = lr * math.sqrt(1.0 - beta2 ** t) / (1.0 - beta1 ** t)
+        eps_hat = eps * math.sqrt(1.0 - beta2 ** t)
+        for group, ranges in work:
+            for lo, hi in ranges:
+                for start in range(lo, hi, _CHUNK):
+                    s = slice(start, min(start + _CHUNK, hi))
+                    b = group.scratch[:s.stop - s.start]
+                    g, m, v = group.grads[s], group.m[s], group.v[s]
+                    m *= beta1  # m = b1 m + (1 - b1) c g, c the clip scale
+                    m += np.multiply(g, c1, out=b)
+                    v *= beta2  # v = b2 v + (1 - b2) c^2 g g
+                    np.multiply(g, c2, out=b)
+                    v += np.multiply(b, g, out=b)
+                    np.sqrt(v, out=b)  # p -= step m / (sqrt(v) + eps_hat)
+                    b += eps_hat
+                    np.divide(m, b, out=b)
+                    b *= step
+                    group.values[s] -= b
         return norm
 
     # -- checkpoints ---------------------------------------------------------
@@ -690,9 +810,10 @@ class ParameterStore:
             fh.write(struct.pack("<I", crc))
 
     def load(self, path: str) -> None:
-        """Replace parameter values from ``path``; names and shapes must
-        match this store exactly and every value must be finite. Nothing
-        is replaced unless all of them pass. Optimizer moments are reset."""
+        """Copy parameter values from ``path`` into the parameters' arrays
+        (cast to their dtypes); names and shapes must match this store
+        exactly and every value must be finite. Nothing is replaced unless
+        all of them pass. Optimizer moments are reset."""
         loaded = read_checkpoint(path)
         if list(loaded) != list(self._params):
             raise CheckpointError(
@@ -706,9 +827,10 @@ class ParameterStore:
                 raise CheckpointError(
                     f"checkpoint {path} holds a non-finite value in {name!r}")
         for name, arr in loaded.items():
-            self._params[name].data = arr
-            self._m[name] = np.zeros_like(arr)
-            self._v[name] = np.zeros_like(arr)
+            self._params[name].data[...] = arr
+        for group in self._groups or ():
+            group.m.fill(0)
+            group.v.fill(0)
         self.step_count = 0
 
 

@@ -11,6 +11,7 @@ import random
 import time
 
 import numpy as np
+import pytest
 
 from graphtext import data as D
 from graphtext import decoding as X
@@ -470,6 +471,7 @@ def _best_val_bleu(mc, vocab, train_ex, test_ex, seed, *, bidirectional,
     return max(rec["val_bleu"] for rec in hist if "val_bleu" in rec)
 
 
+@pytest.mark.slow  # nine 120-epoch trainings
 def test_criterion_6_ablation_direction():
     start = time.monotonic()
     corp, vocab, mc = overfit_setup()

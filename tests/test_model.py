@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -359,3 +360,31 @@ def test_full_model_gradients_vs_finite_differences():
         worst = max(worst, err)
         assert err <= 1e-4, f"{name}: rel err {err}"
     assert worst <= 1e-4
+
+
+# SHA-256 of the checkpoint a fresh toy model saves, recorded before the
+# store moved to flat buffers: a layout change that reorders, re-types or
+# re-draws any parameter changes these bytes.
+INIT_CHECKPOINT_SHA256 = {
+    ("BASE", None):
+        "cd2d9167f1c519573d256c49f48786f6ee76e5d059f034dc17de95e1b4d996d3",
+    ("GRASAME", "SAGE"):
+        "d4fb3f17c62cfb064daba726784157e7d8d6a8d34adcbccfac08f40b463b5d38",
+    ("GRASAME", "GAT"):
+        "b2912dc38a36586b2934fc4c2580d7d339ad30a696be21d36aaac40ace06be5a",
+    ("GRASAME", "RGCN"):
+        "546dbf5a921c3e0c0a12ef91f81b80141c6fde3c13f9dd731b36ea87749a67b1",
+}
+
+
+@pytest.mark.parametrize("variation,family", list(INIT_CHECKPOINT_SHA256))
+def test_fresh_checkpoint_bytes_are_pinned(variation, family, tmp_path):
+    kw = {} if family is None else {"family": family}
+    model = M.Seq2SeqModel(toy_config(variation, **kw), seed=0)
+    digests = []
+    for i in range(2):  # as created, then laid out in the flat buffers
+        path = tmp_path / f"{i}.ckpt"
+        model.store.save(str(path))
+        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+        model.store.zero_grads()
+    assert digests == [INIT_CHECKPOINT_SHA256[variation, family]] * 2

@@ -174,6 +174,23 @@ def test_embedding_lookup_duplicate_ids_accumulate():
         T.embedding_lookup(table, [6])
 
 
+def test_embedding_backward_scatters_into_the_parameter_view():
+    rng = np.random.default_rng(24)
+    store = T.ParameterStore()
+    table = store.create("emb", rng.standard_normal((30, 4)))
+    store.zero_grads()
+    before = rng.standard_normal((30, 4))  # a gradient already accumulated
+    table.grad[...] = before
+    view = table.grad
+    ids = rng.integers(0, 30, size=(5, 16))  # 2-D, with repeated ids
+    w = rng.standard_normal((5, 16, 4))
+    T.backward(T.tsum(T.mul(T.embedding_lookup(table, ids), T.Tensor(w))))
+    scattered = np.zeros((30, 4))
+    np.add.at(scattered, ids, w)
+    assert table.grad is view
+    assert np.allclose(table.grad, before + scattered, rtol=0, atol=1e-12)
+
+
 def test_softmax_matches_reference_and_grads():
     rng = np.random.default_rng(6)
     x = leaf(rng, 3, 5)
@@ -266,6 +283,52 @@ def test_backward_accumulates_on_repeat():
     assert np.allclose(x.grad, 2 * first)
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_shared_upstream_gradient_is_not_written_in_place(reverse):
+    """``add`` hands one gradient array to both parents, which take it
+    over; ``u`` and ``w`` then each accumulate a second gradient from their
+    product. Adding those into the shared array in place would give each
+    parent the other's share too. Both term orders are run, since the tape
+    order decides which backward rule runs first."""
+    rng = np.random.default_rng(25)
+    x, y = leaf(rng, 3, 4), leaf(rng, 3, 4)
+    q = T.Tensor(rng.standard_normal((3, 4)))
+
+    def loss():
+        u, w = T.scale(x, 1.5), T.scale(y, -0.5)
+        terms = [T.tsum(T.mul(T.add(u, w), q)), T.tsum(T.mul(u, w))]
+        return T.add(*(terms[::-1] if reverse else terms))
+
+    fd_check(loss, [x, y])
+
+
+def test_parameter_zero_grad_fills_its_view():
+    store = make_store(np.random.default_rng(26))
+    store.zero_grads()
+    p = store.get("enc.w")
+    view = p.grad
+    view[...] = 1.0
+    p.zero_grad()
+    assert p.grad is view and not view.any()
+    T.backward(T.tsum(T.mul(p, p)))
+    assert p.grad is view and np.allclose(view, 2 * p.data)
+    x = T.Tensor([1.0, 2.0], requires_grad=True)
+    T.backward(T.tsum(x))
+    x.zero_grad()
+    assert x.grad is None
+
+
+def test_store_refuses_rebound_arrays_and_late_parameters():
+    store = make_store(np.random.default_rng(27))
+    store.zero_grads()
+    with pytest.raises(RuntimeError):
+        store.create("late", np.zeros(2))
+    p = store.get("head.b")
+    p.grad = np.ones(4)  # detached from the gradient buffer Adam reads
+    with pytest.raises(RuntimeError, match="head.b"):
+        store.adam_step(lr=0.1)
+
+
 def test_no_grad_records_nothing():
     x = T.Tensor([1.0], requires_grad=True)
     with T.no_grad():
@@ -306,10 +369,11 @@ def test_adam_matches_reference():
     store = make_store(rng)
     ref_params = [store.get(n).data.copy() for n in store.names()]
     ref = ReferenceAdam([p.shape for p in ref_params], lr=1e-2)
+    store.zero_grads()
     for step in range(5):
         grads = [rng.standard_normal(p.shape) for p in ref_params]
         for n, g in zip(store.names(), grads):
-            store.get(n).grad = g.copy()
+            store.get(n).grad[...] = g
         store.adam_step(lr=1e-2)
         store.zero_grads()
         ref.step(ref_params, grads)
@@ -326,9 +390,10 @@ def test_freeze_keeps_bits_and_skips_grad():
     gnn_before = store.get("enc.gnn.w").data.tobytes()
     assert not store.get("enc.w").requires_grad
     assert store.get("enc.gnn.w").requires_grad
+    store.zero_grads()
     for _ in range(10):
         for n in store.names():
-            store.get(n).grad = np.ones_like(store.get(n).data)
+            store.get(n).grad[...] = np.ones_like(store.get(n).data)
         store.adam_step(lr=0.1)
         store.zero_grads()
     for n, blob in frozen_before.items():
@@ -343,7 +408,8 @@ def test_freeze_keeps_bits_and_skips_grad():
 def test_clip_norm_scales_update():
     store = T.ParameterStore()
     p = store.create("p", np.zeros(4))
-    p.grad = np.full(4, 3.0)  # norm 6
+    store.zero_grads()
+    p.grad[...] = np.full(4, 3.0)  # norm 6
     norm = store.adam_step(lr=1.0, clip_norm=1.5)
     assert abs(norm - 6.0) < 1e-12
     # after clipping all coordinates share one magnitude; direction -g
