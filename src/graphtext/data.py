@@ -226,9 +226,6 @@ class Vocabulary:
     def id_of(self, token: str) -> int:
         return self._token_to_id.get(token, UNK_ID)
 
-    def token_of(self, idx: int) -> str:
-        return self._id_to_token[idx]
-
     def encode(self, tokens: Iterable[str]) -> list[int]:
         return [self.id_of(t) for t in tokens]
 

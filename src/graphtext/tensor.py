@@ -17,16 +17,32 @@ one fill, and Adam updates the trainable ranges in place, chunk by chunk.
 Adam evaluates the update in Kingma & Ba's efficient order with the clip
 scale folded into the moment coefficients, so it rounds differently from
 the textbook expressions; the values it trains agree with theirs to
-1e-12.
+1e-12. Attention builds its softmax in the one weights array its
+backward keeps and reuses its weight gradient in place, and
+cross-entropy turns its softmax into the logits' gradient in place; both
+round exactly as the out-of-place expressions do.
 
 Values are double precision. A tensor built from float32 data keeps that
 dtype, and checkpoints record each tensor's dtype, but no model or
 training path creates float32 tensors.
+
+Memory: a training step builds tens of megabytes of activations on the
+tape and frees them all when :func:`backward` returns. With glibc's
+default, dynamic thresholds the allocator hands that memory back to the
+kernel and the next step faults every page in again. Importing this
+module therefore fixes glibc's mmap threshold at 4 MiB and its trim
+threshold at 64 MiB (``mallopt``), so freed step memory stays mapped and
+the next step reuses it. This changes no arithmetic. It applies on glibc
+only, and not at all when ``MALLOC_MMAP_THRESHOLD_``,
+``MALLOC_TRIM_THRESHOLD_`` or ``GLIBC_TUNABLES`` is set: set those
+yourself to choose other values.
 """
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import math
+import os
 import struct
 import zlib
 from typing import Callable, Iterable, Iterator, Sequence
@@ -34,6 +50,38 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .data import DataError, atomic_write
+
+
+_M_TRIM_THRESHOLD = -1  # mallopt parameters, from glibc's <malloc.h>
+_M_MMAP_THRESHOLD = -3
+# Blocks of this size and up keep their own mappings, a 10k-token
+# embedding table among them; with them on the heap too (a 32 MiB
+# threshold), beam decoding over such a table measured about 10% slower.
+_MMAP_THRESHOLD = 4 << 20  # bytes
+_TRIM_THRESHOLD = 64 << 20  # bytes of free heap top kept mapped
+_MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
+               "GLIBC_TUNABLES")
+
+
+def _fix_heap_thresholds() -> bool:
+    """Fix glibc's mmap and trim thresholds so that memory a step frees
+    stays mapped for the next step. Both must be set: fixing either one
+    turns off the dynamic adjustment of both. Returns whether they were
+    set; nothing is done where ``mallopt`` is missing or refuses, or when
+    the environment already tunes the allocator."""
+    if any(var in os.environ for var in _MALLOC_ENV):
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no libc symbol table
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+                and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
+
+
+_HEAP_THRESHOLDS_FIXED = _fix_heap_thresholds()
 
 
 class ShapeError(ValueError):
@@ -158,18 +206,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
         a._accumulate_grad(_unbroadcast(g, a.shape))
         b._accumulate_grad(_unbroadcast(g, b.shape))
-
-    return _result(data, (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product with numpy broadcasting."""
-    _check_broadcast(a, b, "mul")
-    data = a.data * b.data
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate_grad(_unbroadcast(g * b.data, a.shape))
-        b._accumulate_grad(_unbroadcast(g * a.data, b.shape))
 
     return _result(data, (a, b), backward)
 
@@ -383,11 +419,11 @@ def cross_entropy(logits: Tensor, target_ids: Sequence[int],
     def backward(g: np.ndarray) -> None:
         if not logits.requires_grad:
             return
-        probs = np.exp(logp)
-        grad = probs.copy()
+        grad = np.exp(logp)  # softmax, turned into the gradient in place
         grad[rows[keep], ids[keep]] -= 1.0
         grad[~keep] = 0.0
-        logits._accumulate_grad(grad * (float(g) / denom))
+        grad *= float(g) / denom
+        logits._accumulate_grad(grad)
 
     return _result(data, (logits,), backward)
 
@@ -505,14 +541,20 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
                              f" queries {q.shape} and keys {k.shape}")
         blocks = [(slice(a, b), slice(c, e))
                   for a, b, c, e in zip(nq, nq[1:], nk, nk[1:])]
+    if causal:  # True above the diagonal: keys after their query
+        longest = ((q.shape[-2], k.shape[-2]) if segments is None
+                   else counts.max(axis=0))
+        future = ~np.tri(*longest, dtype=bool)
     weights, outs = [], []
     for qs, ks in blocks:
-        s = split(q.data[..., qs, :]) @ split(k.data[..., ks, :]).swapaxes(-1, -2)
-        s *= factor
+        # the softmax is built in place in the one array backward keeps
+        w = split(q.data[..., qs, :]) @ split(k.data[..., ks, :]).swapaxes(-1, -2)
+        w *= factor
         if causal:
-            s = np.where(np.tri(*s.shape[-2:], dtype=bool), s, -np.inf)
-        s = np.exp(s - s.max(axis=-1, keepdims=True))
-        w = s / s.sum(axis=-1, keepdims=True)
+            np.copyto(w, -np.inf, where=future[:w.shape[-2], :w.shape[-1]])
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
         weights.append(w)
         outs.append(merge(w @ split(v.data[..., ks, :])))
     data = np.concatenate(outs, axis=-2)
@@ -522,8 +564,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
         for (qs, ks), w in zip(blocks, weights):
             gh = split(g[..., qs, :])
             kh = split(k.data[..., ks, :])
-            gw = gh @ split(v.data[..., ks, :]).swapaxes(-1, -2)
-            gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
+            gs = gh @ split(v.data[..., ks, :]).swapaxes(-1, -2)
+            gs -= (gs * w).sum(axis=-1, keepdims=True)  # softmax backward
+            gs *= w
             gs *= factor
             grads[0].append(merge(gs @ kh))
             grads[1].append(merge(gs.swapaxes(-1, -2) @ split(q.data[..., qs, :])))

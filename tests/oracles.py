@@ -7,10 +7,15 @@ here too, with the adapter that runs a per-prefix step under the beam's
 batched step contract; it shares only the ``Hypothesis`` container and
 the length normalization with the package. So is the per-example batch
 loss that the packed one replaced, which runs the model one example at a
-time. Tests compare library output against these.
+time, and the out-of-place attention and cross-entropy expressions that
+the in-place ops replaced. Tests compare library output against these.
+
+``mul`` is the exception: a tape op that only tests use, to weight an
+op's output by a fixed probe before summing it.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,6 +72,85 @@ def relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
+
+
+def mul(a: T.Tensor, b: T.Tensor) -> T.Tensor:
+    """Elementwise product with numpy broadcasting, on the tape."""
+    T._check_broadcast(a, b, "mul")
+    data = a.data * b.data
+
+    def backward(g: np.ndarray) -> None:
+        a._accumulate_grad(T._unbroadcast(g * b.data, a.shape))
+        b._accumulate_grad(T._unbroadcast(g * a.data, b.shape))
+
+    return T._result(data, (a, b), backward)
+
+
+def reference_attention(q, k, v, num_heads, segments, causal, g):
+    """``tensor.attention`` on plain arrays with a fresh array per step of
+    the softmax and of its backward. Returns the output, the per-block
+    weights and, for the upstream gradient ``g``, the gradients of q, k
+    and v (summed over broadcast leading axes)."""
+    d = q.shape[-1]
+    dk = d // num_heads
+    factor = 1.0 / math.sqrt(dk)
+
+    def split(x):
+        return x.reshape(*x.shape[:-1], num_heads, dk).swapaxes(-2, -3)
+
+    def merge(x):
+        return x.swapaxes(-2, -3).reshape(*x.shape[:-3], x.shape[-2], d)
+
+    if segments is None:
+        blocks = [(slice(None), slice(None))]
+    else:
+        nq = np.cumsum([0] + [a for a, _ in segments])
+        nk = np.cumsum([0] + [b for _, b in segments])
+        blocks = [(slice(a, b), slice(c, e))
+                  for a, b, c, e in zip(nq, nq[1:], nk, nk[1:])]
+    weights, outs = [], []
+    for qs, ks in blocks:
+        s = split(q[..., qs, :]) @ split(k[..., ks, :]).swapaxes(-1, -2)
+        s *= factor
+        if causal:
+            s = np.where(np.tri(*s.shape[-2:], dtype=bool), s, -np.inf)
+        s = np.exp(s - s.max(axis=-1, keepdims=True))
+        w = s / s.sum(axis=-1, keepdims=True)
+        weights.append(w)
+        outs.append(merge(w @ split(v[..., ks, :])))
+    out = np.concatenate(outs, axis=-2)
+    grads = ([], [], [])
+    for (qs, ks), w in zip(blocks, weights):
+        gh = split(g[..., qs, :])
+        gw = gh @ split(v[..., ks, :]).swapaxes(-1, -2)
+        gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
+        gs *= factor
+        grads[0].append(merge(gs @ split(k[..., ks, :])))
+        grads[1].append(merge(gs.swapaxes(-1, -2) @ split(q[..., qs, :])))
+        grads[2].append(merge(w.swapaxes(-1, -2) @ gh))
+    full = [np.concatenate(parts, axis=-2) for parts in grads]
+    return out, weights, [f.sum(axis=tuple(range(f.ndim - x.ndim)))
+                          if f.ndim > x.ndim else f
+                          for x, f in zip((q, k, v), full)]
+
+
+def reference_cross_entropy(x, ids, ignore_id, reduction, g):
+    """``tensor.cross_entropy`` on plain arrays with a fresh array per
+    step of the backward. Returns the loss and, for the upstream gradient
+    ``g``, the gradient of the logits."""
+    ids = np.asarray(ids, dtype=np.int64)
+    keep = np.ones_like(ids, dtype=bool) if ignore_id is None else ids != ignore_id
+    m = x.max(axis=-1, keepdims=True)
+    lse = m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
+    logp = x - lse
+    rows = np.arange(len(ids))
+    losses = np.where(keep, -logp[rows, np.where(keep, ids, 0)], 0.0)
+    denom = int(keep.sum()) if reduction == "mean" else 1
+    probs = np.exp(logp)
+    grad = probs.copy()
+    grad[rows[keep], ids[keep]] -= 1.0
+    grad[~keep] = 0.0
+    return losses.sum() / denom, grad * (float(g) / denom)
 
 
 def reference_softmax(x: np.ndarray) -> np.ndarray:

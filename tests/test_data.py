@@ -126,14 +126,15 @@ def corpus_one():
 
 def test_reserved_ids_are_pinned():
     vocab = D.build_vocabulary(corpus_one())
-    assert vocab.token_of(D.PAD_ID) == "<pad>"
-    assert vocab.token_of(D.UNK_ID) == "<unk>"
-    assert vocab.token_of(D.BOS_ID) == "<bos>"
-    assert vocab.token_of(D.EOS_ID) == "<eos>"
-    assert vocab.token_of(D.GRAPH_ID) == "<Graph>"
-    assert vocab.token_of(D.H_ID) == "<H>"
-    assert vocab.token_of(D.R_ID) == "<R>"
-    assert vocab.token_of(D.T_ID) == "<T>"
+    assert vocab.id_of("<pad>") == D.PAD_ID
+    assert vocab.id_of("<unk>") == D.UNK_ID
+    assert vocab.id_of("<bos>") == D.BOS_ID
+    assert vocab.id_of("<eos>") == D.EOS_ID
+    assert vocab.id_of("<Graph>") == D.GRAPH_ID
+    assert vocab.id_of("<H>") == D.H_ID
+    assert vocab.id_of("<R>") == D.R_ID
+    assert vocab.id_of("<T>") == D.T_ID
+    assert all(tok in vocab for tok in D.RESERVED_TOKENS)
     assert [D.PAD_ID, D.UNK_ID, D.BOS_ID, D.EOS_ID,
             D.GRAPH_ID, D.H_ID, D.R_ID, D.T_ID] == list(range(8))
 
@@ -161,8 +162,11 @@ def test_vocabulary_roundtrip(tmp_path):
     vocab.save(path)
     again = D.Vocabulary.load(path)
     assert len(again) == len(vocab)
-    for i in range(len(vocab)):
-        assert again.token_of(i) == vocab.token_of(i)
+    with open(path, encoding="utf-8") as fh:
+        tokens = fh.read().splitlines()
+    assert len(tokens) == len(vocab)
+    for i, tok in enumerate(tokens):
+        assert again.id_of(tok) == vocab.id_of(tok) == i
 
 
 def test_vocabulary_rejects_duplicates_and_bad_prefix():

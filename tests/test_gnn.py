@@ -8,7 +8,7 @@ from graphtext import data as D
 from graphtext import gnn as N
 from graphtext import graph as G
 from graphtext import tensor as T
-from oracles import finite_difference, recorded_nodes, relative_error
+from oracles import finite_difference, mul, recorded_nodes, relative_error
 
 TOL = 1e-4
 
@@ -211,7 +211,7 @@ def test_gradients_vs_finite_differences(family, kw):
     probe = T.Tensor(rng.standard_normal((graph.num_nodes, dim)))
 
     def build_loss():
-        return T.tsum(T.mul(layer.forward(states, gt), probe))
+        return T.tsum(mul(layer.forward(states, gt), probe))
 
     loss = build_loss()
     T.backward(loss)

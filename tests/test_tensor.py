@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from graphtext import tensor as T
-from oracles import ReferenceAdam, finite_difference, reference_softmax, relative_error
+from oracles import (ReferenceAdam, finite_difference, mul,
+                     reference_attention, reference_cross_entropy,
+                     reference_softmax, relative_error)
 
 TOL = 1e-4
 
@@ -29,14 +35,14 @@ def test_add_broadcast_grads():
     rng = np.random.default_rng(0)
     a = leaf(rng, 3, 4)
     b = leaf(rng, 4)
-    fd_check(lambda: T.tsum(T.mul(T.add(a, b), T.add(a, b))), [a, b])
+    fd_check(lambda: T.tsum(mul(T.add(a, b), T.add(a, b))), [a, b])
 
 
 def test_mul_broadcast_grads():
     rng = np.random.default_rng(1)
     a = leaf(rng, 2, 5)
     b = leaf(rng, 1, 5)
-    fd_check(lambda: T.tsum(T.mul(a, b)), [a, b])
+    fd_check(lambda: T.tsum(mul(a, b)), [a, b])
 
 
 def test_shape_mismatch_raises():
@@ -60,7 +66,7 @@ def test_matmul_transpose_grads(ta, tb):
     a = leaf(rng, *( (4, 3) if ta else (3, 4) ))
     b = leaf(rng, *( (5, 4) if tb else (4, 5) ))
     w = T.Tensor(rng.standard_normal((3, 5)))
-    fd_check(lambda: T.tsum(T.mul(T.matmul(a, b, ta, tb), w)), [a, b])
+    fd_check(lambda: T.tsum(mul(T.matmul(a, b, ta, tb), w)), [a, b])
 
 
 def test_merge_heads_over_leading_axes():
@@ -74,7 +80,7 @@ def test_merge_heads_over_leading_axes():
         assert np.array_equal(merged.data[i],
                               T.merge_heads(T.Tensor(b.data[i])).data)
     w_merge = T.Tensor(rng.standard_normal((2, 4, 15)))
-    fd_check(lambda: T.tsum(T.mul(T.merge_heads(b), w_merge)), [b])
+    fd_check(lambda: T.tsum(mul(T.merge_heads(b), w_merge)), [b])
 
 
 def test_matmul_folds_leading_axes_against_a_matrix():
@@ -87,7 +93,7 @@ def test_matmul_folds_leading_axes_against_a_matrix():
     for i in range(3):
         assert np.allclose(out.data[i], a.data[i] @ b.data.T, atol=1e-12)
     w = T.Tensor(rng.standard_normal((3, 2, 5)))
-    fd_check(lambda: T.tsum(T.mul(T.matmul(a, b, transpose_b=True), w)),
+    fd_check(lambda: T.tsum(mul(T.matmul(a, b, transpose_b=True), w)),
              [a, b])
 
 
@@ -141,7 +147,97 @@ def test_attention_broadcasts_leading_axes():
         alone, _ = T.attention(T.Tensor(q.data[i]), k, v, 2)
         assert np.allclose(out.data[i], alone.data, atol=1e-12)
     g = T.Tensor(rng.standard_normal((3, 1, 4)))
-    fd_check(lambda: T.tsum(T.mul(T.attention(q, k, v, 2)[0], g)), [q, k, v])
+    fd_check(lambda: T.tsum(mul(T.attention(q, k, v, 2)[0], g)), [q, k, v])
+
+
+@pytest.mark.parametrize("segments,causal,q_shape", [
+    ([(2, 2), (3, 3), (4, 4)], True, (9, 8)),   # packed decoder self-attention
+    ([(2, 3), (3, 5), (4, 2)], False, (9, 8)),  # packed cross-attention
+    (None, False, (3, 1, 8)),                   # broadcast leading axes
+])
+def test_in_place_attention_is_bit_identical_to_reference(segments, causal,
+                                                         q_shape):
+    """The softmax and its backward are built in place; output, weights
+    and gradients equal the out-of-place expressions bit for bit."""
+    rng = np.random.default_rng(31)
+    k_rows = 9 if segments is None else sum(b for _, b in segments)
+    q, k, v = leaf(rng, *q_shape), leaf(rng, k_rows, 8), leaf(rng, k_rows, 8)
+    g = rng.standard_normal(q_shape)
+    out, weights = T.attention(q, k, v, 2, segments, causal=causal)
+    T.backward(T.tsum(mul(out, T.Tensor(g))))
+    ref_out, ref_weights, ref_grads = reference_attention(
+        q.data, k.data, v.data, 2, segments, causal, g)
+    assert np.array_equal(out.data, ref_out)
+    assert all(np.array_equal(w, r) for w, r in zip(weights, ref_weights))
+    for t, ref in zip((q, k, v), ref_grads):
+        assert np.array_equal(t.grad, ref)
+
+
+@pytest.mark.parametrize("ignore_id,reduction", [(None, "mean"), (0, "mean"),
+                                                 (0, "sum")])
+def test_in_place_cross_entropy_is_bit_identical_to_reference(ignore_id,
+                                                              reduction):
+    rng = np.random.default_rng(32)
+    logits = leaf(rng, 6, 11)
+    ids = [3, 0, 10, 0, 1, 7]
+    loss = T.cross_entropy(logits, ids, ignore_id=ignore_id,
+                           reduction=reduction)
+    T.backward(T.scale(loss, 1.7))
+    ref_loss, ref_grad = reference_cross_entropy(logits.data, ids, ignore_id,
+                                                 reduction, 1.7)
+    assert np.array_equal(loss.data, ref_loss)
+    assert np.array_equal(logits.grad, ref_grad)
+
+
+_FAULT_PROBE = """
+import resource
+import numpy as np
+from graphtext import tensor as T
+
+def churn():  # a step's worth of 1 MiB arrays, touched, then freed
+    arrays = [np.ones(1 << 17) for _ in range(24)]
+    del arrays
+
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    churn()
+after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print(T._HEAP_THRESHOLDS_FIXED, (after - before) / 20)
+"""
+
+
+def _fault_probe(**env) -> tuple[str, float]:
+    """(whether the import fixed the heap thresholds, minor faults per
+    churn) from a fresh interpreter with ``env`` as its allocator
+    settings."""
+    child = {k: v for k, v in os.environ.items() if k not in T._MALLOC_ENV}
+    child.update(env)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    child["PYTHONPATH"] = src + os.pathsep + child.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=child,
+                         capture_output=True, text=True, check=True,
+                         timeout=120).stdout.split()
+    return out[0], float(out[1])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="glibc allocator thresholds")
+def test_freed_step_memory_is_reused_without_faults():
+    """Importing the engine keeps freed memory mapped: re-allocating 24
+    MiB just freed faults in no pages (about 6,100 a churn under glibc's
+    dynamic thresholds, which hand the heap top back to the kernel)."""
+    fixed, faults = _fault_probe()
+    assert fixed == "True"
+    assert faults < 100
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="glibc allocator thresholds")
+def test_heap_thresholds_leave_user_allocator_settings_alone():
+    fixed, _ = _fault_probe(MALLOC_TRIM_THRESHOLD_=str(1 << 20))
+    assert fixed == "False"
 
 
 def test_relu_and_leaky_grads():
@@ -169,7 +265,7 @@ def test_embedding_lookup_duplicate_ids_accumulate():
     assert np.array_equal(table.grad, expected)
     table.zero_grad()
     w = T.Tensor(rng.standard_normal((4, 3)))
-    fd_check(lambda: T.tsum(T.mul(T.embedding_lookup(table, ids), w)), [table])
+    fd_check(lambda: T.tsum(mul(T.embedding_lookup(table, ids), w)), [table])
     with pytest.raises(T.ShapeError):
         T.embedding_lookup(table, [6])
 
@@ -184,7 +280,7 @@ def test_embedding_backward_scatters_into_the_parameter_view():
     view = table.grad
     ids = rng.integers(0, 30, size=(5, 16))  # 2-D, with repeated ids
     w = rng.standard_normal((5, 16, 4))
-    T.backward(T.tsum(T.mul(T.embedding_lookup(table, ids), T.Tensor(w))))
+    T.backward(T.tsum(mul(T.embedding_lookup(table, ids), T.Tensor(w))))
     scattered = np.zeros((30, 4))
     np.add.at(scattered, ids, w)
     assert table.grad is view
@@ -198,7 +294,7 @@ def test_softmax_matches_reference_and_grads():
     assert np.allclose(y.data, reference_softmax(x.data), atol=1e-12)
     assert np.allclose(y.data.sum(axis=-1), 1.0)
     w = T.Tensor(rng.standard_normal((3, 5)))
-    fd_check(lambda: T.tsum(T.mul(T.softmax_last_dim(x), w)), [x])
+    fd_check(lambda: T.tsum(mul(T.softmax_last_dim(x), w)), [x])
 
 
 def test_softmax_mask_zeroes_positions():
@@ -209,7 +305,7 @@ def test_softmax_mask_zeroes_positions():
     assert np.all(y.data[~mask] == 0.0)
     assert np.allclose(y.data.sum(axis=-1), 1.0)
     w = T.Tensor(rng.standard_normal((2, 4)))
-    fd_check(lambda: T.tsum(T.mul(T.softmax_last_dim(x, mask=mask), w)), [x])
+    fd_check(lambda: T.tsum(mul(T.softmax_last_dim(x, mask=mask), w)), [x])
     with pytest.raises(T.ShapeError):
         T.softmax_last_dim(x, mask=np.zeros((2, 4), dtype=bool))
     with pytest.raises(T.ShapeError):
@@ -227,7 +323,7 @@ def test_layer_norm_grads_and_moments():
     assert np.allclose(normed.data.mean(axis=-1), 0.0, atol=1e-9)
     assert np.allclose(normed.data.var(axis=-1), 1.0, atol=1e-4)
     w = T.Tensor(rng.standard_normal((4, 6)))
-    fd_check(lambda: T.tsum(T.mul(T.layer_norm(x, gain, bias), w)), [x, gain, bias])
+    fd_check(lambda: T.tsum(mul(T.layer_norm(x, gain, bias), w)), [x, gain, bias])
     assert y.shape == (4, 6)
 
 
@@ -275,10 +371,10 @@ def test_composite_mlp_grads():
 
 def test_backward_accumulates_on_repeat():
     x = T.Tensor([2.0, 3.0], requires_grad=True)
-    loss = T.tsum(T.mul(x, x))
+    loss = T.tsum(mul(x, x))
     T.backward(loss)
     first = x.grad.copy()
-    loss2 = T.tsum(T.mul(x, x))
+    loss2 = T.tsum(mul(x, x))
     T.backward(loss2)
     assert np.allclose(x.grad, 2 * first)
 
@@ -296,7 +392,7 @@ def test_shared_upstream_gradient_is_not_written_in_place(reverse):
 
     def loss():
         u, w = T.scale(x, 1.5), T.scale(y, -0.5)
-        terms = [T.tsum(T.mul(T.add(u, w), q)), T.tsum(T.mul(u, w))]
+        terms = [T.tsum(mul(T.add(u, w), q)), T.tsum(mul(u, w))]
         return T.add(*(terms[::-1] if reverse else terms))
 
     fd_check(loss, [x, y])
@@ -310,7 +406,7 @@ def test_parameter_zero_grad_fills_its_view():
     view[...] = 1.0
     p.zero_grad()
     assert p.grad is view and not view.any()
-    T.backward(T.tsum(T.mul(p, p)))
+    T.backward(T.tsum(mul(p, p)))
     assert p.grad is view and np.allclose(view, 2 * p.data)
     x = T.Tensor([1.0, 2.0], requires_grad=True)
     T.backward(T.tsum(x))
@@ -332,7 +428,7 @@ def test_store_refuses_rebound_arrays_and_late_parameters():
 def test_no_grad_records_nothing():
     x = T.Tensor([1.0], requires_grad=True)
     with T.no_grad():
-        y = T.mul(x, x)
+        y = mul(x, x)
     assert not y.requires_grad
     assert y._parents == ()
 
