@@ -288,6 +288,17 @@ def build_vocabulary(corpus: list[Example], min_count: int = 1,
 _SPECIAL_SURFACE = {TokenKind.SPECIAL_H: HEAD_TOKEN,
                     TokenKind.SPECIAL_R: REL_TOKEN,
                     TokenKind.SPECIAL_T: TAIL_TOKEN}
+_RESERVED = frozenset(RESERVED_TOKENS)
+
+
+def _unreserved(tokens: list[str], where: str) -> list[str]:
+    """``tokens`` as they are; a reserved token string among them would
+    take that token's id (an end marker mid-target, say), so it is a data
+    error that names ``where`` it came from."""
+    for tok in tokens:
+        if tok in _RESERVED:
+            raise DataError(f"{where} holds the reserved token {tok!r}")
+    return tokens
 
 
 def linearize(example: Example, prompt: str, vocab: Vocabulary,
@@ -295,7 +306,8 @@ def linearize(example: Example, prompt: str, vocab: Vocabulary,
     """Flatten an example into the marked-up token sequence.
 
     Raises rather than truncating when the result would exceed
-    ``max_sequence_length``.
+    ``max_sequence_length``, and on a reserved token string in the prompt
+    or a triple.
     """
     if not example.triples:
         raise DataError("example has no triples")
@@ -311,7 +323,7 @@ def linearize(example: Example, prompt: str, vocab: Vocabulary,
         tri.append(t)
         span.append(s)
 
-    for tok in tokenize(prompt):
+    for tok in _unreserved(tokenize(prompt), "the prompt"):
         emit(tok, TokenKind.PROMPT, None, None)
     emit(GRAPH_TOKEN, TokenKind.GLOBAL, None, None)
 
@@ -327,7 +339,7 @@ def linearize(example: Example, prompt: str, vocab: Vocabulary,
             if not words:
                 raise DataError(
                     f"triple {ti}: {kind.value} span tokenizes to nothing")
-            for w in words:
+            for w in _unreserved(words, f"triple {ti}"):
                 emit(w, TokenKind.ENTITY, ti, sid)
 
     if len(surface) > max_sequence_length:
@@ -341,8 +353,10 @@ def linearize(example: Example, prompt: str, vocab: Vocabulary,
 
 def encode_target(text: str, vocab: Vocabulary,
                   max_target_length: int = MAX_TARGET_LENGTH) -> list[int]:
-    """Target ids framed by the sequence markers: BOS tokens EOS."""
-    ids = [BOS_ID] + vocab.encode(tokenize(text)) + [EOS_ID]
+    """Target ids framed by the sequence markers: BOS tokens EOS. A
+    reserved token string in ``text`` is a data error."""
+    words = _unreserved(tokenize(text), "the text")
+    ids = [BOS_ID] + vocab.encode(words) + [EOS_ID]
     if len(ids) > max_target_length:
         raise DataError(
             f"target length {len(ids)} exceeds the {max_target_length}-token limit")

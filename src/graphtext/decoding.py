@@ -65,10 +65,10 @@ class Hypothesis:
     token_ids: list[int]  # starts with BOS; ends with EOS unless length-capped
     log_prob: float
 
-    def generated(self, eos_id: int = EOS_ID) -> list[int]:
+    def generated(self) -> list[int]:
         """Tokens after BOS, without the terminating EOS."""
         toks = self.token_ids[1:]
-        if toks and toks[-1] == eos_id:
+        if toks and toks[-1] == EOS_ID:
             toks = toks[:-1]
         return toks
 

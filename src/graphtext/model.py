@@ -78,8 +78,7 @@ def multi_head_attention(q_in: T.Tensor,
                          weights: tuple[T.Tensor, T.Tensor, T.Tensor, T.Tensor],
                          num_heads: int,
                          segments: list[tuple[int, int]] | None = None,
-                         causal: bool = False
-                         ) -> tuple[T.Tensor, list[np.ndarray]]:
+                         causal: bool = False) -> T.Tensor:
     """Scaled dot-product attention under the projections ``weights``,
     (query, key, value, output); heads are column blocks of them. ``kv_in``
     is the states keys and values are projected from, or the (keys, values)
@@ -87,14 +86,12 @@ def multi_head_attention(q_in: T.Tensor,
     ``segments`` and ``causal`` are :func:`tensor.attention`'s: None lets
     every query attend every key, with leading axes of ``q_in`` a batch; a
     list of (query rows, key rows) counts keeps each example of a packed
-    batch to its own rows. Returns the output and the weights, one
-    (..., head, query, key) array per segment."""
+    batch to its own rows."""
     wq, wk, wv, wo = weights
     k, v = kv_in if isinstance(kv_in, tuple) else (T.matmul(kv_in, wk),
                                                    T.matmul(kv_in, wv))
-    out, alpha = T.attention(T.matmul(q_in, wq), k, v, num_heads, segments,
-                             causal)
-    return T.matmul(out, wo), alpha
+    out = T.attention(T.matmul(q_in, wq), k, v, num_heads, segments, causal)
+    return T.matmul(out, wo)
 
 
 def _graph_guided_attention(x: T.Tensor, gts: list[GraphTensors | None],
@@ -103,7 +100,7 @@ def _graph_guided_attention(x: T.Tensor, gts: list[GraphTensors | None],
                             segments: list[tuple[int, int]]) -> T.Tensor:
     """Route token states (and their GNN update) into attention."""
     if variation == "BASE":
-        return multi_head_attention(x, x, weights, num_heads, segments)[0]
+        return multi_head_attention(x, x, weights, num_heads, segments)
     if gnn_layer is None or any(gt is None for gt in gts):
         raise ValueError(f"variation {variation} requires a token graph")
     xt = gnn_layer.forward(x, gts)
@@ -113,7 +110,7 @@ def _graph_guided_attention(x: T.Tensor, gts: list[GraphTensors | None],
         q_in, kv_in = x, xt
     else:  # VAR2
         q_in, kv_in = xt, xt
-    return multi_head_attention(q_in, kv_in, weights, num_heads, segments)[0]
+    return multi_head_attention(q_in, kv_in, weights, num_heads, segments)
 
 
 def _token_lists(inp) -> list:
@@ -285,13 +282,13 @@ class Seq2SeqModel:
             u = T.layer_norm(y, layer["ln1_g"], layer["ln1_b"])
             kv = u if cache is None else cache._extend(i, u, layer["sk"],
                                                        layer["sv"])
-            att, _ = multi_head_attention(
+            att = multi_head_attention(
                 u, kv, (layer["sq"], layer["sk"], layer["sv"], layer["so"]),
                 heads, self_segments, causal=cache is None)
             y = T.add(y, att)
             u = T.layer_norm(y, layer["ln2_g"], layer["ln2_b"])
             kv = enc_states if cache is None else cache.cross[i]
-            att, _ = multi_head_attention(
+            att = multi_head_attention(
                 u, kv, (layer["cq"], layer["ck"], layer["cv"], layer["co"]),
                 heads, cross_segments)
             y = T.add(y, att)

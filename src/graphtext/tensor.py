@@ -10,8 +10,8 @@ rule small enough to verify against finite differences.
 An intermediate tensor takes its first incoming gradient array over
 rather than copying it, and adds any later one out of place, since an op
 may hand the same array to two parents. Parameters live in a
-:class:`ParameterStore`, which lays them out in one flat buffer per dtype:
-each parameter's value and gradient are views into a value and a gradient
+:class:`ParameterStore`, which lays them out in one flat buffer: each
+parameter's value and gradient are views into a value and a gradient
 buffer, gradients accumulate into those views in place, ``zero_grads`` is
 one fill, and Adam updates the trainable ranges in place, chunk by chunk.
 Adam evaluates the update in Kingma & Ba's efficient order with the clip
@@ -22,9 +22,9 @@ backward keeps and reuses its weight gradient in place, and
 cross-entropy turns its softmax into the logits' gradient in place; both
 round exactly as the out-of-place expressions do.
 
-Values are double precision. A tensor built from float32 data keeps that
-dtype, and checkpoints record each tensor's dtype, but no model or
-training path creates float32 tensors.
+Values are double precision: a tensor casts whatever it is built from to
+float64, and checkpoints are written in float64. The checkpoint reader
+still parses float32 values, which loading casts.
 
 Memory: a training step builds tens of megabytes of activations on the
 tape and frees them all when :func:`backward` returns. With glibc's
@@ -127,10 +127,7 @@ class Tensor:
                  "_flat")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float64)
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -388,41 +385,26 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _result(data, (a, gain, bias), backward)
 
 
-def cross_entropy(logits: Tensor, target_ids: Sequence[int],
-                  ignore_id: int | None = None,
-                  reduction: str = "mean") -> Tensor:
-    """Softmax cross-entropy over rows of ``logits``.
-
-    Rows whose target equals ``ignore_id`` contribute nothing; "mean"
-    averages over the remaining rows, "sum" just totals them.
-    """
-    if reduction not in ("mean", "sum"):
-        raise ValueError(f"unknown reduction {reduction!r}")
+def cross_entropy(logits: Tensor, target_ids: Sequence[int]) -> Tensor:
+    """Softmax cross-entropy of each row of ``logits`` against its target
+    id, summed over the rows; a mean is ``scale(sum, 1 / rows)``."""
     ids = np.asarray(target_ids, dtype=np.int64)
     if logits.data.ndim != 2 or ids.shape != (logits.shape[0],):
         raise ShapeError(
             f"cross_entropy: logits {logits.shape} vs {ids.shape[0]} targets")
-    keep = np.ones_like(ids, dtype=bool) if ignore_id is None else ids != ignore_id
-    count = int(keep.sum())
-    if count == 0:
-        raise ShapeError("cross_entropy: every position is ignored")
     x = logits.data
     m = x.max(axis=-1, keepdims=True)
     lse = m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
     logp = x - lse
     rows = np.arange(len(ids))
-    losses = np.where(keep, -logp[rows, np.where(keep, ids, 0)], 0.0)
-    total = losses.sum()
-    denom = count if reduction == "mean" else 1
-    data = np.asarray(total / denom)
+    data = np.asarray((-logp[rows, ids]).sum())
 
     def backward(g: np.ndarray) -> None:
         if not logits.requires_grad:
             return
         grad = np.exp(logp)  # softmax, turned into the gradient in place
-        grad[rows[keep], ids[keep]] -= 1.0
-        grad[~keep] = 0.0
-        grad *= float(g) / denom
+        grad[rows, ids] -= 1.0
+        grad *= float(g)
         logits._accumulate_grad(grad)
 
     return _result(data, (logits,), backward)
@@ -501,7 +483,7 @@ def segment_matmul(blocks: Sequence[np.ndarray], x: Tensor) -> Tensor:
 
 def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
               segments: Sequence[tuple[int, int]] | None = None,
-              causal: bool = False) -> tuple[Tensor, list[np.ndarray]]:
+              causal: bool = False) -> Tensor:
     """Multi-head scaled dot-product attention as one op.
 
     Head i is column block i of the (..., rows, d) operands: its weights
@@ -512,8 +494,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     blocks, one per example, and each query block attends its own key
     block only. ``causal`` lets query j of a block see keys 0..j only.
 
-    Returns the output and the weights, one (..., head, query, key) array
-    per block; beside its inputs, backward keeps only the weights.
+    Beside its inputs, backward keeps only the weights, one
+    (..., head, query, key) array per block.
     """
     d = q.shape[-1]
     if (min(q.data.ndim, k.data.ndim) < 2 or num_heads < 1 or d % num_heads
@@ -575,7 +557,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
             t._accumulate_grad(_unbroadcast(np.concatenate(parts, axis=-2),
                                             t.shape))
 
-    return _result(data, (q, k, v), backward), weights
+    return _result(data, (q, k, v), backward)
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
@@ -642,29 +624,28 @@ def backward(loss: Tensor) -> None:
 
 _MAGIC = b"GRSM"
 _FORMAT_VERSION = 2  # the reader also accepts 1
-_DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_CODE_DTYPES = {0: np.dtype(np.float32), 1: np.dtype(np.float64)}
+_F64_CODE = 1  # the dtype code every saved value carries
+_CODE_DTYPES = {0: np.dtype(np.float32), _F64_CODE: np.dtype(np.float64)}
 
 
 _CHUNK = 32768  # values per in-place Adam chunk
 
 
 class _FlatGroup:
-    """The parameters of one dtype laid out end to end: their values,
-    gradients and Adam moments are four flat buffers, and each parameter
-    holds views of its [lo, hi) range of the first two. ``scratch`` is
-    the chunk-sized temporary of the in-place Adam update."""
+    """The parameters laid out end to end: their values, gradients and
+    Adam moments are four flat buffers, and each parameter holds views of
+    its [lo, hi) range of the first two. ``scratch`` is the chunk-sized
+    temporary of the in-place Adam update."""
 
     __slots__ = ("members", "values", "grads", "m", "v", "scratch")
 
     def __init__(self, members: list[tuple[str, Tensor]]):
-        dtype = members[0][1].data.dtype
         total = sum(t.data.size for _, t in members)
-        self.values = np.empty(total, dtype=dtype)
-        self.grads = np.zeros(total, dtype=dtype)
-        self.m = np.zeros(total, dtype=dtype)
-        self.v = np.zeros(total, dtype=dtype)
-        self.scratch = np.empty(min(total, _CHUNK), dtype=dtype)
+        self.values = np.empty(total)
+        self.grads = np.zeros(total)
+        self.m = np.zeros(total)
+        self.v = np.zeros(total)
+        self.scratch = np.empty(min(total, _CHUNK))
         self.members: list[tuple[str, Tensor, int, int]] = []
         lo = 0
         for name, t in members:
@@ -688,24 +669,23 @@ class ParameterStore:
     rest are frozen: they receive no gradient and Adam never touches them.
 
     The first :meth:`zero_grads` or :meth:`adam_step` lays the parameters
-    out, in creation order, in one flat value buffer per dtype; from then
-    on each ``data`` is a view into it, each ``grad`` a view into a
-    matching gradient buffer, and Adam's two moments are two more flat
-    buffers. Gradients accumulate in place into the views, and
-    ``zero_grads`` is one fill per dtype. Parameters are created before
-    that; write into ``data`` and ``grad`` (``[...] =``) rather than
-    rebinding them, which Adam refuses.
+    out, in creation order, in one flat value buffer; from then on each
+    ``data`` is a view into it, each ``grad`` a view into a matching
+    gradient buffer, and Adam's two moments are two more flat buffers.
+    Gradients accumulate in place into the views, and ``zero_grads`` is
+    one fill. Parameters are created before that; write into ``data`` and
+    ``grad`` (``[...] =``) rather than rebinding them, which Adam refuses.
     """
 
     def __init__(self) -> None:
         self._params: dict[str, Tensor] = {}
-        self._groups: list[_FlatGroup] | None = None
+        self._flat: _FlatGroup | None = None
         self.step_count = 0
 
     def create(self, name: str, array: np.ndarray) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        if self._groups is not None:
+        if self._flat is not None:
             raise RuntimeError(
                 f"cannot create {name!r}: the store is already laid out")
         t = Tensor(np.array(array, copy=True), requires_grad=True)
@@ -725,18 +705,14 @@ class ParameterStore:
         return sum(t.data.size for t in self._params.values())
 
     def zero_grads(self) -> None:
-        """Zero every gradient: one fill per dtype buffer."""
-        for group in self._layout():
-            group.grads.fill(0)
+        """Zero every gradient: one fill of the gradient buffer."""
+        self._layout().grads.fill(0)
 
-    def _layout(self) -> list[_FlatGroup]:
+    def _layout(self) -> _FlatGroup:
         """The flat buffers, laid out on first use."""
-        if self._groups is None:
-            by_dtype: dict[np.dtype, list[tuple[str, Tensor]]] = {}
-            for name, t in self._params.items():
-                by_dtype.setdefault(t.data.dtype, []).append((name, t))
-            self._groups = [_FlatGroup(m) for m in by_dtype.values()]
-        return self._groups
+        if self._flat is None:
+            self._flat = _FlatGroup(list(self._params.items()))
+        return self._flat
 
     # -- freezing ----------------------------------------------------------
 
@@ -762,12 +738,12 @@ class ParameterStore:
 
     # -- optimizer ----------------------------------------------------------
 
-    @staticmethod
-    def _trainable_ranges(group: _FlatGroup) -> list[tuple[int, int]]:
+    def _trainable_ranges(self) -> list[tuple[int, int]]:
         """The [lo, hi) runs of trainable values, neighbours merged."""
+        flat = self._layout()
         ranges: list[tuple[int, int]] = []
-        for name, t, lo, hi in group.members:
-            if t.data.base is not group.values or t.grad.base is not group.grads:
+        for name, t, lo, hi in flat.members:
+            if t.data.base is not flat.values or t.grad.base is not flat.grads:
                 raise RuntimeError(
                     f"parameter {name!r}: data or grad was rebound; write"
                     " into it with [...] = instead")
@@ -783,12 +759,12 @@ class ParameterStore:
                   eps: float = 1e-8, clip_norm: float | None = None) -> float:
         """One Adam update over the trainable subset, in place and chunk by
         chunk. Returns the pre-clip global gradient norm."""
-        work = [(grp, self._trainable_ranges(grp)) for grp in self._layout()]
+        flat = self._layout()
+        ranges = self._trainable_ranges()
         sq = 0.0
-        for group, ranges in work:
-            for lo, hi in ranges:
-                g = group.grads[lo:hi]
-                sq += float(np.dot(g, g))
+        for lo, hi in ranges:
+            g = flat.grads[lo:hi]
+            sq += float(np.dot(g, g))
         norm = sq ** 0.5
         scale_f = 1.0
         if clip_norm is not None and norm > clip_norm > 0:
@@ -802,22 +778,21 @@ class ParameterStore:
         c2 = (1.0 - beta2) * scale_f * scale_f
         step = lr * math.sqrt(1.0 - beta2 ** t) / (1.0 - beta1 ** t)
         eps_hat = eps * math.sqrt(1.0 - beta2 ** t)
-        for group, ranges in work:
-            for lo, hi in ranges:
-                for start in range(lo, hi, _CHUNK):
-                    s = slice(start, min(start + _CHUNK, hi))
-                    b = group.scratch[:s.stop - s.start]
-                    g, m, v = group.grads[s], group.m[s], group.v[s]
-                    m *= beta1  # m = b1 m + (1 - b1) c g, c the clip scale
-                    m += np.multiply(g, c1, out=b)
-                    v *= beta2  # v = b2 v + (1 - b2) c^2 g g
-                    np.multiply(g, c2, out=b)
-                    v += np.multiply(b, g, out=b)
-                    np.sqrt(v, out=b)  # p -= step m / (sqrt(v) + eps_hat)
-                    b += eps_hat
-                    np.divide(m, b, out=b)
-                    b *= step
-                    group.values[s] -= b
+        for lo, hi in ranges:
+            for start in range(lo, hi, _CHUNK):
+                s = slice(start, min(start + _CHUNK, hi))
+                b = flat.scratch[:s.stop - s.start]
+                g, m, v = flat.grads[s], flat.m[s], flat.v[s]
+                m *= beta1  # m = b1 m + (1 - b1) c g, c the clip scale
+                m += np.multiply(g, c1, out=b)
+                v *= beta2  # v = b2 v + (1 - b2) c^2 g g
+                np.multiply(g, c2, out=b)
+                v += np.multiply(b, g, out=b)
+                np.sqrt(v, out=b)  # p -= step m / (sqrt(v) + eps_hat)
+                b += eps_hat
+                np.divide(m, b, out=b)
+                b *= step
+                flat.values[s] -= b
         return norm
 
     # -- checkpoints ---------------------------------------------------------
@@ -827,10 +802,10 @@ class ParameterStore:
 
         Layout: magic, format version (u32), parameter count (u32); per
         parameter: name length (u16) + UTF-8 name, dtype code (u8, 0 = f32
-        / 1 = f64), rank (u8), dims (u32 each), then the raw row-major
-        little-endian values; last, the CRC32 (u32) of every byte before
-        it. Version 1 is the same without the CRC32. Round trips are bit
-        exact.
+        / 1 = f64; always 1 here), rank (u8), dims (u32 each), then the raw
+        row-major little-endian values; last, the CRC32 (u32) of every byte
+        before it. Version 1 is the same without the CRC32. Round trips are
+        bit exact.
         """
         crc = 0
         with atomic_write(path) as fh:
@@ -845,18 +820,17 @@ class ParameterStore:
                 encoded = name.encode("utf-8")
                 put(struct.pack("<H", len(encoded)))
                 put(encoded)
-                arr = np.asarray(t.data, order="C")  # keeps 0-d rank intact
-                put(struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim))
-                for d in arr.shape:
+                put(struct.pack("<BB", _F64_CODE, t.data.ndim))
+                for d in t.data.shape:
                     put(struct.pack("<I", d))
-                put(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
+                put(t.data.astype("<f8").tobytes())
             fh.write(struct.pack("<I", crc))
 
     def load(self, path: str) -> None:
         """Copy parameter values from ``path`` into the parameters' arrays
-        (cast to their dtypes); names and shapes must match this store
-        exactly and every value must be finite. Nothing is replaced unless
-        all of them pass. Optimizer moments are reset."""
+        (float32 values cast to float64); names and shapes must match this
+        store exactly and every value must be finite. Nothing is replaced
+        unless all of them pass. Optimizer moments are reset."""
         loaded = read_checkpoint(path)
         if list(loaded) != list(self._params):
             raise CheckpointError(
@@ -871,9 +845,9 @@ class ParameterStore:
                     f"checkpoint {path} holds a non-finite value in {name!r}")
         for name, arr in loaded.items():
             self._params[name].data[...] = arr
-        for group in self._groups or ():
-            group.m.fill(0)
-            group.v.fill(0)
+        if self._flat is not None:
+            self._flat.m.fill(0)
+            self._flat.v.fill(0)
         self.step_count = 0
 
 

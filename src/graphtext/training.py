@@ -20,9 +20,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import tensor as T
-from .data import (DEFAULT_PROMPT, PAD_ID, Example, TokenizedGraphInput,
-                   Vocabulary, atomic_write, encode_target, linearize,
-                   tokenize)
+from .data import (DEFAULT_PROMPT, Example, TokenizedGraphInput, Vocabulary,
+                   atomic_write, encode_target, linearize, tokenize)
 from .decoding import DecodeConfig, Hypothesis, decode_example
 from .gnn import GraphTensors, graph_tensors
 from .graph import RelationType, build_graph, reconstruction_targets
@@ -161,8 +160,7 @@ def compute_batch_loss(model: Seq2SeqModel, items: list[TrainItem],
     logits = model.decode([item.target_ids[:-1] for item in items], enc,
                           enc_lengths=[len(item.inp) for item in items])
     labels = np.concatenate([item.target_ids[1:] for item in items])
-    tg_total = T.cross_entropy(logits, labels, ignore_id=PAD_ID,
-                               reduction="sum")
+    tg_total = T.cross_entropy(logits, labels)
     bd = LossBreakdown(
         tg_sum=float(tg_total.data), num_tokens=len(labels),
         tok_correct=int((logits.data.argmax(axis=-1) == labels).sum()))
@@ -177,7 +175,7 @@ def compute_batch_loss(model: Seq2SeqModel, items: list[TrainItem],
         start += len(item.inp)
     if pairs:
         gr_logits = model.reconstruct_relations(enc, pairs)
-        gr_total = T.cross_entropy(gr_logits, gr_labels, reduction="sum")
+        gr_total = T.cross_entropy(gr_logits, gr_labels)
         bd.gr_sum = float(gr_total.data)
         bd.num_pairs = len(gr_labels)
         bd.gr_correct = int((gr_logits.data.argmax(axis=-1)

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from graphtext import tensor as T
-from graphtext.data import BOS_ID, EOS_ID, PAD_ID
+from graphtext.data import BOS_ID, EOS_ID
 from graphtext.decoding import Hypothesis, normalized_score
 from graphtext.training import LossBreakdown
 
@@ -88,9 +88,9 @@ def mul(a: T.Tensor, b: T.Tensor) -> T.Tensor:
 
 def reference_attention(q, k, v, num_heads, segments, causal, g):
     """``tensor.attention`` on plain arrays with a fresh array per step of
-    the softmax and of its backward. Returns the output, the per-block
-    weights and, for the upstream gradient ``g``, the gradients of q, k
-    and v (summed over broadcast leading axes)."""
+    the softmax and of its backward. Returns the output and, for the
+    upstream gradient ``g``, the gradients of q, k and v (summed over
+    broadcast leading axes)."""
     d = q.shape[-1]
     dk = d // num_heads
     factor = 1.0 / math.sqrt(dk)
@@ -129,28 +129,25 @@ def reference_attention(q, k, v, num_heads, segments, causal, g):
         grads[1].append(merge(gs.swapaxes(-1, -2) @ split(q[..., qs, :])))
         grads[2].append(merge(w.swapaxes(-1, -2) @ gh))
     full = [np.concatenate(parts, axis=-2) for parts in grads]
-    return out, weights, [f.sum(axis=tuple(range(f.ndim - x.ndim)))
+    return out, [f.sum(axis=tuple(range(f.ndim - x.ndim)))
                           if f.ndim > x.ndim else f
                           for x, f in zip((q, k, v), full)]
 
 
-def reference_cross_entropy(x, ids, ignore_id, reduction, g):
+def reference_cross_entropy(x, ids, g):
     """``tensor.cross_entropy`` on plain arrays with a fresh array per
-    step of the backward. Returns the loss and, for the upstream gradient
-    ``g``, the gradient of the logits."""
+    step of the backward. Returns the summed loss and, for the upstream
+    gradient ``g``, the gradient of the logits."""
     ids = np.asarray(ids, dtype=np.int64)
-    keep = np.ones_like(ids, dtype=bool) if ignore_id is None else ids != ignore_id
     m = x.max(axis=-1, keepdims=True)
     lse = m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
     logp = x - lse
     rows = np.arange(len(ids))
-    losses = np.where(keep, -logp[rows, np.where(keep, ids, 0)], 0.0)
-    denom = int(keep.sum()) if reduction == "mean" else 1
+    losses = -logp[rows, ids]
     probs = np.exp(logp)
     grad = probs.copy()
-    grad[rows[keep], ids[keep]] -= 1.0
-    grad[~keep] = 0.0
-    return losses.sum() / denom, grad * (float(g) / denom)
+    grad[rows, ids] -= 1.0
+    return losses.sum(), grad * float(g)
 
 
 def reference_softmax(x: np.ndarray) -> np.ndarray:
@@ -237,15 +234,13 @@ def loop_batch_loss(model, items, lambda_gr: float,
         enc = model.encode(item.inp, item.gt)
         labels = item.target_ids[1:]
         logits = model.decode(item.target_ids[:-1], enc)
-        tg_terms.append(T.cross_entropy(logits, labels, ignore_id=PAD_ID,
-                                        reduction="sum"))
+        tg_terms.append(T.cross_entropy(logits, labels))
         bd.num_tokens += len(labels)
         bd.tok_correct += int((logits.data.argmax(axis=-1)
                                == np.asarray(labels)).sum())
         if not disable_gr_loss and item.gr_labels:
             gr_logits = model.reconstruct_relations(enc, item.gr_pairs)
-            gr_terms.append(T.cross_entropy(gr_logits, item.gr_labels,
-                                            reduction="sum"))
+            gr_terms.append(T.cross_entropy(gr_logits, item.gr_labels))
             bd.num_pairs += len(item.gr_labels)
             bd.gr_correct += int((gr_logits.data.argmax(axis=-1)
                                   == np.asarray(item.gr_labels)).sum())

@@ -176,14 +176,14 @@ def _op_sweep():
     case("layer_norm", [ln, lg, lb],
          lambda x=ln, g=lg, bb=lb: weighted(T.layer_norm(x, g, bb), w36))
     ce1 = p(rng.normal(size=(5, 7)))
-    case("cross_entropy[mean]", [ce1],
-         lambda x=ce1: T.cross_entropy(x, [1, 0, 6, 3, 2]))
+    case("cross_entropy[mean]", [ce1],  # a mean is scale(sum, 1 / rows)
+         lambda x=ce1: T.scale(T.cross_entropy(x, [1, 0, 6, 3, 2]), 1 / 5))
     ce2 = p(rng.normal(size=(5, 7)))
-    case("cross_entropy[ignore]", [ce2],
-         lambda x=ce2: T.cross_entropy(x, [1, 0, 6, 0, 2], ignore_id=0))
+    case("cross_entropy[shared-target]", [ce2],
+         lambda x=ce2: T.cross_entropy(x, [1, 0, 6, 0, 2]))
     ce3 = p(rng.normal(size=(4, 6)))
-    case("cross_entropy[sum]", [ce3],
-         lambda x=ce3: T.cross_entropy(x, [5, 2, 0, 1], reduction="sum"))
+    case("cross_entropy", [ce3],
+         lambda x=ce3: T.cross_entropy(x, [5, 2, 0, 1]))
     case("neighbor_max", [nb_states],
          lambda x=nb_states: weighted(T.neighbor_max(x, [nb_mask]), w43))
     nb2 = p(np.arange(18, dtype=np.float64).reshape(6, 3) * 0.5
@@ -204,23 +204,23 @@ def _op_sweep():
     aq, ak, av = (p(rng.normal(size=(3, 4))), p(rng.normal(size=(5, 4))),
                   p(rng.normal(size=(5, 4))))
     case("attention", [aq, ak, av],
-         lambda q=aq, k=ak, v=av: weighted(T.attention(q, k, v, 2)[0], w34))
+         lambda q=aq, k=ak, v=av: weighted(T.attention(q, k, v, 2), w34))
     sq, sk, sv = (p(rng.normal(size=(5, 4))), p(rng.normal(size=(5, 4))),
                   p(rng.normal(size=(5, 4))))
     w54 = const((5, 4))
     case("attention[segments-causal]", [sq, sk, sv],
          lambda q=sq, k=sk, v=sv: weighted(
-             T.attention(q, k, v, 2, [(2, 2), (3, 3)], causal=True)[0], w54))
+             T.attention(q, k, v, 2, [(2, 2), (3, 3)], causal=True), w54))
     cq, ck, cv = (p(rng.normal(size=(3, 4))), p(rng.normal(size=(5, 4))),
                   p(rng.normal(size=(5, 4))))
     case("attention[segments-cross]", [cq, ck, cv],
          lambda q=cq, k=ck, v=cv: weighted(
-             T.attention(q, k, v, 2, [(1, 3), (2, 2)])[0], w34))
+             T.attention(q, k, v, 2, [(1, 3), (2, 2)]), w34))
     bq, bk, bv = (p(rng.normal(size=(2, 1, 4))), p(rng.normal(size=(5, 4))),
                   p(rng.normal(size=(5, 4))))
     w214 = const((2, 1, 4))
     case("attention[broadcast]", [bq, bk, bv],
-         lambda q=bq, k=bk, v=bv: weighted(T.attention(q, k, v, 2)[0], w214))
+         lambda q=bq, k=bk, v=bv: weighted(T.attention(q, k, v, 2), w214))
     c1, c2 = p(rng.normal(size=(2, 3))), p(rng.normal(size=(4, 3)))
     case("concat", [c1, c2],
          lambda x=c1, y=c2: weighted(T.concat([x, y]), w63))
@@ -275,9 +275,12 @@ def _full_model_fd_setup():
     def build_loss():
         enc = model.encode(inp, gt)
         logits = model.decode(target_ids[:-1], enc)
-        l_tg = T.cross_entropy(logits, target_ids[1:], ignore_id=D.PAD_ID)
+        # each mean is the summed cross-entropy over its count
+        l_tg = T.scale(T.cross_entropy(logits, target_ids[1:]),
+                       1 / (len(target_ids) - 1))
         gr_logits = model.reconstruct_relations(enc, targets)
-        return T.add(l_tg, T.scale(T.cross_entropy(gr_logits, labels), 0.08))
+        l_gr = T.scale(T.cross_entropy(gr_logits, labels), 1 / len(labels))
+        return T.add(l_tg, T.scale(l_gr, 0.08))
 
     return model, build_loss
 

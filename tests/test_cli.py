@@ -330,6 +330,20 @@ def _assert_data_error(code, capsys):
     assert err.startswith("data error: "), err
 
 
+@pytest.mark.parametrize("record", [
+    {"triples": [["Iraq", "language", "Arabic"]],
+     "text": "Iraq <eos> speaks <pad> Arabic ."},
+    {"triples": [["<H>", "language", "Arabic"]], "text": "Arabic ."},
+])
+def test_reserved_token_in_data_is_data_error(workspace, tmp_path, capsys,
+                                              record):
+    data = write_dataset(tmp_path / "bad.jsonl", DATASET + [record])
+    out = tmp_path / "run"
+    _assert_data_error(cli.main(["train", "--config", workspace["config"],
+                                 "--data", data, "--out", str(out)]), capsys)
+    assert not (out / "model.ckpt").exists()
+
+
 def _copy_run(run, dest, **config_changes):
     shutil.copytree(run, dest)
     path = dest / "config.json"

@@ -233,6 +233,31 @@ def test_encode_target_frames_and_limits():
         D.encode_target("a b c d e", vocab, max_target_length=4)
 
 
+def test_reserved_token_strings_are_data_errors():
+    """A reserved token string in the data would take that token's id:
+    ``<eos>`` mid-target, ``<pad>`` a counted target, ``<H>`` a head
+    marker on an entity token. Each is refused, naming where it was."""
+    vocab = D.build_vocabulary(corpus_one())
+    with pytest.raises(D.DataError,
+                       match="the text holds the reserved token '<eos>'"):
+        D.encode_target("Iraq <eos> speaks <pad> Arabic .", vocab)
+    for tok in D.RESERVED_TOKENS:
+        with pytest.raises(D.DataError, match=tok):
+            D.encode_target(f"a {tok} b", vocab)
+    ok = D.Triple("Iraq", "language", "Arabic")
+    for bad in (D.Triple("<H>", "r", "t"), D.Triple("h", "is <pad>", "t"),
+                D.Triple("h", "r", "x <T>")):
+        with pytest.raises(D.DataError, match="triple 1 holds the reserved"):
+            D.linearize(D.Example([ok, bad]), D.DEFAULT_PROMPT, vocab)
+    with pytest.raises(D.DataError,
+                       match="the prompt holds the reserved token '<Graph>'"):
+        D.linearize(D.Example([ok]), "describe <Graph> :", vocab)
+    # look-alikes are ordinary (unknown) words
+    assert D.encode_target("a <EOS> <pad b", vocab)[2:4] == [D.UNK_ID] * 2
+    assert D.linearize(D.Example([D.Triple("<h>", "r", "t")]), "",
+                       vocab).surface[1:3] == ["<H>", "<h>"]
+
+
 def reparse_structure(surface):
     """Rebuild (prompt, [(head_toks, rel_toks, tail_toks), ...]) from a
     linearized surface stream; used for the round-trip property."""

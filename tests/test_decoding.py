@@ -100,11 +100,10 @@ def test_larger_beams_never_score_worse():
 
 def test_immediate_eos_gives_empty_generation():
     table = np.full((1, 5), -5.0)
-    table[0, TOY_EOS] = -0.01
-    hyp = X.beam_search(per_prefix_step(lambda p: table[0]), toy_config(3),
-                        bos_id=0, eos_id=TOY_EOS)
-    assert hyp.token_ids == [0, TOY_EOS]
-    assert hyp.generated(TOY_EOS) == []
+    table[0, D.EOS_ID] = -0.01
+    hyp = X.beam_search(per_prefix_step(lambda p: table[0]), toy_config(3))
+    assert hyp.token_ids == [D.BOS_ID, D.EOS_ID]
+    assert hyp.generated() == []
 
 
 def test_length_cap_marks_unfinished_as_finished():

@@ -15,11 +15,11 @@ from oracles import (finite_difference, recorded_nodes, reference_softmax,
 
 def oracle_attention(q_in, kv_in, wq, wk, wv, wo, num_heads, mask=None):
     """Independent numpy evaluation of multi-head scaled dot-product
-    attention; returns (output, per-head weights)."""
+    attention."""
     d = wq.shape[1]
     dk = d // num_heads
     Q, K, V = q_in @ wq, kv_in @ wk, kv_in @ wv
-    outs, weights = [], []
+    outs = []
     for h in range(num_heads):
         sl = slice(h * dk, (h + 1) * dk)
         scores = Q[:, sl] @ K[:, sl].T / math.sqrt(dk)
@@ -29,9 +29,8 @@ def oracle_attention(q_in, kv_in, wq, wk, wv, wo, num_heads, mask=None):
         if mask is not None:
             alpha = np.where(mask, alpha, 0.0)
             alpha = alpha / alpha.sum(axis=-1, keepdims=True)
-        weights.append(alpha)
         outs.append(alpha @ V[:, sl])
-    return np.concatenate(outs, axis=-1) @ wo, weights
+    return np.concatenate(outs, axis=-1) @ wo
 
 
 def toy_config(variation="GRASAME", vocab=20, identity=False, **kw):
@@ -70,34 +69,71 @@ def test_attention_matches_bruteforce_oracle(heads):
     for q, kv, segments, causal in [
             (q_in, kv_in, list(zip(q_rows, kv_rows)), False),
             (kv_in, kv_in, list(zip(kv_rows, kv_rows)), True)]:
-        out, alpha = M.multi_head_attention(q, kv, ws, heads, segments, causal)
-        assert len(alpha) == len(segments)
+        out = M.multi_head_attention(q, kv, ws, heads, segments, causal)
         qo = ko = 0
-        for (nq, nk), got in zip(segments, alpha):
+        for nq, nk in segments:
             mask = np.tri(nq, nk, dtype=bool) if causal else None
-            ref_out, ref_w = oracle_attention(
+            ref_out = oracle_attention(
                 q.data[qo:qo + nq], kv.data[ko:ko + nk],
                 *[w.data for w in ws], num_heads=heads, mask=mask)
             assert np.allclose(out.data[qo:qo + nq], ref_out, atol=1e-10)
-            assert got.shape == (heads, nq, nk)
-            for h, ref in enumerate(ref_w):
-                assert np.allclose(got[h], ref, atol=1e-10)
-                assert np.allclose(got[h].sum(axis=1), 1.0, atol=1e-9)
-                if causal:
-                    assert np.all(got[h][~mask] == 0.0)
             qo, ko = qo + nq, ko + nk
     with pytest.raises(T.ShapeError):  # the segments miss a key row
         M.multi_head_attention(q_in, kv_in, ws, heads, [(8, 10)])
 
 
+def _attention_weights(rng, d=8):
+    return [T.Tensor(rng.standard_normal((d, d)) * 0.5) for _ in range(4)]
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_causal_attention_row_ignores_later_rows(heads):
+    """Output row j of causal self-attention reads rows 0..j only: new
+    values in every row after j leave it bit-identical."""
+    rng = np.random.default_rng(3)
+    ws = _attention_weights(rng)
+    x = rng.standard_normal((6, 8))
+    out = M.multi_head_attention(T.Tensor(x), T.Tensor(x), ws, heads,
+                                 [(6, 6)], causal=True).data
+    for j in range(5):
+        y = x.copy()
+        y[j + 1:] = rng.standard_normal((5 - j, 8)) * 10
+        got = M.multi_head_attention(T.Tensor(y), T.Tensor(y), ws, heads,
+                                     [(6, 6)], causal=True).data
+        assert np.array_equal(got[:j + 1], out[:j + 1])
+        assert not np.array_equal(got[j + 1:], out[j + 1:])
+
+
+@pytest.mark.parametrize("causal", [False, True])
+def test_segment_attention_ignores_other_segments(causal):
+    """New values in every other segment's rows leave a segment's output
+    bit-identical."""
+    rng = np.random.default_rng(4)
+    ws = _attention_weights(rng)
+    sizes = [3, 1, 4]
+    segments = [(n, n) for n in sizes]
+    bounds = np.cumsum([0] + sizes)
+    x = rng.standard_normal((8, 8))
+    out = M.multi_head_attention(T.Tensor(x), T.Tensor(x), ws, 2, segments,
+                                 causal).data
+    for lo, hi in zip(bounds, bounds[1:]):
+        y = rng.standard_normal((8, 8)) * 10
+        y[lo:hi] = x[lo:hi]
+        got = M.multi_head_attention(T.Tensor(y), T.Tensor(y), ws, 2,
+                                     segments, causal).data
+        assert np.array_equal(got[lo:hi], out[lo:hi])
+
+
 def test_single_token_attention_weight_is_one():
+    """One key row takes all the weight, which the output shows: it is
+    that row's value projection through the output projection."""
     rng = np.random.default_rng(1)
     d = 8
     x = T.Tensor(rng.standard_normal((1, d)))
     ws = [T.Tensor(rng.standard_normal((d, d))) for _ in range(4)]
-    _, alpha = M.multi_head_attention(x, x, ws, num_heads=4)
-    for h in range(4):
-        assert np.allclose(alpha[0][h], [[1.0]])
+    out = M.multi_head_attention(x, x, ws, num_heads=4)
+    want = T.matmul(T.matmul(x, ws[2]), ws[3])
+    assert np.array_equal(out.data, want.data)
 
 
 @pytest.mark.parametrize("heads", [1, 2, 4, 8])
@@ -110,7 +146,7 @@ def test_attention_tape_size_does_not_grow_with_heads(heads):
     x = T.Tensor(rng.standard_normal((3, d)))
     ws = [T.Tensor(rng.standard_normal((d, d)), requires_grad=True)
           for _ in range(4)]
-    out, _ = M.multi_head_attention(x, x, ws, heads, [(3, 3)], causal=True)
+    out = M.multi_head_attention(x, x, ws, heads, [(3, 3)], causal=True)
     assert recorded_nodes(out) == 5
 
 
@@ -259,14 +295,19 @@ def test_cached_step_outside_no_grad_is_refused():
 
 
 def test_cross_attention_rows_sum_to_one():
+    """Seen through the output: with distinct keys but one value row
+    repeated, every query's output is that value under the output
+    projection exactly when the query's weights sum to one."""
     rng = np.random.default_rng(9)
     d = 8
     dec_states = T.Tensor(rng.standard_normal((4, d)))
-    enc_states = T.Tensor(rng.standard_normal((6, d)))
+    keys = T.Tensor(rng.standard_normal((6, d)))
+    value = rng.standard_normal((1, d))
+    values = T.Tensor(np.repeat(value, 6, axis=0))
     ws = [T.Tensor(rng.standard_normal((d, d))) for _ in range(4)]
-    _, alpha = M.multi_head_attention(dec_states, enc_states, ws, num_heads=2)
-    for h in range(2):
-        assert np.allclose(alpha[0][h].sum(axis=1), 1.0, atol=1e-9)
+    out = M.multi_head_attention(dec_states, (keys, values), ws, num_heads=2)
+    want = np.repeat(value @ ws[3].data, 4, axis=0)
+    assert np.allclose(out.data, want, rtol=0, atol=1e-12)
 
 
 def test_reconstruction_head_contracts():
@@ -340,9 +381,11 @@ def test_full_model_gradients_vs_finite_differences():
     def build_loss():
         enc = model.encode(inp, gt)
         logits = model.decode(target_ids[:-1], enc)
-        l_tg = T.cross_entropy(logits, target_ids[1:], ignore_id=D.PAD_ID)
+        # each mean is the summed cross-entropy over its count
+        l_tg = T.scale(T.cross_entropy(logits, target_ids[1:]),
+                       1 / (len(target_ids) - 1))
         gr_logits = model.reconstruct_relations(enc, targets)
-        l_gr = T.cross_entropy(gr_logits, labels)
+        l_gr = T.scale(T.cross_entropy(gr_logits, labels), 1 / len(labels))
         return T.add(l_tg, T.scale(l_gr, 0.08))
 
     assert relu_kink_margin(build_loss) > 1e-3

@@ -115,21 +115,21 @@ def test_freeze_base_only_updates_graph_parameters():
 
 def _moments(store, name):
     """Adam's two moments of ``name``: its ranges of the flat buffers."""
-    for group in store._groups:
-        for member, _, lo, hi in group.members:
-            if member == name:
-                return group.m[lo:hi], group.v[lo:hi]
+    flat = store._flat
+    for member, _, lo, hi in flat.members:
+        if member == name:
+            return flat.m[lo:hi], flat.v[lo:hi]
     raise KeyError(name)
 
 
 def test_flat_adam_matches_reference_under_freeze_base(tmp_path):
     """FREEZE_BASE leaves several non-contiguous trainable ranges, the clip
-    acts on every step, and a float32 parameter makes a second buffer
-    whose gradient counts in the global norm."""
+    acts on every step, and a parameter created after the model's counts
+    in the global norm."""
     vocab, cfg, items = make_setup(layers=2)
     model = Seq2SeqModel(cfg, seed=8)
     store = model.store
-    extra = store.create("extra.f32", np.linspace(-1, 1, 6, dtype=np.float32))
+    extra = store.create("extra", np.linspace(-1, 1, 6))
     lr, clip = 1e-2, 0.05
 
     def gradients():
@@ -137,22 +137,21 @@ def test_flat_adam_matches_reference_under_freeze_base(tmp_path):
         loss, _ = TR.compute_batch_loss(model, items[:3], lambda_gr=0.08)
         T.backward(loss)
         extra.grad[...] = np.arange(6) - 2.5  # its squares sum exactly
-        return {n: store.get(n).grad.astype(np.float64)
-                for n in store.trainable_names()}
+        return {n: store.get(n).grad.copy() for n in store.trainable_names()}
 
     for _ in range(2):  # every moment is non-zero before the freeze
         gradients()
         store.adam_step(lr, clip_norm=clip)
-    store.set_trainable(TR.gnn_parameter_names(store) + ["extra.f32"])
-    assert len(store._trainable_ranges(store._groups[0])) > 1
+    store.set_trainable(TR.gnn_parameter_names(store) + ["extra"])
+    assert len(store._trainable_ranges()) > 1
     trainable = store.trainable_names()
     frozen = [n for n in store.names() if n not in trainable]
     frozen_bytes = {n: [a.tobytes() for a in (store.get(n).data,
                                               *_moments(store, n))]
                     for n in frozen}
-    ref_params = [store.get(n).data.astype(np.float64) for n in trainable]
+    ref_params = [store.get(n).data.copy() for n in trainable]
     ref = ReferenceAdam([p.shape for p in ref_params], lr=lr)
-    ref.m, ref.v = ([_moments(store, n)[i].reshape(p.shape).astype(np.float64)
+    ref.m, ref.v = ([_moments(store, n)[i].reshape(p.shape).copy()
                      for n, p in zip(trainable, ref_params)] for i in (0, 1))
     ref.t = store.step_count
     for _ in range(4):
@@ -162,8 +161,7 @@ def test_flat_adam_matches_reference_under_freeze_base(tmp_path):
         assert abs(store.adam_step(lr, clip_norm=clip) - norm) <= 1e-12 * norm
         ref.step(ref_params, [grads[n] * (clip / norm) for n in trainable])
     for n, p in zip(trainable, ref_params):
-        tol = 1e-6 if n == "extra.f32" else 1e-12  # float32 vs float64
-        assert np.allclose(store.get(n).data, p, rtol=0, atol=tol), n
+        assert np.allclose(store.get(n).data, p, rtol=0, atol=1e-12), n
     for n in frozen:
         assert [a.tobytes() for a in (store.get(n).data,
                                       *_moments(store, n))] == frozen_bytes[n]
