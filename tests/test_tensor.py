@@ -173,13 +173,26 @@ def test_in_place_attention_is_bit_identical_to_reference(segments, causal,
         assert np.array_equal(t.grad, ref)
 
 
-def test_in_place_cross_entropy_is_bit_identical_to_reference():
+@pytest.mark.parametrize("ignore_id,reduction", [(None, "mean"), (0, "mean"),
+                                                 (0, "sum")])
+def test_in_place_cross_entropy_is_bit_identical_to_reference(ignore_id,
+                                                              reduction):
+    """The op sums over its rows; a caller drops the rows of an ignored
+    target before the call and takes a mean as ``scale(sum, 1 / rows)``,
+    as training does. Value and gradient match the reference bit for bit."""
     rng = np.random.default_rng(32)
-    logits = leaf(rng, 6, 11)
-    ids = [3, 0, 10, 0, 1, 7]
+    all_ids = [3, 0, 10, 0, 1, 7]
+    keep = [i for i, t in enumerate(all_ids) if t != ignore_id]
+    ids = [all_ids[i] for i in keep]
+    logits = T.Tensor(rng.standard_normal((6, 11))[keep], requires_grad=True)
     loss = T.cross_entropy(logits, ids)
+    g = 1.7
+    if reduction == "mean":
+        loss = T.scale(loss, 1 / len(ids))
+        g *= 1 / len(ids)
     T.backward(T.scale(loss, 1.7))
-    ref_loss, ref_grad = reference_cross_entropy(logits.data, ids, 1.7)
+    ref_sum, ref_grad = reference_cross_entropy(logits.data, ids, g)
+    ref_loss = ref_sum * (1 / len(ids)) if reduction == "mean" else ref_sum
     assert np.array_equal(loss.data, ref_loss)
     assert np.array_equal(logits.grad, ref_grad)
 
