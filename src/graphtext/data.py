@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -109,18 +110,22 @@ class TokenizedGraphInput:
         if not (len(self.surface) == len(self.kinds) == len(self.triple_index)
                 == len(self.entity_span_id) == n):
             raise DataError("parallel annotation arrays have unequal lengths")
-        if sum(k is TokenKind.GLOBAL for k in self.kinds) != 1:
+        if self.kinds.count(TokenKind.GLOBAL) != 1:
             raise DataError("expected exactly one global token")
-        for i, k in enumerate(self.kinds):
-            if k is TokenKind.ENTITY:
-                if self.triple_index[i] is None or self.entity_span_id[i] is None:
-                    raise DataError(f"entity token at {i} lacks span annotations")
+        entity = TokenKind.ENTITY
+        for i, (k, t, s) in enumerate(zip(self.kinds, self.triple_index,
+                                          self.entity_span_id)):
+            if k is entity and (t is None or s is None):
+                raise DataError(f"entity token at {i} lacks span annotations")
 
 
 # ---------------------------------------------------------------------------
 # tokenizer
 
-_PUNCT = set('.,;:!?()[]"\'')
+_PUNCT = frozenset('.,;:!?()[]"\'')
+_PUNCT_CLASS = re.escape("".join(sorted(_PUNCT)))
+# a word's maximal punctuation-free runs and its single punctuation marks
+_split_word = re.compile(f"[^{_PUNCT_CLASS}]+|[{_PUNCT_CLASS}]").findall
 
 
 def tokenize(text: str) -> list[str]:
@@ -130,7 +135,8 @@ def tokenize(text: str) -> list[str]:
     punctuation marks detach as single-character tokens, intra-token
     hyphens survive, and double quotes wrapping a whole word are
     stripped. Joining the output with single spaces and re-tokenizing
-    returns the same list.
+    returns the same list. A word with no punctuation mark is one token
+    as it stands; only a word that holds one goes through the regex.
     """
     out: list[str] = []
     for word in text.replace("_", " ").split():
@@ -138,17 +144,10 @@ def tokenize(text: str) -> list[str]:
         while (len(word) >= 2 and word[0] == '"' and word[-1] == '"'
                and '"' not in word[1:-1]):
             word = word[1:-1]
-        run: list[str] = []
-        for ch in word:
-            if ch in _PUNCT:
-                if run:
-                    out.append("".join(run))
-                    run = []
-                out.append(ch)
-            else:
-                run.append(ch)
-        if run:
-            out.append("".join(run))
+        if not _PUNCT.isdisjoint(word):
+            out += _split_word(word)
+        elif word:
+            out.append(word)
     return out
 
 
@@ -227,7 +226,8 @@ class Vocabulary:
         return self._token_to_id.get(token, UNK_ID)
 
     def encode(self, tokens: Iterable[str]) -> list[int]:
-        return [self.id_of(t) for t in tokens]
+        ids = self._token_to_id
+        return [ids.get(t, UNK_ID) for t in tokens]
 
     def decode(self, ids: Iterable[int]) -> str:
         """Space-joined tokens, reserved tokens dropped."""
@@ -254,20 +254,13 @@ def build_vocabulary(corpus: list[Example], min_count: int = 1,
     frequency >= min_count, in first-appearance order."""
     if not corpus:
         raise DataError("cannot build a vocabulary from an empty corpus")
-    counts: Counter[str] = Counter()
-    order: dict[str, None] = {}
-
-    def see(tokens: list[str]) -> None:
-        for t in tokens:
-            counts[t] += 1
-            order.setdefault(t)
-
+    counts: Counter[str] = Counter()  # keys in first-appearance order
     for ex in corpus:
         for tr in ex.triples:
-            see(tokenize(tr.head))
-            see(tokenize(tr.relation))
-            see(tokenize(tr.tail))
-        see(tokenize(ex.target_text))
+            counts.update(tokenize(tr.head))
+            counts.update(tokenize(tr.relation))
+            counts.update(tokenize(tr.tail))
+        counts.update(tokenize(ex.target_text))
 
     toks = list(RESERVED_TOKENS)
     taken = set(toks)
@@ -275,8 +268,8 @@ def build_vocabulary(corpus: list[Example], min_count: int = 1,
         if t not in taken:  # prompt tokens are always kept
             toks.append(t)
             taken.add(t)
-    for t in order:
-        if t not in taken and counts[t] >= min_count:
+    for t, count in counts.items():
+        if t not in taken and count >= min_count:
             toks.append(t)
             taken.add(t)
     return Vocabulary(toks)

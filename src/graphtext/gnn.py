@@ -7,12 +7,13 @@ base relation x direction): the per-bucket neighbour means sit side by
 side and one weight maps them all, so SAGE and RGCN share one combine.
 
 Graphs are small (a few hundred nodes), so neighborhoods are dense
-matrices precomputed once per example by :func:`graph_tensors`. A layer
-runs on the packed rows of a batch, one segment of rows per example:
-SAGE and RGCN multiply each example's own matrices by its own rows inside
-one tape op, and relation buckets and GAT heads are tensor axes, so a
-SAGE or RGCN forward is a fixed handful of tape ops whatever the batch,
-bucket or head count. GAT runs its per-example aggregate on each
+matrices precomputed once per example by :func:`graph_tensors`, which
+scatters the graph's edge arrays into them rather than going edge by
+edge. A layer runs on the packed rows of a batch, one segment of rows per
+example: SAGE and RGCN multiply each example's own matrices by its own
+rows inside one tape op, and relation buckets and GAT heads are tensor
+axes, so a SAGE or RGCN forward is a fixed handful of tape ops whatever
+the batch, bucket or head count. GAT runs its per-example aggregate on each
 example's row slice.
 """
 from __future__ import annotations
@@ -85,17 +86,24 @@ class GraphTensors:
 
 
 def graph_tensors(graph: HierGraph) -> GraphTensors:
+    """The dense arrays, scattered from the graph's edge arrays."""
     n = graph.num_nodes
+    bucket = 2 * graph.rel + graph.reverse
+    if (bucket >= NUM_RELATION_BUCKETS).any():  # only SELF x REVERSE
+        raise ValueError("no relation bucket for SELF x REVERSE")
     adj = np.zeros((n, n), dtype=bool)
-    relations = np.zeros((n, NUM_RELATION_BUCKETS, n), dtype=np.float64)
-    for e in graph.edges:
-        adj[e.dst, e.src] = True
-        relations[e.dst, bucket_index(e.rel, e.dir), e.src] = 1.0
+    adj[graph.dst, graph.src] = True
     if not adj.any(axis=1).all():
         raise ValueError("graph has a node with no incoming edge")
     deg = adj.sum(axis=1, keepdims=True).astype(np.float64)
-    bucket_deg = relations.sum(axis=2, keepdims=True)
-    np.divide(relations, bucket_deg, out=relations, where=bucket_deg > 0)
+    # the distinct (node, bucket, neighbour) cells, each 1 / its row's
+    # count; sorted by hand, as np.unique imports numpy.ma (1.3 MB)
+    cells = np.sort((graph.dst * NUM_RELATION_BUCKETS + bucket) * n
+                    + graph.src)
+    cells = cells[np.diff(cells, prepend=-1) != 0]
+    rows = cells // n
+    relations = np.zeros((n, NUM_RELATION_BUCKETS, n), dtype=np.float64)
+    relations.reshape(-1)[cells] = 1.0 / np.bincount(rows)[rows]
     return GraphTensors(num_nodes=n, in_mask=adj,
                         mean_matrix=T.Tensor(adj / deg),
                         sum_matrix=T.Tensor(adj.astype(np.float64)),

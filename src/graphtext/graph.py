@@ -14,11 +14,20 @@ Edge rules, all oriented left to right in the sequence:
 With ``bidirectional`` on, every non-self edge also gets a reversed twin
 tagged REVERSE (same base relation). The forward non-self edges double as
 the labels for the reconstruction objective.
+
+A graph holds its edges as four parallel arrays, one entry per edge in
+build order: ``src``, ``dst``, ``rel`` (the relation's index in
+``RelationType`` order) and ``reverse``. The rules append plain ints, and
+counts, labels and the JSON record are computed from the arrays. ``Edge``
+objects are made only on request, by ``HierGraph.edges`` and
+``forward_edges``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .data import SPECIAL_KINDS, TokenKind, TokenizedGraphInput
 
@@ -39,6 +48,9 @@ class Direction(Enum):
 
 LABEL_RELATIONS = (RelationType.R1, RelationType.R2, RelationType.R3,
                    RelationType.R4, RelationType.R5)
+RELATIONS = tuple(RelationType)  # a graph's ``rel`` indexes this
+_R1, _R2, _R3, _R4, _R5, _SELF = range(len(RELATIONS))
+_DIRECTIONS = (Direction.FORWARD, Direction.REVERSE)  # by ``reverse``
 
 
 @dataclass(frozen=True)
@@ -49,15 +61,34 @@ class Edge:
     dir: Direction
 
 
-@dataclass
+@dataclass(eq=False)
 class HierGraph:
+    """Edge i runs ``src[i] -> dst[i]`` with relation ``RELATIONS[rel[i]]``;
+    ``reverse[i]`` marks the reversed twin of a forward edge."""
     num_nodes: int
-    edges: list[Edge]
+    src: np.ndarray
+    dst: np.ndarray
+    rel: np.ndarray
+    reverse: np.ndarray
+
+    @property
+    def edges(self) -> list[Edge]:
+        """Every edge as an ``Edge``, in build order."""
+        return self._edges(slice(None))
 
     @property
     def forward_edges(self) -> list[Edge]:
-        return [e for e in self.edges
-                if e.dir is Direction.FORWARD and e.rel is not RelationType.SELF]
+        return self._edges(_forward(self))
+
+    def _edges(self, keep) -> list[Edge]:
+        return [Edge(s, d, RELATIONS[r], _DIRECTIONS[b]) for s, d, r, b in zip(
+            self.src[keep].tolist(), self.dst[keep].tolist(),
+            self.rel[keep].tolist(), self.reverse[keep].tolist())]
+
+
+def _forward(graph: HierGraph) -> np.ndarray:
+    """Mask of the forward non-self edges."""
+    return ~graph.reverse & (graph.rel != _SELF)
 
 
 def build_graph(inp: TokenizedGraphInput, bidirectional: bool = True) -> HierGraph:
@@ -66,71 +97,88 @@ def build_graph(inp: TokenizedGraphInput, bidirectional: bool = True) -> HierGra
     kinds = inp.kinds
     tri = inp.triple_index
     span = inp.entity_span_id
-    fwd: list[tuple[int, int, RelationType]] = []
+    src: list[int] = []
+    dst: list[int] = []
+    rel: list[int] = []
 
     global_pos = kinds.index(TokenKind.GLOBAL)
     special_pos = [i for i, k in enumerate(kinds) if k in SPECIAL_KINDS]
-    for s in special_pos:
-        fwd.append((global_pos, s, RelationType.R1))
+    src += [global_pos] * len(special_pos)
+    dst += special_pos
+    rel += [_R1] * len(special_pos)
 
-    by_triple: dict[int, dict[TokenKind, int]] = {}
+    # per triple, the positions of its head, relation and tail markers
+    by_triple: dict[int, list[int | None]] = {}
     for s in special_pos:
-        by_triple.setdefault(tri[s], {})[kinds[s]] = s
-    for t in sorted(by_triple):
-        trio = by_triple[t]
-        fwd.append((trio[TokenKind.SPECIAL_H], trio[TokenKind.SPECIAL_R],
-                    RelationType.R2))
-        fwd.append((trio[TokenKind.SPECIAL_R], trio[TokenKind.SPECIAL_T],
-                    RelationType.R2))
+        by_triple.setdefault(tri[s], [None, None, None])[
+            SPECIAL_KINDS.index(kinds[s])] = s
+    for _, (h, r, t) in sorted(by_triple.items()):
+        src += (h, r)
+        dst += (r, t)
+        rel += (_R2, _R2)
 
     span_tokens: dict[int, list[int]] = {}
     for i, k in enumerate(kinds):
         if k is TokenKind.ENTITY:
             span_tokens.setdefault(span[i], []).append(i)
     for s in special_pos:
-        for q in span_tokens.get(span[s], ()):
-            fwd.append((s, q, RelationType.R3))
+        positions = span_tokens.get(span[s], ())
+        src += [s] * len(positions)
+        dst += positions
+        rel += [_R3] * len(positions)
 
     for positions in span_tokens.values():
-        for a, b in zip(positions, positions[1:]):
-            fwd.append((a, b, RelationType.R4))
+        src += positions[:-1]
+        dst += positions[1:]
+        rel += [_R4] * (len(positions) - 1)
 
     keys = inp.span_keys
     for i, a in enumerate(special_pos):
         for b in special_pos[i + 1:]:
             if keys[span[a]] == keys[span[b]]:
-                fwd.append((a, b, RelationType.R5))
+                src.append(a)
+                dst.append(b)
+                rel.append(_R5)
 
-    edges = [Edge(u, v, r, Direction.FORWARD) for u, v, r in fwd]
-    if bidirectional:
-        edges.extend(Edge(v, u, r, Direction.REVERSE) for u, v, r in fwd)
-    edges.extend(Edge(i, i, RelationType.SELF, Direction.FORWARD)
-                 for i in range(n))
-    return HierGraph(num_nodes=n, edges=edges)
+    forward = np.array((src, dst, rel), dtype=np.intp)
+    parts = [forward]
+    if bidirectional:  # reversed twins: endpoints swapped, same relation
+        parts.append(forward[[1, 0, 2]])
+    loops = np.arange(n)
+    parts.append(np.stack((loops, loops, np.full(n, _SELF))))
+    edges = np.concatenate(parts, axis=1)
+    reverse = np.zeros(edges.shape[1], dtype=bool)
+    reverse[forward.shape[1]:edges.shape[1] - n] = True
+    return HierGraph(n, *edges, reverse=reverse)
 
 
 def edge_counts(graph: HierGraph) -> dict[str, dict[str, int]]:
     """Per-relation counts, split by direction; together they partition
     the edge list."""
-    out = {"forward": {r.value: 0 for r in RelationType},
-           "reverse": {r.value: 0 for r in RelationType}}
-    for e in graph.edges:
-        bucket = "forward" if e.dir is Direction.FORWARD else "reverse"
-        out[bucket][e.rel.value] += 1
-    return out
+    k = len(RELATIONS)
+    counts = np.bincount(graph.reverse * k + graph.rel, minlength=2 * k)
+    names = [r.value for r in RELATIONS]
+    return {"forward": dict(zip(names, counts[:k].tolist())),
+            "reverse": dict(zip(names, counts[k:].tolist()))}
 
 
 def reconstruction_targets(graph: HierGraph) -> list[tuple[int, int, RelationType]]:
-    """Forward non-self edges with labels, sorted by (src, dst, label)."""
-    return sorted(((e.src, e.dst, e.rel) for e in graph.forward_edges),
-                  key=lambda t: (t[0], t[1], t[2].value))
+    """Forward non-self edges with labels, sorted by (src, dst, label);
+    the labels R1-R5 sort by name as by index."""
+    keep = _forward(graph)
+    src, dst, rel = graph.src[keep], graph.dst[keep], graph.rel[keep]
+    order = np.lexsort((rel, dst, src))
+    return [(u, v, RELATIONS[r]) for u, v, r in zip(
+        src[order].tolist(), dst[order].tolist(), rel[order].tolist())]
 
 
 def graph_record(graph: HierGraph) -> dict:
     """The graph as plain JSON values, edges sorted by (src, dst,
     relation, direction)."""
-    order = {r: i for i, r in enumerate(RelationType)}
-    edges = sorted(graph.edges,
-                   key=lambda e: (e.src, e.dst, order[e.rel], e.dir.value))
+    order = np.lexsort((graph.reverse, graph.rel, graph.dst, graph.src))
+    names = [r.value for r in RELATIONS]
+    dirs = [d.value for d in _DIRECTIONS]
     return {"num_nodes": graph.num_nodes,
-            "edges": [[e.src, e.dst, e.rel.value, e.dir.value] for e in edges]}
+            "edges": [[s, d, names[r], dirs[b]] for s, d, r, b in zip(
+                graph.src[order].tolist(), graph.dst[order].tolist(),
+                graph.rel[order].tolist(), graph.reverse[order].tolist())]}

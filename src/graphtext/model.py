@@ -34,7 +34,6 @@ from .graph import LABEL_RELATIONS, RelationType
 VARIATIONS = ("BASE", "GRASAME", "VAR1", "VAR2")
 
 NUM_EDGE_LABELS = len(LABEL_RELATIONS)
-LABEL_INDEX = {rel: i for i, rel in enumerate(LABEL_RELATIONS)}
 
 
 @dataclass
@@ -346,4 +345,6 @@ class DecoderCache:
 
 
 def relation_label_ids(targets: list[tuple[int, int, RelationType]]) -> list[int]:
-    return [LABEL_INDEX[rel] for _, _, rel in targets]
+    # an index into a tuple of members compares by identity; a dict
+    # keyed by them would run Enum's Python-level hash once per pair
+    return [LABEL_RELATIONS.index(rel) for _, _, rel in targets]

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import tensor as T
-from .data import (DEFAULT_PROMPT, Example, TokenizedGraphInput, Vocabulary,
-                   atomic_write, encode_target, linearize, tokenize)
+from .data import (DEFAULT_PROMPT, DataError, Example, TokenizedGraphInput,
+                   Vocabulary, atomic_write, encode_target, linearize, tokenize)
 from .decoding import DecodeConfig, Hypothesis, decode_example
 from .gnn import GraphTensors, graph_tensors
 from .graph import RelationType, build_graph, reconstruction_targets
@@ -84,17 +84,22 @@ class TrainItem:
 def prepare_items(examples: list[Example], vocab: Vocabulary,
                   model_config: ModelConfig, *, prompt: str = DEFAULT_PROMPT,
                   bidirectional: bool = True) -> list[TrainItem]:
+    """One item per example; a data error names its 1-based example
+    number."""
     needs_gt = model_config.gnn is not None
     items = []
-    for ex in examples:
-        inp = linearize(ex, prompt, vocab, model_config.max_sequence_length)
-        g = build_graph(inp, bidirectional=bidirectional)
+    for number, ex in enumerate(examples, start=1):
+        try:
+            inp = linearize(ex, prompt, vocab, model_config.max_sequence_length)
+            target_ids = encode_target(ex.target_text, vocab,
+                                       model_config.max_target_length)
+            g = build_graph(inp, bidirectional=bidirectional)
+        except DataError as exc:
+            raise DataError(f"example {number}: {exc}") from None
         gt = graph_tensors(g) if needs_gt else None
         pairs = reconstruction_targets(g)
         items.append(TrainItem(
-            inp=inp, gt=gt,
-            target_ids=encode_target(ex.target_text, vocab,
-                                     model_config.max_target_length),
+            inp=inp, gt=gt, target_ids=target_ids,
             gr_pairs=pairs, gr_labels=relation_label_ids(pairs),
             ref_tokens=tokenize(ex.target_text)))
     return items

@@ -9,6 +9,9 @@ the length normalization with the package. So is the per-example batch
 loss that the packed one replaced, which runs the model one example at a
 time, and the out-of-place attention and cross-entropy expressions that
 the in-place ops replaced. Tests compare library output against these.
+The set-up path's object versions are kept as well: the character-scan
+tokenizer, and the token graph built as a list of ``Edge`` objects with
+its counts, labels, JSON record and graph tensors taken edge by edge.
 
 ``mul`` is the exception: a tape op that only tests use, to weight an
 op's output by a fixed probe before summing it.
@@ -21,7 +24,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from graphtext import tensor as T
-from graphtext.data import BOS_ID, EOS_ID
+from graphtext.data import BOS_ID, EOS_ID, SPECIAL_KINDS, TokenKind
+from graphtext.graph import Direction, Edge, RelationType
 from graphtext.decoding import Hypothesis, normalized_score
 from graphtext.training import LossBreakdown
 
@@ -261,3 +265,125 @@ def _tape_sum(terms):
     for t in terms[1:]:
         total = T.add(total, t)
     return total
+
+
+# -- set-up path: tokenizer and token graph, one object at a time -----------
+
+_SCAN_PUNCT = set('.,;:!?()[]"\'')
+
+
+def scan_tokenize(text: str) -> list[str]:
+    """The tokenizer as a scan over characters: punctuation marks end the
+    current run and stand alone."""
+    out: list[str] = []
+    for word in text.replace("_", " ").split():
+        while (len(word) >= 2 and word[0] == '"' and word[-1] == '"'
+               and '"' not in word[1:-1]):
+            word = word[1:-1]
+        run: list[str] = []
+        for ch in word:
+            if ch in _SCAN_PUNCT:
+                if run:
+                    out.append("".join(run))
+                    run = []
+                out.append(ch)
+            else:
+                run.append(ch)
+        if run:
+            out.append("".join(run))
+    return out
+
+
+def edge_build_graph(inp, bidirectional: bool = True) -> list[Edge]:
+    """The token graph's edges as ``Edge`` objects: forward edges rule by
+    rule (R1-R5), then their reversed twins, then one self-loop a node."""
+    n = len(inp)
+    kinds = inp.kinds
+    tri = inp.triple_index
+    span = inp.entity_span_id
+    fwd: list[tuple[int, int, RelationType]] = []
+
+    global_pos = kinds.index(TokenKind.GLOBAL)
+    special_pos = [i for i, k in enumerate(kinds) if k in SPECIAL_KINDS]
+    for s in special_pos:
+        fwd.append((global_pos, s, RelationType.R1))
+
+    by_triple: dict[int, dict[TokenKind, int]] = {}
+    for s in special_pos:
+        by_triple.setdefault(tri[s], {})[kinds[s]] = s
+    for t in sorted(by_triple):
+        trio = by_triple[t]
+        fwd.append((trio[TokenKind.SPECIAL_H], trio[TokenKind.SPECIAL_R],
+                    RelationType.R2))
+        fwd.append((trio[TokenKind.SPECIAL_R], trio[TokenKind.SPECIAL_T],
+                    RelationType.R2))
+
+    span_tokens: dict[int, list[int]] = {}
+    for i, k in enumerate(kinds):
+        if k is TokenKind.ENTITY:
+            span_tokens.setdefault(span[i], []).append(i)
+    for s in special_pos:
+        for q in span_tokens.get(span[s], ()):
+            fwd.append((s, q, RelationType.R3))
+
+    for positions in span_tokens.values():
+        for a, b in zip(positions, positions[1:]):
+            fwd.append((a, b, RelationType.R4))
+
+    keys = inp.span_keys
+    for i, a in enumerate(special_pos):
+        for b in special_pos[i + 1:]:
+            if keys[span[a]] == keys[span[b]]:
+                fwd.append((a, b, RelationType.R5))
+
+    edges = [Edge(u, v, r, Direction.FORWARD) for u, v, r in fwd]
+    if bidirectional:
+        edges.extend(Edge(v, u, r, Direction.REVERSE) for u, v, r in fwd)
+    edges.extend(Edge(i, i, RelationType.SELF, Direction.FORWARD)
+                 for i in range(n))
+    return edges
+
+
+def _forward_labels(edges: list[Edge]) -> list[Edge]:
+    return [e for e in edges
+            if e.dir is Direction.FORWARD and e.rel is not RelationType.SELF]
+
+
+def edge_counts_of(edges: list[Edge]) -> dict[str, dict[str, int]]:
+    out = {"forward": {r.value: 0 for r in RelationType},
+           "reverse": {r.value: 0 for r in RelationType}}
+    for e in edges:
+        bucket = "forward" if e.dir is Direction.FORWARD else "reverse"
+        out[bucket][e.rel.value] += 1
+    return out
+
+
+def reconstruction_targets_of(edges: list[Edge]):
+    return sorted(((e.src, e.dst, e.rel) for e in _forward_labels(edges)),
+                  key=lambda t: (t[0], t[1], t[2].value))
+
+
+def graph_record_of(num_nodes: int, edges: list[Edge]) -> dict:
+    order = {r: i for i, r in enumerate(RelationType)}
+    edges = sorted(edges,
+                   key=lambda e: (e.src, e.dst, order[e.rel], e.dir.value))
+    return {"num_nodes": num_nodes,
+            "edges": [[e.src, e.dst, e.rel.value, e.dir.value] for e in edges]}
+
+
+def edge_graph_tensors(num_nodes: int, edges: list[Edge]) -> dict:
+    """``GraphTensors``' arrays filled edge by edge, then normalized over
+    whole rows."""
+    n = num_nodes
+    rels = list(RelationType)
+    adj = np.zeros((n, n), dtype=bool)
+    relations = np.zeros((n, 2 * len(rels) - 1, n), dtype=np.float64)
+    for e in edges:
+        adj[e.dst, e.src] = True
+        bucket = 2 * rels.index(e.rel) + (e.dir is Direction.REVERSE)
+        relations[e.dst, bucket, e.src] = 1.0
+    deg = adj.sum(axis=1, keepdims=True).astype(np.float64)
+    bucket_deg = relations.sum(axis=2, keepdims=True)
+    np.divide(relations, bucket_deg, out=relations, where=bucket_deg > 0)
+    return {"in_mask": adj, "mean_matrix": adj / deg,
+            "sum_matrix": adj.astype(np.float64), "relations": relations}

@@ -344,6 +344,18 @@ def test_reserved_token_in_data_is_data_error(workspace, tmp_path, capsys,
     assert not (out / "model.ckpt").exists()
 
 
+def test_data_error_names_the_example(workspace, tmp_path, capsys):
+    record = {"triples": [["Iraq", "language", "Arabic"]],
+              "text": "Iraq <eos> speaks Arabic ."}
+    data = write_dataset(tmp_path / "bad.jsonl", DATASET + [record])
+    code = cli.main(["train", "--config", workspace["config"], "--data", data,
+                     "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == ("data error: example 5: the text holds the reserved"
+                   " token '<eos>'\n")
+
+
 def _copy_run(run, dest, **config_changes):
     shutil.copytree(run, dest)
     path = dest / "config.json"

@@ -3,13 +3,14 @@ import re
 import pytest
 
 from graphtext import data as D
+from oracles import scan_tokenize
 
 
 # -- tokenizer: dual route -----------------------------------------------------
 
 def reference_tokenize(text):
     """Regex re-statement of the tokenizer rules, kept independent of the
-    character-scan implementation."""
+    package's tokenizer and of the character-scan oracle."""
     out = []
     for w in text.replace("_", " ").split():
         while len(w) >= 2 and re.fullmatch(r'"[^"]*"', w):
@@ -54,12 +55,13 @@ def test_tokenize_fixed_cases():
 def test_tokenize_matches_reference_and_is_idempotent():
     import random
     rng = random.Random(99)
-    alphabet = 'ab"c.-_\' ,():x'
+    # every punctuation mark, tabs and a non-ASCII letter
+    alphabet = 'ab"c.-_\' ,():x;!?[]\té'
     fuzz = ["".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 25)))
-            for _ in range(300)]
+            for _ in range(1000)]
     for s in ADVERSARIAL + fuzz:
         got = D.tokenize(s)
-        assert got == reference_tokenize(s), repr(s)
+        assert got == scan_tokenize(s) == reference_tokenize(s), repr(s)
         rejoined = " ".join(got)
         assert D.tokenize(rejoined) == got, repr(s)
 

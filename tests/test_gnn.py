@@ -13,13 +13,22 @@ from oracles import finite_difference, mul, recorded_nodes, relative_error
 TOL = 1e-4
 
 
+def graph_of(num_nodes, edges):
+    """A hand-built graph: the edge arrays of a list of ``Edge``s."""
+    return G.HierGraph(
+        num_nodes, np.array([e.src for e in edges], dtype=np.intp),
+        np.array([e.dst for e in edges], dtype=np.intp),
+        np.array([G.RELATIONS.index(e.rel) for e in edges], dtype=np.intp),
+        np.array([e.dir is G.Direction.REVERSE for e in edges], dtype=bool))
+
+
 def tiny_graph():
     """Two nodes, one edge each way, self-loops."""
     edges = [G.Edge(0, 1, G.RelationType.R1, G.Direction.FORWARD),
              G.Edge(1, 0, G.RelationType.R1, G.Direction.REVERSE),
              G.Edge(0, 0, G.RelationType.SELF, G.Direction.FORWARD),
              G.Edge(1, 1, G.RelationType.SELF, G.Direction.FORWARD)]
-    return G.HierGraph(num_nodes=2, edges=edges)
+    return graph_of(2, edges)
 
 
 def iraq_graph():
@@ -149,8 +158,8 @@ def all_buckets_graph():
 def test_rgcn_tape_size_does_not_grow_with_buckets(bidirectional):
     graph = all_buckets_graph()
     if not bidirectional:
-        graph = G.HierGraph(graph.num_nodes, [e for e in graph.edges
-                                              if e.dir is G.Direction.FORWARD])
+        graph = graph_of(graph.num_nodes, [e for e in graph.edges
+                                           if e.dir is G.Direction.FORWARD])
     gt = N.graph_tensors(graph)
     filled = sum(m is not None for m in gt.bucket_matrices)
     assert filled == (N.NUM_RELATION_BUCKETS if bidirectional else 6)
@@ -229,7 +238,7 @@ def test_gradients_vs_finite_differences(family, kw):
 def permute_graph(graph, perm):
     edges = [G.Edge(int(perm[e.src]), int(perm[e.dst]), e.rel, e.dir)
              for e in graph.edges]
-    return G.HierGraph(num_nodes=graph.num_nodes, edges=edges)
+    return graph_of(graph.num_nodes, edges)
 
 
 @pytest.mark.parametrize("family,kw", [("SAGE", {}), ("GAT", {"gat_heads": 2}),
@@ -272,7 +281,7 @@ def test_locality_of_perturbation():
 
 def test_graph_tensors_requires_covered_rows():
     edges = [G.Edge(0, 0, G.RelationType.SELF, G.Direction.FORWARD)]
-    bad = G.HierGraph(num_nodes=2, edges=edges)  # node 1 has no in-edge
+    bad = graph_of(2, edges)  # node 1 has no in-edge
     with pytest.raises(ValueError):
         N.graph_tensors(bad)
 
@@ -283,7 +292,7 @@ def test_self_loops_have_no_reverse_bucket():
     edges = [G.Edge(0, 0, G.RelationType.SELF, G.Direction.FORWARD),
              G.Edge(0, 0, G.RelationType.SELF, G.Direction.REVERSE)]
     with pytest.raises(ValueError):
-        N.graph_tensors(G.HierGraph(num_nodes=1, edges=edges))
+        N.graph_tensors(graph_of(1, edges))
 
 
 def test_benchmark_tracer_counts_graph_tensors():

@@ -1,11 +1,17 @@
+import importlib.util
 import json
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from graphtext import data as D
+from graphtext import gnn as N
 from graphtext import graph as G
 from graphtext.data import TokenKind
+from oracles import (edge_build_graph, edge_counts_of, edge_graph_tensors,
+                     graph_record_of, reconstruction_targets_of)
 
 
 def oracle_forward_edges(inp):
@@ -189,3 +195,71 @@ def test_r4_multi_token_spans():
     assert counts["R4"] == 2  # New->York, York->City
     assert counts["R3"] == 5  # 3 tokens of the head + 1 + 1
     assert forward_set(g) == oracle_forward_edges(inp)
+
+
+def benchmark_large_graphs():
+    """The benchmark's 32 large-graph examples at seed 1 (its input module
+    is only imported)."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.large_graphs(1, 32)
+
+
+def oracle_cases():
+    rng = random.Random(2024)
+    for _ in range(200):
+        ex = random_example(rng)
+        prompt = rng.choice(["", D.DEFAULT_PROMPT, "describe :"])
+        yield ex, prompt, D.build_vocabulary([ex])
+    large = benchmark_large_graphs()
+    vocab = D.build_vocabulary(large)
+    for ex in large:
+        yield ex, D.DEFAULT_PROMPT, vocab
+
+
+def test_edge_arrays_match_edge_object_oracle():
+    """Edges, counts, labels, the JSON record and every graph tensor
+    equal those of the graph built edge by edge as objects."""
+    for case, (ex, prompt, vocab) in enumerate(oracle_cases()):
+        inp = D.linearize(ex, prompt, vocab, max_sequence_length=10_000)
+        for bidirectional in (True, False):
+            where = f"case {case}, bidirectional={bidirectional}"
+            g = G.build_graph(inp, bidirectional=bidirectional)
+            edges = edge_build_graph(inp, bidirectional=bidirectional)
+            assert g.num_nodes == len(inp), where
+            assert g.edges == edges, where
+            assert json.dumps(G.graph_record(g)) == json.dumps(
+                graph_record_of(len(inp), edges)), where
+            assert json.dumps(G.edge_counts(g)) == json.dumps(
+                edge_counts_of(edges)), where
+            targets = G.reconstruction_targets(g)
+            assert targets == reconstruction_targets_of(edges), where
+            assert all(type(u) is int and type(v) is int
+                       for u, v, _ in targets), where
+            gt = N.graph_tensors(g)
+            ref = edge_graph_tensors(len(inp), edges)
+            assert gt.num_nodes == len(inp), where
+            for name, want in ref.items():
+                got = getattr(gt, name)
+                got = got if isinstance(got, np.ndarray) else got.data
+                assert got.dtype == want.dtype, f"{where}: {name}"
+                assert np.array_equal(got, want), f"{where}: {name}"
+
+
+def test_set_up_path_constructs_no_edge_objects(monkeypatch):
+    made = []
+    init = G.Edge.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(G.Edge, "__init__", counting_init)
+    g = G.build_graph(linearized(monocacy_example()))
+    N.graph_tensors(g)
+    G.reconstruction_targets(g)
+    assert made == []
+    # the counter sees the objects that ``edges`` makes on request
+    assert len(g.edges) == len(made) > 0

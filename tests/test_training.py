@@ -7,7 +7,8 @@ import pytest
 
 from graphtext import tensor as T
 from graphtext import training as TR
-from graphtext.data import Example, Triple, build_vocabulary, tokenize
+from graphtext.data import (DataError, Example, Triple, build_vocabulary,
+                            tokenize)
 from graphtext.gnn import GnnConfig
 from graphtext.model import ModelConfig, Seq2SeqModel
 from oracles import (ReferenceAdam, loop_batch_loss, recorded_nodes,
@@ -51,6 +52,22 @@ def test_prepare_items_base_skips_graph_tensors():
     assert items[0].ref_tokens == tokenize(EXAMPLES[0].target_text)
     _, _, graph_items = make_setup("GRASAME")
     assert all(it.gt is not None for it in graph_items)
+
+
+@pytest.mark.parametrize("bad,message", [
+    (Example([Triple("Peru", "capital", "Lima")], "Lima <eos> Peru ."),
+     "the text holds the reserved token '<eos>'"),
+    (Example([Triple("Peru", "<R>", "Lima")], "Lima ."),
+     "triple 0 holds the reserved token '<R>'"),
+    (Example([Triple("Peru", "capital", "Lima")], "Lima " * 30),
+     "target length 32 exceeds the 24-token limit"),
+])
+def test_prepare_items_names_the_example_in_data_errors(bad, message):
+    vocab, cfg, _ = make_setup()
+    examples = EXAMPLES[:4] + [bad] + EXAMPLES[4:]
+    with pytest.raises(DataError) as info:
+        TR.prepare_items(examples, vocab, cfg)
+    assert str(info.value) == f"example 5: {message}"
 
 
 def test_untrained_uniform_model_hits_log_vocab():
