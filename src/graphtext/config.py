@@ -111,6 +111,9 @@ def load_config(path: str | None = None,
                 values = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise DataError(f"config is not valid JSON: {exc.msg}") from None
+            except UnicodeDecodeError as exc:
+                raise DataError(
+                    f"{path} is not UTF-8 text: {exc.reason}") from None
         if not isinstance(values, dict):
             raise DataError("config file must hold a JSON object")
     overrides = overrides or {}

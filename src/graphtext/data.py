@@ -160,18 +160,27 @@ def normalize_entity(s: str) -> str:
 # dataset parsing
 
 
+def _text_lines(path: str) -> Iterator[str]:
+    """The lines of a UTF-8 text file; other bytes are a data error that
+    names the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
 def parse_dataset(path: str) -> list[Example]:
     """Read a JSON-lines dataset; every malformed line fails loudly."""
     examples: list[Example] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"malformed record at line {lineno}: {exc.msg}") from None
-            examples.append(_parse_record(record, lineno))
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"malformed record at line {lineno}: {exc.msg}") from None
+        examples.append(_parse_record(record, lineno))
     return examples
 
 
@@ -241,8 +250,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            toks = [line.rstrip("\n") for line in fh]
+        toks = [line.rstrip("\n") for line in _text_lines(path)]
         while toks and toks[-1] == "":
             toks.pop()
         return cls(toks)

@@ -7,13 +7,15 @@ base relation x direction): the per-bucket neighbour means sit side by
 side and one weight maps them all, so SAGE and RGCN share one combine.
 
 Graphs are small (a few hundred nodes), so neighborhoods are dense
-matrices precomputed once per example by :func:`graph_tensors`, which
-scatters the graph's edge arrays into them rather than going edge by
-edge. A layer runs on the packed rows of a batch, one segment of rows per
-example: SAGE and RGCN multiply each example's own matrices by its own
-rows inside one tape op, and relation buckets and GAT heads are tensor
-axes, so a SAGE or RGCN forward is a fixed handful of tape ops whatever
-the batch, bucket or head count. GAT runs its per-example aggregate on each
+matrices built by :func:`graph_tensors`, which scatters the graph's edge
+arrays into them rather than going edge by edge. A prepared training
+item keeps only the edge arrays and builds these matrices when a batch
+or a decode reads them, so they live for that batch alone. A layer runs
+on the packed rows of a batch, one segment of rows per example: SAGE and
+RGCN multiply each example's own matrices by its own rows inside one
+tape op, and relation buckets and GAT heads are tensor axes, so a SAGE
+or RGCN forward is a fixed handful of tape ops whatever the batch,
+bucket or head count. GAT runs its per-example aggregate on each
 example's row slice.
 """
 from __future__ import annotations

@@ -24,7 +24,8 @@ from .data import (DEFAULT_PROMPT, DataError, Example, TokenizedGraphInput,
                    Vocabulary, atomic_write, encode_target, linearize, tokenize)
 from .decoding import DecodeConfig, Hypothesis, decode_example
 from .gnn import GraphTensors, graph_tensors
-from .graph import RelationType, build_graph, reconstruction_targets
+from .graph import (HierGraph, RelationType, build_graph,
+                    reconstruction_targets)
 from .metrics import corpus_bleu
 from .model import ModelConfig, Seq2SeqModel, relation_label_ids
 
@@ -72,13 +73,23 @@ class TrainConfig:
 
 @dataclass
 class TrainItem:
-    """Everything the loss needs for one example, precomputed once."""
+    """Everything the loss needs for one example.
+
+    The token graph is kept as its int edge arrays (None for BASE). Its
+    dense graph tensors take about 105 bytes per pair of nodes, so
+    ``gt`` builds them afresh on each read and they live only while the
+    batch or decode that read them runs.
+    """
     inp: TokenizedGraphInput
-    gt: GraphTensors | None
+    graph: HierGraph | None
     target_ids: list[int]
     gr_pairs: list[tuple[int, int, RelationType]]
     gr_labels: list[int]
     ref_tokens: list[str] = field(default_factory=list)
+
+    @property
+    def gt(self) -> GraphTensors | None:
+        return None if self.graph is None else graph_tensors(self.graph)
 
 
 def prepare_items(examples: list[Example], vocab: Vocabulary,
@@ -86,7 +97,7 @@ def prepare_items(examples: list[Example], vocab: Vocabulary,
                   bidirectional: bool = True) -> list[TrainItem]:
     """One item per example; a data error names its 1-based example
     number."""
-    needs_gt = model_config.gnn is not None
+    keep_graph = model_config.gnn is not None
     items = []
     for number, ex in enumerate(examples, start=1):
         try:
@@ -96,10 +107,9 @@ def prepare_items(examples: list[Example], vocab: Vocabulary,
             g = build_graph(inp, bidirectional=bidirectional)
         except DataError as exc:
             raise DataError(f"example {number}: {exc}") from None
-        gt = graph_tensors(g) if needs_gt else None
         pairs = reconstruction_targets(g)
         items.append(TrainItem(
-            inp=inp, gt=gt, target_ids=target_ids,
+            inp=inp, graph=g if keep_graph else None, target_ids=target_ids,
             gr_pairs=pairs, gr_labels=relation_label_ids(pairs),
             ref_tokens=tokenize(ex.target_text)))
     return items

@@ -6,9 +6,13 @@ city, and ten add a leader triple back on the country, so entity
 sharing produces same-entity edges both within and across subjects.
 The reference text is a fixed clause template per relation, joined
 with " and ".
+
+`large_corpus` builds examples the size of the largest graphs trained
+on, for memory tests.
 """
 
 import random
+import string
 
 from graphtext.data import Example, Triple, normalize_entity
 
@@ -59,3 +63,27 @@ def split_corpus(examples: list[Example], held_out: int = 8,
     train = [ex for i, ex in enumerate(examples) if i not in test_idx]
     test = [ex for i, ex in enumerate(examples) if i in test_idx]
     return train, test
+
+
+def large_corpus(count: int, seed: int = 3) -> list[Example]:
+    """``count`` examples of 5-7 triples with 5-7 word entities and 3-4
+    word relations, about 100-140 source tokens each; half the triples
+    start at the previous triple's tail, so same-entity edges occur."""
+    rng = random.Random(seed)
+    pool = ["".join(rng.choices(string.ascii_lowercase, k=rng.randint(4, 8)))
+            for _ in range(300)]
+
+    def phrase(lo: int, hi: int) -> str:
+        return " ".join(rng.choices(pool, k=rng.randint(lo, hi)))
+
+    out = []
+    for _ in range(count):
+        triples = []
+        for _ in range(rng.randint(5, 7)):
+            head = (triples[-1].tail if triples and rng.random() < 0.5
+                    else phrase(5, 7))
+            triples.append(Triple(head, phrase(3, 4), phrase(5, 7)))
+        text = " and ".join(f"{t.head} {t.relation} {t.tail}"
+                            for t in triples) + " ."
+        out.append(Example(triples, text))
+    return out

@@ -356,6 +356,41 @@ def test_data_error_names_the_example(workspace, tmp_path, capsys):
                    " token '<eos>'\n")
 
 
+def _latin_1(src, dest):
+    """A copy of ``src`` with a Latin-1 "é" after its first "a": a byte
+    that no UTF-8 sequence holds there."""
+    blob = Path(src).read_bytes()
+    at = blob.index(b"a") + 1
+    dest.write_bytes(blob[:at] + "é".encode("latin-1") + blob[at:])
+    return str(dest)
+
+
+@pytest.mark.parametrize("bad", ["build-graph --data", "train --data",
+                                 "train --val", "train --config",
+                                 "eval vocab.txt", "eval config.json"])
+def test_non_utf8_file_is_data_error(workspace, tmp_path, capsys, bad):
+    data, config = workspace["data"], workspace["config"]
+    run = tmp_path / "run"
+    shutil.copytree(workspace["run"], run)
+    command, which = bad.split()
+    argv = {"build-graph": ["build-graph", "--data", data,
+                            "--out", str(tmp_path / "g.jsonl")],
+            "train": ["train", "--config", config, "--data", data,
+                      "--val", data, "--out", str(tmp_path / "out")],
+            "eval": ["eval", "--run", str(run), "--data", data]}[command]
+    if command == "eval":
+        spoiled = _latin_1(run / which, run / which)
+    else:
+        at = argv.index(which) + 1
+        spoiled = argv[at] = _latin_1(argv[at], tmp_path / "latin-1")
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == f"data error: {spoiled} is not UTF-8 text: "\
+        "invalid continuation byte\n"
+    assert code == 2
+
+
 def _copy_run(run, dest, **config_changes):
     shutil.copytree(run, dest)
     path = dest / "config.json"

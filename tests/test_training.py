@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from graphtext import tensor as T
 from graphtext import training as TR
 from graphtext.data import (DataError, Example, Triple, build_vocabulary,
                             tokenize)
-from graphtext.gnn import GnnConfig
+from graphtext.gnn import GnnConfig, graph_tensors
+from graphtext.graph import build_graph
 from graphtext.model import ModelConfig, Seq2SeqModel
+from corpus import build_corpus, large_corpus
 from oracles import (ReferenceAdam, loop_batch_loss, recorded_nodes,
                      relative_error)
 
@@ -68,6 +71,95 @@ def test_prepare_items_names_the_example_in_data_errors(bad, message):
     with pytest.raises(DataError) as info:
         TR.prepare_items(examples, vocab, cfg)
     assert str(info.value) == f"example 5: {message}"
+
+
+def reachable_arrays(obj, seen=None):
+    """Every numpy array reachable from ``obj`` through dataclass fields,
+    containers and array bases."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        if obj.base is not None:
+            yield from reachable_arrays(obj.base, seen)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from reachable_arrays(getattr(obj, f.name), seen)
+    elif isinstance(obj, (list, tuple)):
+        for x in obj:
+            yield from reachable_arrays(x, seen)
+    elif isinstance(obj, dict):
+        for x in obj.values():
+            yield from reachable_arrays(x, seen)
+
+
+def graph_fields(gt) -> dict[str, np.ndarray]:
+    """Each field of a ``GraphTensors`` as a numpy array."""
+    out = {}
+    for f in dataclasses.fields(gt):
+        value = getattr(gt, f.name)
+        out[f.name] = np.asarray(
+            value.data if isinstance(value, T.Tensor) else value)
+    return out
+
+
+@pytest.mark.parametrize("bidirectional", [True, False])
+@pytest.mark.parametrize("family", ["SAGE", "GAT", "RGCN", "BASE"])
+def test_items_hold_edge_arrays_and_build_graph_tensors_on_read(
+        family, bidirectional):
+    examples = EXAMPLES + build_corpus()
+    vocab = build_vocabulary(examples)
+    variation = "BASE" if family == "BASE" else "GRASAME"
+    gnn = None if family == "BASE" else GnnConfig(family=family, in_dim=8,
+                                                  out_dim=8)
+    cfg = ModelConfig(vocab_size=len(vocab), d_model=8, num_heads=2,
+                      feedforward_dim=16, variation=variation, gnn=gnn,
+                      max_sequence_length=48, max_target_length=24)
+    items = TR.prepare_items(examples, vocab, cfg,
+                             bidirectional=bidirectional)
+    for item in items:
+        n = len(item.inp)
+        arrays = list(reachable_arrays(item))
+        assert all(a.size < n * n for a in arrays)
+        if family == "BASE":
+            assert item.graph is None and item.gt is None and not arrays
+            continue
+        assert arrays
+        want = graph_fields(graph_tensors(
+            build_graph(item.inp, bidirectional=bidirectional)))
+        assert want["num_nodes"] == n
+        first, second = graph_fields(item.gt), graph_fields(item.gt)
+        for got in (first, second):
+            assert got.keys() == want.keys()
+            for name, b in want.items():
+                a = got[name]
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
+        for name in want:
+            assert not np.shares_memory(first[name], second[name]), name
+
+
+def test_prepared_items_retain_less_than_the_dense_graph_tensors():
+    """Dense graph tensors take about 105 bytes per node pair; prepared
+    items of train-large-sized examples must hold far less than that."""
+    examples = large_corpus(12)
+    vocab = build_vocabulary(examples)
+    cfg = ModelConfig(vocab_size=len(vocab), d_model=8, num_heads=2,
+                      feedforward_dim=16,
+                      gnn=GnnConfig(family="RGCN", in_dim=8, out_dim=8),
+                      max_sequence_length=160, max_target_length=128)
+    TR.prepare_items(examples[:1], vocab, cfg)  # first-call caches untraced
+    tracemalloc.start()
+    try:
+        items = TR.prepare_items(examples, vocab, cfg)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    sizes = [len(item.inp) for item in items]
+    assert min(sizes) >= 95 and max(sizes) <= 145
+    assert retained < sum(8 * n * n for n in sizes), retained
 
 
 def test_untrained_uniform_model_hits_log_vocab():
