@@ -4,7 +4,7 @@ Subcommands cover the whole workflow: inspect token graphs, train,
 generate, score, and sweep the auxiliary-loss weight. Every run writes
 its merged configuration into the output directory so it can be
 reproduced later. Exit codes: 0 success, 1 usage error, 2 data error,
-3 runtime or numerical error or an interrupt.
+3 runtime or numerical error, running out of memory, or an interrupt.
 """
 from __future__ import annotations
 
@@ -320,6 +320,9 @@ def main(argv=None) -> int:
     except (T.NumericsError, T.ShapeError, ArithmeticError,
             RuntimeError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:  # numpy's message names the refused size
+        print(f"runtime error: out of memory: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

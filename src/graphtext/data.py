@@ -231,9 +231,6 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self._token_to_id
 
-    def id_of(self, token: str) -> int:
-        return self._token_to_id.get(token, UNK_ID)
-
     def encode(self, tokens: Iterable[str]) -> list[int]:
         ids = self._token_to_id
         return [ids.get(t, UNK_ID) for t in tokens]

@@ -13,10 +13,10 @@ item keeps only the edge arrays and builds these matrices when a batch
 or a decode reads them, so they live for that batch alone. A layer runs
 on the packed rows of a batch, one segment of rows per example: SAGE and
 RGCN multiply each example's own matrices by its own rows inside one
-tape op, and relation buckets and GAT heads are tensor axes, so a SAGE
-or RGCN forward is a fixed handful of tape ops whatever the batch,
-bucket or head count. GAT runs its per-example aggregate on each
-example's row slice.
+tape op, GAT's attention weights each example's in-neighbours inside
+one tape op, and relation buckets and GAT heads are tensor axes, so a
+forward of any family is a fixed handful of tape ops whatever the batch,
+bucket or head count.
 """
 from __future__ import annotations
 
@@ -25,12 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .graph import Direction, HierGraph, RelationType
+from .graph import HierGraph, RelationType
 
 FAMILIES = ("SAGE", "GAT", "RGCN")
 SAGE_AGGREGATORS = ("MEAN", "MAX", "SUM")
 
-_REL_ORDER = {r: i for i, r in enumerate(RelationType)}
 # each relation in each direction, except SELF, whose loops are only forward
 NUM_RELATION_BUCKETS = 2 * len(RelationType) - 1
 
@@ -53,13 +52,6 @@ class GnnConfig:
             raise ValueError(f"unknown aggregator {self.sage_aggregator!r}")
         if self.in_dim <= 0 or self.out_dim <= 0 or self.gat_heads <= 0:
             raise ValueError("GNN dimensions and head count must be positive")
-
-
-def bucket_index(rel: RelationType, direction: Direction) -> int:
-    b = 2 * _REL_ORDER[rel] + (direction is Direction.REVERSE)
-    if b >= NUM_RELATION_BUCKETS:
-        raise ValueError(f"no relation bucket for {rel.name} x {direction.name}")
-    return b
 
 
 @dataclass
@@ -158,7 +150,7 @@ class GnnLayer:
         gts = [gt] if isinstance(gt, GraphTensors) else gt
         fam = self.config.family
         if fam == "GAT":
-            return self._gat_rows(states, gts)
+            return self._gat(states, gts)
         if fam == "RGCN":  # per-bucket neighbour means side by side
             return T.segment_matmul([g.relations.data for g in gts], states)
         agg = self.config.sage_aggregator
@@ -170,27 +162,14 @@ class GnnLayer:
                                      for g in gts], states)
         return T.neighbor_max(states, [g.in_mask for g in gts])
 
-    def _gat_rows(self, states: T.Tensor, gts: list[GraphTensors]) -> T.Tensor:
-        """The one-example aggregate on each example's slice of rows."""
-        parts, start = [], 0
-        for gt in gts:
-            rows = np.arange(start, start + gt.num_nodes)
-            parts.append(self._gat(T.embedding_lookup(states, rows), gt))
-            start += gt.num_nodes
-        if start != states.shape[0]:
-            raise T.ShapeError(f"graphs cover {start} of {states.shape[0]} rows")
-        return T.concat(parts)
-
-    def _gat(self, states: T.Tensor, gt: GraphTensors) -> T.Tensor:
+    def _gat(self, states: T.Tensor, gts: list[GraphTensors]) -> T.Tensor:
         """Head-averaged messages over in-neighbourhood attention."""
-        proj = T.matmul(states, self.p["w"])  # (h, n, out)
+        proj = T.matmul(states, self.p["w"])  # (h, N, out)
         s_src = T.matmul(self.p["a_src"], proj, transpose_a=True,
-                         transpose_b=True)  # (h, 1, n)
-        s_dst = T.matmul(proj, self.p["a_dst"])  # (h, n, 1)
-        # row v, column u: score of edge u -> v
-        logits = T.leaky_relu(T.add(s_dst, s_src), 0.2)
-        alpha = T.softmax_last_dim(logits, mask=gt.in_mask)
-        heads = T.matmul(alpha, proj)
+                         transpose_b=True)  # (h, 1, N)
+        s_dst = T.matmul(proj, self.p["a_dst"])  # (h, N, 1)
+        heads = T.neighbor_attention(s_dst, s_src, proj,
+                                     [g.in_mask for g in gts])
         return T.scale(T.tsum(heads, axis=0), 1.0 / self.config.gat_heads)
 
     # -- combine ------------------------------------------------------------

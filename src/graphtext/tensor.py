@@ -264,16 +264,6 @@ def relu(a: Tensor) -> Tensor:
     return _result(data, (a,), backward)
 
 
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    pos = a.data > 0
-    data = np.where(pos, a.data, slope * a.data)
-
-    def backward(g: np.ndarray) -> None:
-        a._accumulate_grad(g * np.where(pos, 1.0, slope))
-
-    return _result(data, (a,), backward)
-
-
 def merge_heads(a: Tensor) -> Tensor:
     """(..., k, n, w) -> (..., n, k*w): column block i of the result is
     slice i of ``a``; leading axes are kept. It lays the two ends of node
@@ -326,34 +316,6 @@ def _scatter_rows(dest: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
     ids = ids[order]
     starts = np.flatnonzero(np.diff(ids, prepend=-1))
     dest[ids[starts]] += np.add.reduceat(g.reshape(ids.size, -1)[order], starts)
-
-
-def softmax_last_dim(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Softmax over the last axis.
-
-    ``mask`` (boolean, True = keep, broadcast to the input's shape) gives
-    masked positions exactly zero weight; each row must keep one position.
-    """
-    x = a.data
-    if mask is not None:
-        try:
-            mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        except ValueError:
-            raise ShapeError(f"softmax mask {np.shape(mask)} vs input {x.shape}") from None
-        if not mask.any(axis=-1).all():
-            raise ShapeError("softmax_last_dim: a row has no unmasked position")
-        x = np.where(mask, x, -np.inf)
-    m = np.max(x, axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    if mask is not None:
-        e = np.where(mask, e, 0.0)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def backward(g: np.ndarray) -> None:
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        a._accumulate_grad(y * (g - dot))
-
-    return _result(y, (a,), backward)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -410,6 +372,27 @@ def cross_entropy(logits: Tensor, target_ids: Sequence[int]) -> Tensor:
     return _result(data, (logits,), backward)
 
 
+def _mask_segments(in_masks: Sequence[np.ndarray], rows: int,
+                   op: str) -> list[tuple[int, int, np.ndarray]]:
+    """Cut ``rows`` into consecutive segments, one per (n, n) boolean mask,
+    as (first row, end row, mask). The masks must cover the rows exactly,
+    and every mask row must select at least one input."""
+    segments, start = [], 0
+    for mask in in_masks:
+        mask = np.asarray(mask, dtype=bool)
+        n = len(mask)
+        if mask.shape != (n, n) or start + n > rows:
+            raise ShapeError(f"{op}: mask {mask.shape} at row {start}"
+                             f" of {rows} rows")
+        if not mask.any(axis=1).all():
+            raise ShapeError(f"{op}: a row selects no inputs")
+        segments.append((start, start + n, mask))
+        start += n
+    if start != rows:
+        raise ShapeError(f"{op}: masks cover {start} of {rows} rows")
+    return segments
+
+
 def neighbor_max(states: Tensor, in_masks: Sequence[np.ndarray]) -> Tensor:
     """Per-row elementwise max over selected rows of ``states``, segment by
     segment.
@@ -421,21 +404,10 @@ def neighbor_max(states: Tensor, in_masks: Sequence[np.ndarray]) -> Tensor:
     """
     rows, d = states.shape
     arg = np.empty((rows, d), dtype=np.int64)  # source row per output cell
-    start = 0
-    for mask in in_masks:
-        mask = np.asarray(mask, dtype=bool)
-        n = len(mask)
-        if mask.shape != (n, n) or start + n > rows:
-            raise ShapeError(f"neighbor_max: mask {mask.shape} at row {start}"
-                             f" of {states.shape}")
-        if not mask.any(axis=1).all():
-            raise ShapeError("neighbor_max: a row selects no inputs")
-        seg = states.data[start:start + n]
+    for lo, hi, mask in _mask_segments(in_masks, rows, "neighbor_max"):
+        seg = states.data[lo:hi]
         expanded = np.where(mask[:, :, None], seg[None, :, :], -np.inf)
-        arg[start:start + n] = expanded.argmax(axis=1) + start
-        start += n
-    if start != rows:
-        raise ShapeError(f"neighbor_max: masks cover {start} of {rows} rows")
+        arg[lo:hi] = expanded.argmax(axis=1) + lo
     data = np.take_along_axis(states.data, arg, axis=0)
 
     def backward(g: np.ndarray) -> None:
@@ -445,6 +417,65 @@ def neighbor_max(states: Tensor, in_masks: Sequence[np.ndarray]) -> Tensor:
         states._accumulate_grad(full)
 
     return _result(data, (states,), backward)
+
+
+_LEAKY_SLOPE = 0.2  # GAT's LeakyReLU slope on attention logits
+
+
+def neighbor_attention(s_dst: Tensor, s_src: Tensor, values: Tensor,
+                       in_masks: Sequence[np.ndarray]) -> Tensor:
+    """GAT's per-node softmax over in-neighbours, segment by segment.
+
+    ``s_dst`` (h, N, 1) and ``s_src`` (h, 1, N) are each head's scores of
+    a row as an edge's target and as its source, and ``values`` is
+    (h, N, d). The rows are cut into consecutive segments, one per (n, n)
+    mask, as in :func:`neighbor_max`. Within segment i, head h's weight of
+    edge u -> v is the softmax over the u with ``in_masks[i][v, u]`` of
+    ``leaky_relu(s_dst[h, v] + s_src[h, u])`` (slope 0.2), and output row
+    v is those weights times ``values[h]``'s rows of the segment: (h, N, d)
+    in all. Unselected and cross-segment pairs get exactly zero weight.
+
+    Beside its inputs, backward keeps each segment's weights and the signs
+    of its pre-activations.
+    """
+    if values.data.ndim != 3:
+        raise ShapeError(
+            f"neighbor_attention: values must be 3-D, got {values.shape}")
+    h, rows, _ = values.shape
+    if s_dst.shape != (h, rows, 1) or s_src.shape != (h, 1, rows):
+        raise ShapeError(f"neighbor_attention: scores {s_dst.shape} and"
+                         f" {s_src.shape} vs values {values.shape}")
+    segments = _mask_segments(in_masks, rows, "neighbor_attention")
+    kept = []  # per segment: weights and where the pre-activation is > 0
+    data = np.empty(values.shape)
+    for lo, hi, mask in segments:
+        # row v, column u: the logit of edge u -> v, turned into its weight
+        w = s_dst.data[:, lo:hi] + s_src.data[:, :, lo:hi]
+        pos = w > 0
+        np.multiply(w, _LEAKY_SLOPE, out=w, where=~pos)
+        np.copyto(w, -np.inf, where=~mask)
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
+        kept.append((w, pos))
+        data[:, lo:hi] = w @ values.data[:, lo:hi]
+
+    def backward(g: np.ndarray) -> None:
+        g_dst, g_src = np.empty(s_dst.shape), np.empty(s_src.shape)
+        g_values = np.empty(values.shape)
+        for (lo, hi, _), (w, pos) in zip(segments, kept):
+            g_values[:, lo:hi] = w.swapaxes(-1, -2) @ g[:, lo:hi]
+            ge = g[:, lo:hi] @ values.data[:, lo:hi].swapaxes(-1, -2)
+            ge -= (ge * w).sum(axis=-1, keepdims=True)  # softmax backward
+            ge *= w
+            np.multiply(ge, _LEAKY_SLOPE, out=ge, where=~pos)
+            g_dst[:, lo:hi, 0] = ge.sum(axis=-1)
+            g_src[:, 0, lo:hi] = ge.sum(axis=-2)
+        s_dst._accumulate_grad(g_dst)
+        s_src._accumulate_grad(g_src)
+        values._accumulate_grad(g_values)
+
+    return _result(data, (s_dst, s_src, values), backward)
 
 
 def segment_matmul(blocks: Sequence[np.ndarray], x: Tensor) -> Tensor:
@@ -558,21 +589,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
                                             t.shape))
 
     return _result(data, (q, k, v), backward)
-
-
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """The rows of ``parts`` one after another (along axis 0)."""
-    try:
-        data = np.concatenate([p.data for p in parts])
-    except ValueError:
-        raise ShapeError(f"concat: cannot stack {[p.shape for p in parts]}") from None
-    bounds = np.cumsum([0] + [p.shape[0] for p in parts])
-
-    def backward(g: np.ndarray) -> None:
-        for p, lo, hi in zip(parts, bounds, bounds[1:]):
-            p._accumulate_grad(g[lo:hi])
-
-    return _result(data, parts, backward)
 
 
 def tsum(a: Tensor, axis: int | None = None) -> Tensor:

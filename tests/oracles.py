@@ -12,6 +12,8 @@ the in-place ops replaced. Tests compare library output against these.
 The set-up path's object versions are kept as well: the character-scan
 tokenizer, and the token graph built as a list of ``Edge`` objects with
 its counts, labels, JSON record and graph tensors taken edge by edge.
+GAT's messages are re-derived edge by edge, node by node and head by
+head.
 
 ``mul`` is the exception: a tape op that only tests use, to weight an
 op's output by a fixed probe before summing it.
@@ -371,19 +373,50 @@ def graph_record_of(num_nodes: int, edges: list[Edge]) -> dict:
             "edges": [[e.src, e.dst, e.rel.value, e.dir.value] for e in edges]}
 
 
+def bucket_index(rel: RelationType, direction: Direction) -> int:
+    """The relation bucket of an edge type: base relation x direction."""
+    return 2 * list(RelationType).index(rel) + (direction is Direction.REVERSE)
+
+
 def edge_graph_tensors(num_nodes: int, edges: list[Edge]) -> dict:
     """``GraphTensors``' arrays filled edge by edge, then normalized over
     whole rows."""
     n = num_nodes
-    rels = list(RelationType)
     adj = np.zeros((n, n), dtype=bool)
-    relations = np.zeros((n, 2 * len(rels) - 1, n), dtype=np.float64)
+    relations = np.zeros((n, 2 * len(RelationType) - 1, n), dtype=np.float64)
     for e in edges:
         adj[e.dst, e.src] = True
-        bucket = 2 * rels.index(e.rel) + (e.dir is Direction.REVERSE)
-        relations[e.dst, bucket, e.src] = 1.0
+        relations[e.dst, bucket_index(e.rel, e.dir), e.src] = 1.0
     deg = adj.sum(axis=1, keepdims=True).astype(np.float64)
     bucket_deg = relations.sum(axis=2, keepdims=True)
     np.divide(relations, bucket_deg, out=relations, where=bucket_deg > 0)
     return {"in_mask": adj, "mean_matrix": adj / deg,
             "sum_matrix": adj.astype(np.float64), "relations": relations}
+
+
+def loop_gat_messages(states: np.ndarray, graphs, w: np.ndarray,
+                      a_src: np.ndarray, a_dst: np.ndarray) -> np.ndarray:
+    """GAT's head-averaged messages over a packed batch, one graph per
+    consecutive segment of ``states``' rows: for each node and head, a
+    softmax of LeakyReLU (slope 0.2) edge scores over the node's distinct
+    in-neighbours, taken edge by edge."""
+    heads = w.shape[0]
+    out = np.zeros((len(states), w.shape[2]))
+    start = 0
+    for graph in graphs:
+        for v in range(graph.num_nodes):
+            nbrs = sorted({int(u) for u, t in zip(graph.src, graph.dst)
+                           if t == v})
+            for h in range(heads):
+                proj = {u: states[start + u] @ w[h] for u in nbrs + [v]}
+                scores = []
+                for u in nbrs:
+                    e = float(proj[v] @ a_dst[h, :, 0]
+                              + proj[u] @ a_src[h, :, 0])
+                    scores.append(e if e > 0 else 0.2 * e)
+                top = max(scores)
+                z = [math.exp(e - top) for e in scores]
+                for u, zu in zip(nbrs, z):
+                    out[start + v] += zu / sum(z) * proj[u] / heads
+        start += graph.num_nodes
+    return out

@@ -87,7 +87,7 @@ def _op_sweep():
     rng = np.random.default_rng(7)
 
     def away(shape, low=0.1, high=1.0):
-        # keep relu/leaky inputs clear of the kink at zero
+        # keep relu inputs clear of the kink at zero
         return rng.uniform(low, high, size=shape) * rng.choice([-1.0, 1.0],
                                                                size=shape)
 
@@ -100,9 +100,15 @@ def _op_sweep():
     def weighted(out, w):
         return T.tsum(mul(out, w))
 
-    sm_mask = np.array([[1, 1, 0, 1, 0],
-                        [0, 1, 1, 0, 1],
-                        [1, 0, 0, 0, 1]], dtype=bool)
+    def gat_scores(signs, heads=2):
+        # source scores of the given signs dominate the target scores, so
+        # every pre-activation keeps its source's sign, clear of
+        # LeakyReLU's kink, and a row mixes both branches
+        rows = len(signs)
+        s_src = rng.uniform(1.0, 1.5, (heads, 1, rows)) * np.reshape(
+            signs, (1, 1, rows))
+        return p(rng.uniform(-0.4, 0.4, (heads, rows, 1))), p(s_src)
+
     nb_mask = np.array([[1, 1, 0, 0],
                         [0, 1, 1, 0],
                         [1, 0, 1, 1],
@@ -147,9 +153,6 @@ def _op_sweep():
     w43 = const((4, 3))
     r1 = p(away((3, 4)))
     case("relu", [r1], lambda x=r1: weighted(T.relu(x), w34))
-    r2 = p(away((3, 4)))
-    case("leaky_relu", [r2],
-         lambda x=r2: weighted(T.leaky_relu(x, 0.2), w34))
     w36 = const((3, 6))
     mh = p(rng.normal(size=(2, 3, 3)))
     case("merge_heads", [mh], lambda x=mh: weighted(T.merge_heads(x), w36))
@@ -162,15 +165,6 @@ def _op_sweep():
     case("embedding_lookup[2d]", [tbl2],
          lambda x=tbl2: weighted(T.embedding_lookup(x, [[0, 3, 6], [3, 5, 0]]),
                                  w234))
-    s1 = p(rng.normal(size=(3, 5)))
-    case("softmax_last_dim", [s1],
-         lambda x=s1: weighted(T.softmax_last_dim(x), w35))
-    s2 = p(rng.normal(size=(3, 5)))
-    case("softmax_last_dim[masked]", [s2],
-         lambda x=s2: weighted(T.softmax_last_dim(x, mask=sm_mask), w35))
-    s3 = p(rng.normal(size=(2, 3, 5)))
-    case("softmax_last_dim[broadcast-mask]", [s3],
-         lambda x=s3: weighted(T.softmax_last_dim(x, mask=sm_mask), w235))
     ln, lg, lb = (p(rng.normal(size=(3, 6))), p(rng.uniform(0.5, 1.5, 6)),
                   p(rng.normal(size=(6,))))
     case("layer_norm", [ln, lg, lb],
@@ -221,9 +215,26 @@ def _op_sweep():
     w214 = const((2, 1, 4))
     case("attention[broadcast]", [bq, bk, bv],
          lambda q=bq, k=bk, v=bv: weighted(T.attention(q, k, v, 2), w214))
-    c1, c2 = p(rng.normal(size=(2, 3))), p(rng.normal(size=(4, 3)))
-    case("concat", [c1, c2],
-         lambda x=c1, y=c2: weighted(T.concat([x, y]), w63))
+    na_dst, na_src = gat_scores([1, 1, -1, 1])
+    na_val = p(rng.normal(size=(2, 4, 3)))
+    w243 = const((2, 4, 3))
+    case("neighbor_attention", [na_dst, na_src, na_val],
+         lambda a=na_dst, b=na_src, v=na_val: weighted(
+             T.neighbor_attention(a, b, v, [np.ones((4, 4), dtype=bool)]),
+             w243))
+    # two segments; negative source scores take LeakyReLU's lower branch
+    nb_dst, nb_src = gat_scores([1, -1, -1, 1, -1, 1])
+    nb_val = p(rng.normal(size=(2, 6, 3)))
+    w263 = const((2, 6, 3))
+    case("neighbor_attention[segments-both-branches]", [nb_dst, nb_src, nb_val],
+         lambda a=nb_dst, b=nb_src, v=nb_val: weighted(
+             T.neighbor_attention(a, b, v, [np.ones((2, 2), dtype=bool),
+                                            nb_mask]), w263))
+    ns_dst, ns_src = gat_scores([-1, 1, -1, 1])
+    ns_val = p(rng.normal(size=(2, 4, 3)))
+    case("neighbor_attention[sparse-mask]", [ns_dst, ns_src, ns_val],
+         lambda a=ns_dst, b=ns_src, v=ns_val: weighted(
+             T.neighbor_attention(a, b, v, [nb_mask]), w243))
     ts = p(rng.normal(size=(3, 4)))
     case("tsum", [ts], lambda x=ts: T.tsum(x))
     ts2 = p(rng.normal(size=(2, 3, 4)))

@@ -5,6 +5,8 @@ import random
 import signal
 import shutil
 import struct
+import subprocess
+import sys
 import zlib
 from pathlib import Path
 
@@ -389,6 +391,36 @@ def test_non_utf8_file_is_data_error(workspace, tmp_path, capsys, bad):
     assert err == f"data error: {spoiled} is not UTF-8 text: "\
         "invalid continuation byte\n"
     assert code == 2
+
+
+_ADDRESS_SPACE_CAP = 512 << 20  # bytes: the interpreter and numpy need ~150 MB
+
+
+def _cap_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE_CAP,) * 2)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="address-space limit")
+def test_out_of_memory_is_one_line_runtime_error(workspace, tmp_path):
+    """A model too large to allocate ends in exit 3 and one stderr line.
+    The run's address space is capped, so the refused allocation fails
+    at once and the test never holds more than the cap."""
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps({**CONFIG, "d_model": 400000}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphtext.cli", "train", "--config",
+         str(config), "--data", workspace["data"], "--out",
+         str(tmp_path / "out")],
+        env=env, preexec_fn=_cap_address_space, capture_output=True,
+        text=True, timeout=120)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("runtime error: out of memory: ")
+    assert proc.stderr.count("\n") == 1
+    assert proc.returncode == 3
 
 
 def _copy_run(run, dest, **config_changes):

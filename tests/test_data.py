@@ -128,14 +128,14 @@ def corpus_one():
 
 def test_reserved_ids_are_pinned():
     vocab = D.build_vocabulary(corpus_one())
-    assert vocab.id_of("<pad>") == D.PAD_ID
-    assert vocab.id_of("<unk>") == D.UNK_ID
-    assert vocab.id_of("<bos>") == D.BOS_ID
-    assert vocab.id_of("<eos>") == D.EOS_ID
-    assert vocab.id_of("<Graph>") == D.GRAPH_ID
-    assert vocab.id_of("<H>") == D.H_ID
-    assert vocab.id_of("<R>") == D.R_ID
-    assert vocab.id_of("<T>") == D.T_ID
+    assert vocab.encode(["<pad>"])[0] == D.PAD_ID
+    assert vocab.encode(["<unk>"])[0] == D.UNK_ID
+    assert vocab.encode(["<bos>"])[0] == D.BOS_ID
+    assert vocab.encode(["<eos>"])[0] == D.EOS_ID
+    assert vocab.encode(["<Graph>"])[0] == D.GRAPH_ID
+    assert vocab.encode(["<H>"])[0] == D.H_ID
+    assert vocab.encode(["<R>"])[0] == D.R_ID
+    assert vocab.encode(["<T>"])[0] == D.T_ID
     assert all(tok in vocab for tok in D.RESERVED_TOKENS)
     assert [D.PAD_ID, D.UNK_ID, D.BOS_ID, D.EOS_ID,
             D.GRAPH_ID, D.H_ID, D.R_ID, D.T_ID] == list(range(8))
@@ -146,8 +146,8 @@ def test_vocabulary_contents_and_unk():
     for tok in ["translate", "graph", "to", "English", ":",
                 "Iraq", "language", "Arabic", "is", "."]:
         assert tok in vocab
-    assert vocab.id_of("zebra") == D.UNK_ID
-    assert vocab.id_of("Iraq") == vocab._token_to_id["Iraq"]
+    assert vocab.encode(["zebra"])[0] == D.UNK_ID
+    assert vocab.encode(["Iraq"])[0] == vocab._token_to_id["Iraq"]
 
 
 def test_vocabulary_min_count():
@@ -155,7 +155,7 @@ def test_vocabulary_min_count():
     vocab = D.build_vocabulary(corpus, min_count=2)
     assert "a" in vocab  # appears 3 times
     assert "b" not in vocab
-    assert vocab.id_of("b") == D.UNK_ID
+    assert vocab.encode(["b"])[0] == D.UNK_ID
 
 
 def test_vocabulary_roundtrip(tmp_path):
@@ -168,7 +168,7 @@ def test_vocabulary_roundtrip(tmp_path):
         tokens = fh.read().splitlines()
     assert len(tokens) == len(vocab)
     for i, tok in enumerate(tokens):
-        assert again.id_of(tok) == vocab.id_of(tok) == i
+        assert again.encode([tok])[0] == vocab.encode([tok])[0] == i
 
 
 def test_vocabulary_rejects_duplicates_and_bad_prefix():

@@ -8,7 +8,8 @@ from graphtext import data as D
 from graphtext import gnn as N
 from graphtext import graph as G
 from graphtext import tensor as T
-from oracles import finite_difference, mul, recorded_nodes, relative_error
+from oracles import (bucket_index, finite_difference, loop_gat_messages, mul,
+                     recorded_nodes, relative_error)
 
 TOL = 1e-4
 
@@ -74,26 +75,46 @@ def test_gat_uniform_logits_reduce_to_mean():
     assert np.allclose(msgs.data, gt.mean_matrix.data @ states.data, atol=1e-12)
 
 
-def test_gat_attention_rows_sum_to_one(monkeypatch):
-    graph = iraq_graph()
-    gt = N.graph_tensors(graph)
-    layer, _ = make_layer("GAT", 4, gat_heads=3)
+def test_gat_attention_rows_sum_to_one():
+    """With identity values, ``neighbor_attention``'s output is its
+    weights: each row sums to one, and unselected and cross-segment pairs
+    weigh exactly zero. An empty mask row, or masks that do not cover the
+    rows, raise."""
+    masks = [N.graph_tensors(g).in_mask
+             for g in (iraq_graph(), all_buckets_graph())]
+    n1, rows, heads = len(masks[0]), sum(map(len, masks)), 3
     rng = np.random.default_rng(2)
-    states = T.Tensor(rng.standard_normal((graph.num_nodes, 4)))
-    weights = []
-    real_softmax = T.softmax_last_dim
+    s_dst = T.Tensor(rng.standard_normal((heads, rows, 1)))
+    s_src = T.Tensor(rng.standard_normal((heads, 1, rows)))
+    eye = T.Tensor(np.tile(np.eye(rows), (heads, 1, 1)))
+    alphas = T.neighbor_attention(s_dst, s_src, eye, masks).data
+    allowed = np.zeros((rows, rows), dtype=bool)
+    allowed[:n1, :n1], allowed[n1:, n1:] = masks
+    assert alphas.shape == (heads, rows, rows)
+    for alpha in alphas:
+        assert np.allclose(alpha.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        assert np.all(alpha[~allowed] == 0.0)
+        assert np.all(alpha[allowed] > 0.0)
+    empty = masks[0].copy()
+    empty[1] = False
+    with pytest.raises(T.ShapeError):
+        T.neighbor_attention(s_dst, s_src, eye, [empty, masks[1]])
+    with pytest.raises(T.ShapeError):
+        T.neighbor_attention(s_dst, s_src, eye, masks[:1])
 
-    def keep_weights(*args, **kwargs):
-        weights.append(real_softmax(*args, **kwargs))
-        return weights[-1]
 
-    monkeypatch.setattr(T, "softmax_last_dim", keep_weights)
-    layer.aggregate(states, gt)
-    (alphas,) = weights
-    assert alphas.shape == (3, graph.num_nodes, graph.num_nodes)
-    for alpha in alphas.data:
-        assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-9)
-        assert np.all(alpha[~gt.in_mask] == 0.0)
+def test_gat_matches_loop_oracle_on_a_packed_batch():
+    """GAT's aggregate over two packed graphs equals the edge-by-edge,
+    node-by-node, head-by-head re-derivation."""
+    graphs = [iraq_graph(), all_buckets_graph()]
+    layer, _ = make_layer("GAT", 5, rng_seed=9, gat_heads=3)
+    rows = sum(g.num_nodes for g in graphs)
+    states = np.random.default_rng(10).standard_normal((rows, 5))
+    got = layer.aggregate(T.Tensor(states),
+                          [N.graph_tensors(g) for g in graphs]).data
+    want = loop_gat_messages(states, graphs, *(layer.p[k].data
+                                               for k in ("w", "a_src", "a_dst")))
+    assert relative_error(got, want) <= 1e-12
 
 
 def bucket_means(states, graph):
@@ -103,7 +124,7 @@ def bucket_means(states, graph):
     for b in range(N.NUM_RELATION_BUCKETS):
         for v in range(graph.num_nodes):
             nbrs = [e.src for e in graph.edges
-                    if e.dst == v and N.bucket_index(e.rel, e.dir) == b]
+                    if e.dst == v and bucket_index(e.rel, e.dir) == b]
             if nbrs:
                 means[b, v] = np.mean([states[u] for u in nbrs], axis=0)
     return means
@@ -176,9 +197,9 @@ def test_gat_tape_size_does_not_grow_with_heads(heads):
     layer, _ = make_layer("GAT", 4, gat_heads=heads)
     states = T.Tensor(np.random.default_rng(16).standard_normal(
         (graph.num_nodes, 4)), requires_grad=True)
-    # the per-example aggregate runs on the example's row slice, gathered
-    # by one lookup and stacked by one concat
-    assert recorded_nodes(layer.forward(states, gt)) == 12
+    # three matmuls (projection and both scores), neighbor_attention, the
+    # head mean's sum and scale, and the combine's add
+    assert recorded_nodes(layer.forward(states, gt)) == 7
 
 
 def test_identity_mode_is_exact_and_parameter_free():
@@ -287,8 +308,6 @@ def test_graph_tensors_requires_covered_rows():
 
 
 def test_self_loops_have_no_reverse_bucket():
-    with pytest.raises(ValueError):
-        N.bucket_index(G.RelationType.SELF, G.Direction.REVERSE)
     edges = [G.Edge(0, 0, G.RelationType.SELF, G.Direction.FORWARD),
              G.Edge(0, 0, G.RelationType.SELF, G.Direction.REVERSE)]
     with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
+import ast
 import os
+import pathlib
 import struct
 import subprocess
 import sys
@@ -127,11 +129,22 @@ def test_packed_ops_match_each_segment_alone():
         alone = T.attention(one, one, one, heads, [(hi - lo,) * 2],
                             causal=True)
         assert np.allclose(got.data[lo:hi], alone.data, atol=1e-12)
-    assert np.array_equal(T.concat([T.Tensor(p) for p in parts]).data, x.data)
+    assert np.array_equal(np.concatenate(parts), x.data)
+    vals = T.Tensor(rng.standard_normal((2, 8, 6)))
+    s_dst, s_src = (T.Tensor(rng.standard_normal(shape))
+                    for shape in ((2, 8, 1), (2, 1, 8)))
+    got = T.neighbor_attention(s_dst, s_src, vals, masks).data
+    for lo, hi, m in zip(bounds, bounds[1:], masks):
+        alone = T.neighbor_attention(
+            T.Tensor(s_dst.data[:, lo:hi]), T.Tensor(s_src.data[:, :, lo:hi]),
+            T.Tensor(vals.data[:, lo:hi]), [m])
+        assert np.array_equal(got[:, lo:hi], alone.data)
     with pytest.raises(T.ShapeError):
         T.segment_matmul(stacks[:2], x)
     with pytest.raises(T.ShapeError):
         T.neighbor_max(x, masks[1:])
+    with pytest.raises(T.ShapeError):
+        T.neighbor_attention(s_dst, s_src, vals, masks[1:])
     with pytest.raises(T.ShapeError):
         T.attention(x, x, x, heads, segs[:2])
 
@@ -248,15 +261,14 @@ def test_heap_thresholds_leave_user_allocator_settings_alone():
     assert fixed == "False"
 
 
-def test_relu_and_leaky_grads():
+def test_relu_grads():
     rng = np.random.default_rng(3)
     x = T.Tensor(rng.standard_normal((4, 4)) + 0.3, requires_grad=True)
     # keep values away from the kink so finite differences are valid
     x.data[np.abs(x.data) < 0.05] += 0.2
     fd_check(lambda: T.tsum(T.relu(x)), [x])
-    fd_check(lambda: T.tsum(T.leaky_relu(x, 0.2)), [x])
-    y = T.leaky_relu(T.Tensor([[-1.0, 2.0]]), 0.2)
-    assert np.allclose(y.data, [[-0.2, 2.0]])
+    y = T.relu(T.Tensor([[-1.0, 2.0]]))
+    assert np.allclose(y.data, [[0.0, 2.0]])
 
 
 def test_embedding_lookup_duplicate_ids_accumulate():
@@ -295,29 +307,29 @@ def test_embedding_backward_scatters_into_the_parameter_view():
     assert np.allclose(table.grad, before + scattered, rtol=0, atol=1e-12)
 
 
-def test_softmax_matches_reference_and_grads():
+def test_neighbor_attention_matches_reference_and_grads():
+    """Each head's weights are a masked softmax of LeakyReLU scores (slope
+    0.2 below zero), and gradients match central differences."""
     rng = np.random.default_rng(6)
-    x = leaf(rng, 3, 5)
-    y = T.softmax_last_dim(x)
-    assert np.allclose(y.data, reference_softmax(x.data), atol=1e-12)
-    assert np.allclose(y.data.sum(axis=-1), 1.0)
-    w = T.Tensor(rng.standard_normal((3, 5)))
-    fd_check(lambda: T.tsum(mul(T.softmax_last_dim(x), w)), [x])
-
-
-def test_softmax_mask_zeroes_positions():
-    rng = np.random.default_rng(7)
-    x = leaf(rng, 2, 4)
-    mask = np.array([[True, False, True, True], [False, True, True, False]])
-    y = T.softmax_last_dim(x, mask=mask)
-    assert np.all(y.data[~mask] == 0.0)
-    assert np.allclose(y.data.sum(axis=-1), 1.0)
-    w = T.Tensor(rng.standard_normal((2, 4)))
-    fd_check(lambda: T.tsum(mul(T.softmax_last_dim(x, mask=mask), w)), [x])
-    with pytest.raises(T.ShapeError):
-        T.softmax_last_dim(x, mask=np.zeros((2, 4), dtype=bool))
-    with pytest.raises(T.ShapeError):
-        T.softmax_last_dim(x, mask=np.ones((3, 4), dtype=bool))
+    mask = np.array([[1, 1, 0, 1], [0, 1, 1, 0], [1, 0, 1, 0], [0, 1, 0, 1]],
+                    dtype=bool)
+    # source scores of both signs dominate, so each row mixes both
+    # branches and every pre-activation is clear of the kink at zero
+    s_dst = T.Tensor(rng.uniform(-0.4, 0.4, (2, 4, 1)), requires_grad=True)
+    s_src = T.Tensor(rng.uniform(1.0, 1.5, (2, 1, 4)) * [1, -1, 1, -1],
+                     requires_grad=True)
+    values = leaf(rng, 2, 4, 3)
+    pre = s_dst.data + s_src.data
+    logits = np.where(mask, np.where(pre > 0, pre, 0.2 * pre), -np.inf)
+    want = reference_softmax(logits) @ values.data
+    got = T.neighbor_attention(s_dst, s_src, values, [mask])
+    assert np.allclose(got.data, want, rtol=0, atol=1e-12)
+    w = T.Tensor(rng.standard_normal((2, 4, 3)))
+    fd_check(lambda: T.tsum(mul(T.neighbor_attention(s_dst, s_src, values,
+                                                     [mask]), w)),
+             [s_dst, s_src, values])
+    with pytest.raises(T.ShapeError):  # scores that do not fit the values
+        T.neighbor_attention(s_src, s_dst, values, [mask])
 
 
 def test_layer_norm_grads_and_moments():
@@ -626,3 +638,50 @@ def test_load_rejects_non_finite_values_and_keeps_the_store(tmp_path, bad):
     with pytest.raises(T.CheckpointError, match="non-finite"):
         fresh.load(path)
     assert {n: t.data.tobytes() for n, t in fresh.items()} == before
+
+
+def _engine_names_used(path: pathlib.Path) -> set[str]:
+    """Names a package module uses from the engine: attributes of its
+    ``tensor`` import and names imported from it; in ``tensor.py`` itself,
+    names loaded outside their own top-level definition and not bound
+    there as a function, argument or variable (an op's ``backward``
+    closure is not :func:`tensor.backward`)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    if path.name != "tensor.py":
+        aliases, used = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    if alias.name == "tensor":
+                        aliases.add(alias.asname or alias.name)
+                    elif (node.module or "").split(".")[-1] == "tensor":
+                        used.add(alias.name)
+        return used | {node.attr for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute)
+                       and isinstance(node.value, ast.Name)
+                       and node.value.id in aliases}
+    used = set()
+    for stmt in tree.body:
+        inner = list(ast.walk(stmt))[1:]
+        local = {n.name for n in inner if isinstance(n, ast.FunctionDef)} | {
+            n.arg for n in inner if isinstance(n, ast.arg)} | {
+            n.id for n in inner
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        used |= {n.id for n in inner
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                 and n.id not in local and n.id != getattr(stmt, "name", None)}
+    return used
+
+
+def test_every_public_engine_function_is_reached_from_the_package():
+    """Engine code the model never names is a candidate for deletion:
+    every public module-level function of ``tensor.py`` is named somewhere
+    in the package outside its own definition."""
+    package = pathlib.Path(T.__file__).parent
+    public = {node.name for node in ast.parse(
+        pathlib.Path(T.__file__).read_text(encoding="utf-8")).body
+              if isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_")}
+    used = set().union(*(_engine_names_used(path)
+                         for path in package.glob("*.py")))
+    assert sorted(public - used) == []
