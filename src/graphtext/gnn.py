@@ -6,21 +6,24 @@ RGCN is SAGE with one neighbour channel per relation bucket (bucket =
 base relation x direction): the per-bucket neighbour means sit side by
 side and one weight maps them all, so SAGE and RGCN share one combine.
 
-Graphs are small (a few hundred nodes), so neighborhoods are dense
-matrices built by :func:`graph_tensors`, which scatters the graph's edge
-arrays into them rather than going edge by edge. A prepared training
-item keeps only the edge arrays and builds these matrices when a batch
-or a decode reads them, so they live for that batch alone. A layer runs
-on the packed rows of a batch, one segment of rows per example: SAGE and
-RGCN multiply each example's own matrices by its own rows inside one
-tape op, GAT's attention weights each example's in-neighbours inside
-one tape op, and relation buckets and GAT heads are tensor axes, so a
-forward of any family is a fixed handful of tape ops whatever the batch,
-bucket or head count.
+Neighborhoods are edge lists, built by :func:`graph_tensors` from the
+graph's edge arrays: the distinct (source, target) node pairs for SAGE
+and GAT, and the distinct (source, target, bucket) cells for RGCN, each
+sorted by target and carrying its normalizing weight. A prepared training
+item keeps only the graph's edge arrays and builds these lists when a
+batch or a decode reads them. A packed batch is one disconnected graph:
+:func:`pack` joins its examples' lists once, with each example's node ids
+offset by its first row, and every layer of the encoder reuses it. Each
+family then aggregates the whole batch in one tape op over the edge list
+(a segment sum, a segment max, or GAT's per-node softmax), with relation
+buckets and GAT heads as tensor axes, so a forward of any family is a
+fixed handful of tape ops whatever the batch, bucket or head count, and
+no array has an entry per pair of nodes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -54,60 +57,118 @@ class GnnConfig:
             raise ValueError("GNN dimensions and head count must be positive")
 
 
-@dataclass
+@dataclass(eq=False)
 class GraphTensors:
-    """Dense neighborhood structure shared by all families.
+    """A graph's neighborhoods as two edge lists, shared by all families.
 
-    ``in_mask[v, u]`` is True when an edge u -> v of any type exists;
-    self-loops guarantee every row is non-empty. ``relations[:, b]`` is
-    the in-degree-normalized adjacency of bucket b, all zeros when the
-    bucket has no edges; node-major, so that row v's buckets sit together.
+    ``pairs`` (2, P) holds the distinct (source, target) node pairs joined
+    by an edge of any type, sorted by target and then source, and
+    ``pair_weight`` is 1 / each target's in-degree; self-loops give every
+    node an in-edge and an out-edge. ``cells`` (2, C) holds the distinct
+    (source, row) cells, where row = target * NUM_RELATION_BUCKETS +
+    bucket, sorted by row and then source, and ``cell_weight`` is 1 / the
+    number of cells in each row.
     """
     num_nodes: int
-    in_mask: np.ndarray
-    mean_matrix: T.Tensor
-    sum_matrix: T.Tensor
-    relations: T.Tensor  # (n, NUM_RELATION_BUCKETS, n)
+    pairs: np.ndarray
+    pair_weight: np.ndarray
+    cells: np.ndarray
+    cell_weight: np.ndarray
+
+    # Dense views, scattered from the edge lists on each access. No layer
+    # reads them: the benchmark's tracer counts graph bytes through these
+    # names, and they can go once its counter sums the arrays above
+    # instead.
+
+    @property
+    def in_mask(self) -> np.ndarray:
+        """(n, n): ``in_mask[v, u]`` is True when an edge u -> v exists."""
+        mask = np.zeros((self.num_nodes, self.num_nodes), dtype=bool)
+        mask[self.pairs[1], self.pairs[0]] = True
+        return mask
+
+    @property
+    def mean_matrix(self) -> T.Tensor:
+        """(n, n) in-degree-normalized adjacency."""
+        mean = np.zeros((self.num_nodes, self.num_nodes))
+        mean[self.pairs[1], self.pairs[0]] = self.pair_weight
+        return T.Tensor(mean)
+
+    @property
+    def sum_matrix(self) -> T.Tensor:
+        """(n, n) adjacency as 0/1 values."""
+        return T.Tensor(self.in_mask)
+
+    @property
+    def relations(self) -> T.Tensor:
+        """(n, NUM_RELATION_BUCKETS, n): ``relations[:, b]`` is bucket b's
+        in-degree-normalized adjacency, zeros for an empty bucket."""
+        n = self.num_nodes
+        dense = np.zeros((n, NUM_RELATION_BUCKETS, n))
+        dense.reshape(-1)[self.cells[1] * n + self.cells[0]] = self.cell_weight
+        return T.Tensor(dense)
 
     @property
     def bucket_matrices(self) -> list[T.Tensor | None]:
-        """Per-bucket views of ``relations`` (no copy), None for an empty
-        bucket. No layer reads them: the benchmark's tracer counts graph
-        bytes through this name, and it can go once the benchmark reads
-        ``relations`` instead."""
+        """Per-bucket views of ``relations``, None for an empty bucket."""
         return [T.Tensor(m) if m.any() else None
                 for m in self.relations.data.swapaxes(0, 1)]
 
 
+def _distinct_pairs(targets: np.ndarray, sources: np.ndarray,
+                    n: int) -> np.ndarray:
+    """The distinct (source, target) pairs as a (2, E) array sorted by
+    target and then source; sorted by hand, as np.unique imports numpy.ma
+    (1.3 MB)."""
+    keys = np.sort(targets * n + sources)
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    keys = keys[keep]
+    pairs = np.empty((2, len(keys)), dtype=keys.dtype)
+    np.divmod(keys, n, out=(pairs[1], pairs[0]))
+    return pairs
+
+
 def graph_tensors(graph: HierGraph) -> GraphTensors:
-    """The dense arrays, scattered from the graph's edge arrays."""
+    """The edge lists, deduplicated from the graph's edge arrays."""
     n = graph.num_nodes
     bucket = 2 * graph.rel + graph.reverse
     if (bucket >= NUM_RELATION_BUCKETS).any():  # only SELF x REVERSE
         raise ValueError("no relation bucket for SELF x REVERSE")
-    adj = np.zeros((n, n), dtype=bool)
-    adj[graph.dst, graph.src] = True
-    if not adj.any(axis=1).all():
+    pairs = _distinct_pairs(graph.dst, graph.src, n)
+    degree = np.bincount(pairs[1], minlength=n)
+    if not degree.all():
         raise ValueError("graph has a node with no incoming edge")
-    deg = adj.sum(axis=1, keepdims=True).astype(np.float64)
-    # the distinct (node, bucket, neighbour) cells, each 1 / its row's
-    # count; sorted by hand, as np.unique imports numpy.ma (1.3 MB)
-    cells = np.sort((graph.dst * NUM_RELATION_BUCKETS + bucket) * n
-                    + graph.src)
-    cells = cells[np.diff(cells, prepend=-1) != 0]
-    rows = cells // n
-    relations = np.zeros((n, NUM_RELATION_BUCKETS, n), dtype=np.float64)
-    relations.reshape(-1)[cells] = 1.0 / np.bincount(rows)[rows]
-    return GraphTensors(num_nodes=n, in_mask=adj,
-                        mean_matrix=T.Tensor(adj / deg),
-                        sum_matrix=T.Tensor(adj.astype(np.float64)),
-                        relations=T.Tensor(relations))
+    cells = _distinct_pairs(graph.dst * NUM_RELATION_BUCKETS + bucket,
+                            graph.src, n)
+    return GraphTensors(
+        num_nodes=n, pairs=pairs, pair_weight=1.0 / degree[pairs[1]],
+        cells=cells, cell_weight=1.0 / np.bincount(cells[1])[cells[1]])
 
 
-def xavier(rng: np.random.Generator, fan_in: int, fan_out: int,
-           shape=None) -> np.ndarray:
+def pack(gts: Sequence[GraphTensors]) -> GraphTensors:
+    """The graphs of a packed batch as one disconnected graph: example i's
+    node ids are offset by its first row, the rows of the examples before
+    it."""
+    if len(gts) == 1:
+        return gts[0]
+    sizes = [g.num_nodes for g in gts]
+    firsts = np.cumsum(sizes) - sizes
+    pairs = np.concatenate([g.pairs for g in gts], axis=1)
+    pairs += np.repeat(firsts, [g.pairs.shape[1] for g in gts])
+    cells = np.concatenate([g.cells for g in gts], axis=1)
+    cells += np.repeat(firsts, [g.cells.shape[1] for g in gts]) * np.array(
+        [[1], [NUM_RELATION_BUCKETS]])
+    return GraphTensors(
+        num_nodes=sum(sizes), pairs=pairs,
+        pair_weight=np.concatenate([g.pair_weight for g in gts]),
+        cells=cells, cell_weight=np.concatenate([g.cell_weight for g in gts]))
+
+
+def xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     bound = float(np.sqrt(6.0 / (fan_in + fan_out)))
-    return rng.uniform(-bound, bound, size=shape or (fan_in, fan_out))
+    return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
 class GnnLayer:
@@ -124,8 +185,8 @@ class GnnLayer:
         di, do = config.in_dim, config.out_dim
         if config.family == "GAT":
             # drawn head by head, then stacked on a leading head axis
-            heads = [(xavier(rng, di, do), xavier(rng, do, 1, shape=(do, 1)),
-                      xavier(rng, do, 1, shape=(do, 1)))
+            heads = [(xavier(rng, di, do), xavier(rng, do, 1),
+                      xavier(rng, do, 1))
                      for _ in range(config.gat_heads)]
             for name, arrays in zip(("w", "a_src", "a_dst"), zip(*heads)):
                 self.p[name] = store.create(f"{prefix}.{name}", np.stack(arrays))
@@ -134,43 +195,43 @@ class GnnLayer:
         self.p["w_self"] = store.create(f"{prefix}.w_self", xavier(rng, di, do))
         # RGCN draws one block more than it keeps, so every later parameter
         # initializes as when SELF x REVERSE still had a weight
-        drawn = xavier(rng, di, do,
-                       shape=(channels + (config.family == "RGCN"), di, do))
+        drawn = [xavier(rng, di, do)
+                 for _ in range(channels + (config.family == "RGCN"))]
         self.p["w_neigh"] = store.create(
-            f"{prefix}.w_neigh", drawn[:channels].reshape(channels * di, do))
+            f"{prefix}.w_neigh", np.concatenate(drawn[:channels]))
         self.p["b"] = store.create(f"{prefix}.b", np.zeros(do))
 
     # -- aggregate ----------------------------------------------------------
 
     def aggregate(self, states: T.Tensor,
-                  gt: GraphTensors | list[GraphTensors]) -> T.Tensor:
-        """Messages for each row of ``states``. ``gt`` is one example's
-        graph tensors, or a list of them for a packed batch: one per
-        consecutive segment of rows."""
-        gts = [gt] if isinstance(gt, GraphTensors) else gt
+                  gt: GraphTensors | Sequence[GraphTensors]) -> T.Tensor:
+        """Messages for each row of ``states``. ``gt`` is the graph of all
+        the rows, or a list of graphs for a packed batch: one per
+        consecutive segment of rows, which :func:`pack` joins."""
+        g = gt if isinstance(gt, GraphTensors) else pack(gt)
+        if g.num_nodes != states.shape[0]:
+            raise T.ShapeError(f"a graph of {g.num_nodes} nodes for"
+                               f" {states.shape[0]} rows")
         fam = self.config.family
         if fam == "GAT":
-            return self._gat(states, gts)
+            return self._gat(states, g)
         if fam == "RGCN":  # per-bucket neighbour means side by side
-            return T.segment_matmul([g.relations.data for g in gts], states)
+            return T.segment_sum(states, g.cells, g.cell_weight,
+                                 channels=NUM_RELATION_BUCKETS)
         agg = self.config.sage_aggregator
-        if agg == "MEAN":  # as one-channel stacks
-            return T.segment_matmul([g.mean_matrix.data[:, None]
-                                     for g in gts], states)
+        if agg == "MEAN":
+            return T.segment_sum(states, g.pairs, g.pair_weight)
         if agg == "SUM":
-            return T.segment_matmul([g.sum_matrix.data[:, None]
-                                     for g in gts], states)
-        return T.neighbor_max(states, [g.in_mask for g in gts])
+            return T.segment_sum(states, g.pairs)
+        return T.segment_max(states, g.pairs)
 
-    def _gat(self, states: T.Tensor, gts: list[GraphTensors]) -> T.Tensor:
+    def _gat(self, states: T.Tensor, g: GraphTensors) -> T.Tensor:
         """Head-averaged messages over in-neighbourhood attention."""
         proj = T.matmul(states, self.p["w"])  # (h, N, out)
         s_src = T.matmul(self.p["a_src"], proj, transpose_a=True,
                          transpose_b=True)  # (h, 1, N)
         s_dst = T.matmul(proj, self.p["a_dst"])  # (h, N, 1)
-        heads = T.neighbor_attention(s_dst, s_src, proj,
-                                     [g.in_mask for g in gts])
-        return T.scale(T.tsum(heads, axis=0), 1.0 / self.config.gat_heads)
+        return T.neighbor_attention(s_dst, s_src, proj, g.pairs)
 
     # -- combine ------------------------------------------------------------
 
@@ -182,7 +243,7 @@ class GnnLayer:
         return T.relu(T.add(mixed, self.p["b"]))
 
     def forward(self, states: T.Tensor,
-                gt: GraphTensors | list[GraphTensors]) -> T.Tensor:
+                gt: GraphTensors | Sequence[GraphTensors]) -> T.Tensor:
         """One aggregate+combine step over ``states``; ``gt`` as in
         :meth:`aggregate`."""
         if self.config.identity_mode:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import TokenizedGraphInput
-from .gnn import GnnConfig, GnnLayer, GraphTensors, xavier
+from .gnn import GnnConfig, GnnLayer, GraphTensors, pack, xavier
 from .graph import LABEL_RELATIONS, RelationType
 
 VARIATIONS = ("BASE", "GRASAME", "VAR1", "VAR2")
@@ -93,16 +93,17 @@ def multi_head_attention(q_in: T.Tensor,
     return T.matmul(out, wo)
 
 
-def _graph_guided_attention(x: T.Tensor, gts: list[GraphTensors | None],
+def _graph_guided_attention(x: T.Tensor, graph: GraphTensors | None,
                             gnn_layer: GnnLayer | None, weights,
                             num_heads: int, variation: str,
                             segments: list[tuple[int, int]]) -> T.Tensor:
-    """Route token states (and their GNN update) into attention."""
+    """Route token states (and their GNN update over ``graph``, the packed
+    batch's graph) into attention."""
     if variation == "BASE":
         return multi_head_attention(x, x, weights, num_heads, segments)
-    if gnn_layer is None or any(gt is None for gt in gts):
+    if gnn_layer is None or graph is None:
         raise ValueError(f"variation {variation} requires a token graph")
-    xt = gnn_layer.forward(x, gts)
+    xt = gnn_layer.forward(x, graph)
     if variation == "GRASAME":
         q_in, kv_in = xt, x
     elif variation == "VAR1":
@@ -211,7 +212,8 @@ class Seq2SeqModel:
         ``inp`` is one input (a TokenizedGraphInput or its token ids) and
         ``gt`` its graph tensors (None for BASE). Lists of both are a packed
         batch: the examples' rows follow one another, and each example
-        attends and aggregates over its own rows only.
+        attends and aggregates over its own rows only. The examples'
+        graphs are packed into one graph once, for every layer.
         """
         ids = _token_lists(inp)
         if gt is None or isinstance(gt, GraphTensors):
@@ -222,12 +224,19 @@ class Seq2SeqModel:
         for n in lengths:
             if n > self.config.max_sequence_length:
                 raise T.ShapeError(f"input length {n} exceeds the model maximum")
+        graph = None
+        if self.config.variation != "BASE" and all(g is not None for g in gt):
+            if [g.num_nodes for g in gt] != lengths:
+                raise T.ShapeError(
+                    f"graphs of {[g.num_nodes for g in gt]} nodes for inputs"
+                    f" of {lengths} tokens")
+            graph = pack(gt)
         segments = [(n, n) for n in lengths]
         x = self._embed(np.concatenate(ids), _positions(lengths))
         for layer in self.enc_layers:
             u = T.layer_norm(x, layer["ln1_g"], layer["ln1_b"])
             x = T.add(x, _graph_guided_attention(
-                u, gt, layer["gnn"],
+                u, graph, layer["gnn"],
                 (layer["wq"], layer["wk"], layer["wv"], layer["wo"]),
                 self.config.num_heads, self.config.variation, segments))
             u = T.layer_norm(x, layer["ln2_g"], layer["ln2_b"])

@@ -372,144 +372,176 @@ def cross_entropy(logits: Tensor, target_ids: Sequence[int]) -> Tensor:
     return _result(data, (logits,), backward)
 
 
-def _mask_segments(in_masks: Sequence[np.ndarray], rows: int,
-                   op: str) -> list[tuple[int, int, np.ndarray]]:
-    """Cut ``rows`` into consecutive segments, one per (n, n) boolean mask,
-    as (first row, end row, mask). The masks must cover the rows exactly,
-    and every mask row must select at least one input."""
-    segments, start = [], 0
-    for mask in in_masks:
-        mask = np.asarray(mask, dtype=bool)
-        n = len(mask)
-        if mask.shape != (n, n) or start + n > rows:
-            raise ShapeError(f"{op}: mask {mask.shape} at row {start}"
-                             f" of {rows} rows")
-        if not mask.any(axis=1).all():
-            raise ShapeError(f"{op}: a row selects no inputs")
-        segments.append((start, start + n, mask))
-        start += n
-    if start != rows:
-        raise ShapeError(f"{op}: masks cover {start} of {rows} rows")
-    return segments
+def _runs(ids: np.ndarray) -> np.ndarray:
+    """The first index of each run of equal values in sorted ``ids``."""
+    if not ids.size:
+        return ids
+    new = np.empty(ids.size, dtype=bool)
+    new[0] = True
+    np.not_equal(ids[1:], ids[:-1], out=new[1:])
+    return np.flatnonzero(new)
 
 
-def neighbor_max(states: Tensor, in_masks: Sequence[np.ndarray]) -> Tensor:
-    """Per-row elementwise max over selected rows of ``states``, segment by
-    segment.
+def _edge_list(edges, cells: int, sources: int, op: str,
+               covered: bool = False) -> tuple[np.ndarray, np.ndarray,
+                                               np.ndarray]:
+    """Check an edge list and find its runs. ``edges`` is a (source,
+    target) pair of int arrays, or a (2, E) array: edge e runs from source
+    row ``src[e]`` (below ``sources``) into cell ``dst[e]`` (below
+    ``cells``), and ``dst`` is sorted, so each cell's in-edges are one
+    run. Returns both arrays and the first edge of each run. ``covered``
+    asks every cell to have an in-edge."""
+    try:
+        src, dst = (np.asarray(e, dtype=np.intp) for e in edges)
+    except (TypeError, ValueError):
+        raise ShapeError(f"{op}: edges must be a (source, target) pair of"
+                         f" int arrays") from None
+    if src.ndim != 1 or src.shape != dst.shape:
+        raise ShapeError(f"{op}: edge arrays of shapes {src.shape} and"
+                         f" {dst.shape}")
+    if src.size > 1 and (dst[1:] < dst[:-1]).any():
+        raise ShapeError(f"{op}: edges are not sorted by target")
+    if src.size and (min(src.min(), dst[0]) < 0 or src.max() >= sources
+                     or dst[-1] >= cells):
+        raise ShapeError(f"{op}: a node id is out of range for {sources}"
+                         f" rows and {cells} cells")
+    starts = _runs(dst)
+    if covered and len(starts) != cells:
+        raise ShapeError(f"{op}: {cells - len(starts)} rows have no in-edge")
+    return src, dst, starts
 
-    The rows are cut into consecutive segments, one per (n, n) mask, and
-    ``in_masks[i][v, u]`` selects row u of segment i as an input for its
-    output row v; every output row needs at least one selected input.
-    Gradient flows to the argmax entry per (row, feature).
+
+def _sum_into(rows: np.ndarray, take: np.ndarray, into: np.ndarray,
+              starts: np.ndarray, weight: np.ndarray | None,
+              cells: int) -> np.ndarray:
+    """(cells, d): row c is the sum of ``weight[e] * rows[take[e]]`` over
+    the e with ``into[e] == c``, zero where there is none. ``into`` is
+    sorted and ``starts`` the first index of each of its runs."""
+    gathered = rows[take]
+    if weight is not None:
+        gathered *= weight[:, None]
+    if len(starts) == cells:  # every cell has an entry
+        return np.add.reduceat(gathered, starts) if cells else gathered
+    out = np.zeros((cells, rows.shape[1]))
+    if len(starts):
+        out[into[starts]] = np.add.reduceat(gathered, starts)
+    return out
+
+
+def segment_sum(x: Tensor, edges, weight=None, channels: int = 1) -> Tensor:
+    """Weighted sums of source rows over an edge list, by target.
+
+    ``x`` is (N, d) and ``edges`` a (source, target) pair of int arrays,
+    sorted by target. Edge e adds ``weight[e] * x[src[e]]`` (weight 1
+    when ``weight`` is None) to cell ``dst[e]``. Cell ``v * channels + c``
+    is channel c of row v, and the result (N, channels * d) holds each
+    row's channels side by side; a cell with no in-edge is zero. Backward
+    sums each row's share of the gradient over its out-edges, taken in
+    source order.
     """
-    rows, d = states.shape
-    arg = np.empty((rows, d), dtype=np.int64)  # source row per output cell
-    for lo, hi, mask in _mask_segments(in_masks, rows, "neighbor_max"):
-        seg = states.data[lo:hi]
-        expanded = np.where(mask[:, :, None], seg[None, :, :], -np.inf)
-        arg[lo:hi] = expanded.argmax(axis=1) + lo
-    data = np.take_along_axis(states.data, arg, axis=0)
+    if x.data.ndim != 2 or channels < 1:
+        raise ShapeError(f"segment_sum: need 2-D rows and channels >= 1,"
+                         f" got {x.shape} and {channels}")
+    rows, d = x.shape
+    cells = rows * channels
+    src, dst, starts = _edge_list(edges, cells, rows, "segment_sum")
+    if weight is not None:
+        weight = np.asarray(weight, dtype=np.float64)
+        if weight.shape != src.shape:
+            raise ShapeError(f"segment_sum: weights {weight.shape} for"
+                             f" {len(src)} edges")
+    data = _sum_into(x.data, src, dst, starts, weight, cells)
 
     def backward(g: np.ndarray) -> None:
-        full = np.zeros_like(states.data)
-        cols = np.broadcast_to(np.arange(d), (rows, d))
-        np.add.at(full, (arg, cols), g)
-        states._accumulate_grad(full)
+        order = np.argsort(src, kind="stable")
+        by_src = src[order]
+        x._accumulate_grad(_sum_into(
+            g.reshape(cells, d), dst[order], by_src, _runs(by_src),
+            None if weight is None else weight[order], rows))
 
-    return _result(data, (states,), backward)
+    return _result(data.reshape(rows, channels * d), (x,), backward)
+
+
+def segment_max(x: Tensor, edges) -> Tensor:
+    """Each row's elementwise max over the source rows of its in-edges.
+
+    ``x`` is (N, d) and ``edges`` a (source, target) pair of int arrays,
+    sorted by target; every row needs an in-edge. Gradient flows to the
+    max entry per (row, feature), to the lowest source row on a tie.
+    """
+    if x.data.ndim != 2:
+        raise ShapeError(f"segment_max: need 2-D rows, got {x.shape}")
+    rows, d = x.shape
+    src, dst, starts = _edge_list(edges, rows, rows, "segment_max",
+                                  covered=True)
+    gathered = x.data[src]
+    data = np.maximum.reduceat(gathered, starts)
+    # the lowest source row holding each max (a NaN max is its own)
+    hit = (gathered == data[dst]) | np.isnan(gathered)
+    arg = np.minimum.reduceat(np.where(hit, src[:, None], rows), starts)
+
+    def backward(g: np.ndarray) -> None:
+        flat = (arg * d + np.arange(d)).reshape(-1)
+        x._accumulate_grad(np.bincount(flat, weights=g.reshape(-1),
+                                       minlength=rows * d).reshape(rows, d))
+
+    return _result(data, (x,), backward)
 
 
 _LEAKY_SLOPE = 0.2  # GAT's LeakyReLU slope on attention logits
 
 
 def neighbor_attention(s_dst: Tensor, s_src: Tensor, values: Tensor,
-                       in_masks: Sequence[np.ndarray]) -> Tensor:
-    """GAT's per-node softmax over in-neighbours, segment by segment.
+                       edges) -> Tensor:
+    """GAT's head-averaged attention over each row's in-edges.
 
     ``s_dst`` (h, N, 1) and ``s_src`` (h, 1, N) are each head's scores of
-    a row as an edge's target and as its source, and ``values`` is
-    (h, N, d). The rows are cut into consecutive segments, one per (n, n)
-    mask, as in :func:`neighbor_max`. Within segment i, head h's weight of
-    edge u -> v is the softmax over the u with ``in_masks[i][v, u]`` of
-    ``leaky_relu(s_dst[h, v] + s_src[h, u])`` (slope 0.2), and output row
-    v is those weights times ``values[h]``'s rows of the segment: (h, N, d)
-    in all. Unselected and cross-segment pairs get exactly zero weight.
+    a row as an edge's target and as its source, ``values`` is (h, N, d),
+    and ``edges`` a (source, target) pair of int arrays, sorted by
+    target; every row needs an in-edge. Head h's weight of edge u -> v is
+    the softmax over v's in-edges of ``leaky_relu(s_dst[h, v] +
+    s_src[h, u])`` (slope 0.2), and head h's output row v is the weighted
+    sum of the ``values[h]`` rows of its sources. The result (N, d) is the
+    mean of the heads' outputs. Rows joined by no edge never meet.
 
-    Beside its inputs, backward keeps each segment's weights and the signs
-    of its pre-activations.
+    Beside its inputs, backward keeps the (h, edges) weights and the signs
+    of their pre-activations.
     """
     if values.data.ndim != 3:
         raise ShapeError(
             f"neighbor_attention: values must be 3-D, got {values.shape}")
-    h, rows, _ = values.shape
+    h, rows, d = values.shape
     if s_dst.shape != (h, rows, 1) or s_src.shape != (h, 1, rows):
         raise ShapeError(f"neighbor_attention: scores {s_dst.shape} and"
                          f" {s_src.shape} vs values {values.shape}")
-    segments = _mask_segments(in_masks, rows, "neighbor_attention")
-    kept = []  # per segment: weights and where the pre-activation is > 0
-    data = np.empty(values.shape)
-    for lo, hi, mask in segments:
-        # row v, column u: the logit of edge u -> v, turned into its weight
-        w = s_dst.data[:, lo:hi] + s_src.data[:, :, lo:hi]
-        pos = w > 0
-        np.multiply(w, _LEAKY_SLOPE, out=w, where=~pos)
-        np.copyto(w, -np.inf, where=~mask)
-        w -= w.max(axis=-1, keepdims=True)
-        np.exp(w, out=w)
-        w /= w.sum(axis=-1, keepdims=True)
-        kept.append((w, pos))
-        data[:, lo:hi] = w @ values.data[:, lo:hi]
+    src, dst, starts = _edge_list(edges, rows, rows, "neighbor_attention",
+                                  covered=True)
+    # each edge's logit, turned into its weight in place
+    w = s_dst.data[:, dst, 0] + s_src.data[:, 0, src]  # (h, edges)
+    pos = w > 0
+    np.multiply(w, _LEAKY_SLOPE, out=w, where=~pos)
+    w -= np.maximum.reduceat(w, starts, axis=1)[:, dst]
+    np.exp(w, out=w)
+    w /= np.add.reduceat(w, starts, axis=1)[:, dst]
+    heads = np.add.reduceat(w[..., None] * values.data[:, src], starts, axis=1)
+    data = heads.sum(axis=0) * (1.0 / h)
 
     def backward(g: np.ndarray) -> None:
-        g_dst, g_src = np.empty(s_dst.shape), np.empty(s_src.shape)
-        g_values = np.empty(values.shape)
-        for (lo, hi, _), (w, pos) in zip(segments, kept):
-            g_values[:, lo:hi] = w.swapaxes(-1, -2) @ g[:, lo:hi]
-            ge = g[:, lo:hi] @ values.data[:, lo:hi].swapaxes(-1, -2)
-            ge -= (ge * w).sum(axis=-1, keepdims=True)  # softmax backward
-            ge *= w
-            np.multiply(ge, _LEAKY_SLOPE, out=ge, where=~pos)
-            g_dst[:, lo:hi, 0] = ge.sum(axis=-1)
-            g_src[:, 0, lo:hi] = ge.sum(axis=-2)
-        s_dst._accumulate_grad(g_dst)
-        s_src._accumulate_grad(g_src)
-        values._accumulate_grad(g_values)
+        g_edge = g[dst] * (1.0 / h)  # each edge's share of a head's gradient
+        g_values = np.zeros((rows, h * d))  # row-major for the scatter
+        _scatter_rows(g_values, src, (w[..., None] * g_edge).swapaxes(0, 1))
+        ge = (values.data[:, src] * g_edge).sum(axis=-1)  # (h, edges)
+        ge -= np.add.reduceat(ge * w, starts, axis=1)[:, dst]  # softmax
+        ge *= w
+        np.multiply(ge, _LEAKY_SLOPE, out=ge, where=~pos)
+        g_src = np.zeros((rows, h))
+        _scatter_rows(g_src, src, ge.T)
+        s_dst._accumulate_grad(np.add.reduceat(ge, starts, axis=1)[..., None])
+        s_src._accumulate_grad(g_src.T[:, None, :])
+        values._accumulate_grad(
+            g_values.reshape(rows, h, d).swapaxes(0, 1))
 
     return _result(data, (s_dst, s_src, values), backward)
-
-
-def segment_matmul(blocks: Sequence[np.ndarray], x: Tensor) -> Tensor:
-    """A block-diagonal product without the zero blocks.
-
-    The rows of ``x`` (N, d) are cut into consecutive segments, one per
-    constant block, and segment i meets ``blocks[i]``: c matrices of
-    n x n stacked node-major as (n, c, n). Output row v of the segment
-    holds its c channel rows side by side, so the result is (N, c * d) and
-    each segment's product is one matrix multiply.
-    """
-    if x.data.ndim != 2 or not blocks:
-        raise ShapeError(f"segment_matmul: need 2-D rows and a block, got {x.shape}")
-    rows, d = x.shape
-    channels = blocks[0].shape[1]
-    sizes = [blk.shape[0] for blk in blocks]
-    if any(blk.shape != (n, channels, n) for blk, n in zip(blocks, sizes)) \
-            or sum(sizes) != rows:
-        raise ShapeError(f"segment_matmul: blocks {[b.shape for b in blocks]}"
-                         f" do not cut rows {x.shape}")
-    # each block as (n * c, n): row v * c + b is row v of channel b
-    flat = [blk.reshape(n * channels, n) for blk, n in zip(blocks, sizes)]
-    bounds = np.cumsum([0] + sizes)
-    data = np.empty((rows, channels * d))
-    for f, lo, hi in zip(flat, bounds, bounds[1:]):
-        data[lo:hi] = (f @ x.data[lo:hi]).reshape(hi - lo, channels * d)
-
-    def backward(g: np.ndarray) -> None:
-        gx = np.empty_like(x.data)
-        for f, lo, hi in zip(flat, bounds, bounds[1:]):
-            gx[lo:hi] = f.T @ g[lo:hi].reshape((hi - lo) * channels, d)
-        x._accumulate_grad(gx)
-
-    return _result(data, (x,), backward)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
@@ -589,18 +621,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
                                             t.shape))
 
     return _result(data, (q, k, v), backward)
-
-
-def tsum(a: Tensor, axis: int | None = None) -> Tensor:
-    """Sum of every entry, or over ``axis`` (which is dropped)."""
-    data = np.asarray(a.data.sum(axis=axis))
-
-    def backward(g: np.ndarray) -> None:
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        a._accumulate_grad(np.broadcast_to(g, a.shape))
-
-    return _result(data, (a,), backward)
 
 
 # ---------------------------------------------------------------------------

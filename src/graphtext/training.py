@@ -75,9 +75,9 @@ class TrainConfig:
 class TrainItem:
     """Everything the loss needs for one example.
 
-    The token graph is kept as its int edge arrays (None for BASE). Its
-    dense graph tensors take about 105 bytes per pair of nodes, so
-    ``gt`` builds them afresh on each read and they live only while the
+    The token graph is kept as its int edge arrays (None for BASE), and
+    ``gt`` builds its graph tensors, two deduplicated edge lists of about
+    48 bytes per edge, afresh on each read. They live only while the
     batch or decode that read them runs.
     """
     inp: TokenizedGraphInput

@@ -15,8 +15,8 @@ its counts, labels, JSON record and graph tensors taken edge by edge.
 GAT's messages are re-derived edge by edge, node by node and head by
 head.
 
-``mul`` is the exception: a tape op that only tests use, to weight an
-op's output by a fixed probe before summing it.
+``mul`` and ``tsum`` are the exception: tape ops that only tests use,
+to weight an op's output by a fixed probe and sum it.
 """
 from __future__ import annotations
 
@@ -90,6 +90,14 @@ def mul(a: T.Tensor, b: T.Tensor) -> T.Tensor:
         b._accumulate_grad(T._unbroadcast(g * a.data, b.shape))
 
     return T._result(data, (a, b), backward)
+
+
+def tsum(a: T.Tensor) -> T.Tensor:
+    """Sum of every entry, on the tape."""
+    def backward(g: np.ndarray) -> None:
+        a._accumulate_grad(np.broadcast_to(g, a.shape))
+
+    return T._result(np.asarray(a.data.sum()), (a,), backward)
 
 
 def reference_attention(q, k, v, num_heads, segments, causal, g):

@@ -25,7 +25,7 @@ from graphtext.metrics import chrf_pp, corpus_bleu
 import corpus as synth
 import test_decoding as toy
 from oracles import (finite_difference, mul, per_prefix_step,
-                     relative_error, sampled_finite_difference)
+                     relative_error, sampled_finite_difference, tsum)
 from test_graph import (forward_set, iraq_example, monocacy_example,
                         oracle_forward_edges)
 from test_model import relu_kink_margin
@@ -82,8 +82,8 @@ _NOT_TAPE_OPS = {"backward", "read_checkpoint", "no_grad"}
 def _op_sweep():
     """Central differences against every differentiable op, each probed
     through a fixed random weighting so no gradient path collapses. The
-    weighting is the test-only ``oracles.mul``, so every case crosses its
-    backward too."""
+    weighting and the sum are the test-only ``oracles.mul`` and
+    ``oracles.tsum``, so every case crosses their backwards too."""
     rng = np.random.default_rng(7)
 
     def away(shape, low=0.1, high=1.0):
@@ -98,7 +98,7 @@ def _op_sweep():
         return T.Tensor(rng.normal(size=shape))
 
     def weighted(out, w):
-        return T.tsum(mul(out, w))
+        return tsum(mul(out, w))
 
     def gat_scores(signs, heads=2):
         # source scores of the given signs dominate the target scores, so
@@ -178,23 +178,30 @@ def _op_sweep():
     ce3 = p(rng.normal(size=(4, 6)))
     case("cross_entropy", [ce3],
          lambda x=ce3: T.cross_entropy(x, [5, 2, 0, 1]))
-    case("neighbor_max", [nb_states],
-         lambda x=nb_states: weighted(T.neighbor_max(x, [nb_mask]), w43))
+    # edge lists (source, target), sorted by target: nb_mask's edges, and
+    # a 2-node graph packed before them
+    nb_dst, nb_src_ids = np.nonzero(nb_mask)
+    nb_edges = np.stack((nb_src_ids, nb_dst))
+    two_edges = np.concatenate((np.array([[0, 1, 0, 1], [0, 0, 1, 1]]),
+                                nb_edges + 2), axis=1)
+    case("segment_max", [nb_states],
+         lambda x=nb_states: weighted(T.segment_max(x, nb_edges), w43))
     nb2 = p(np.arange(18, dtype=np.float64).reshape(6, 3) * 0.5
             + rng.uniform(0.0, 0.2, size=(6, 3)))
     w63 = const((6, 3))
-    case("neighbor_max[segments]", [nb2],
-         lambda x=nb2: weighted(T.neighbor_max(x, [nb_mask[:2, :2],
-                                                   nb_mask]), w63))
+    case("segment_max[segments]", [nb2],
+         lambda x=nb2: weighted(T.segment_max(x, two_edges), w63))
     sg = p(rng.normal(size=(6, 3)))
-    blocks = [rng.normal(size=(2, 1, 2)), rng.normal(size=(4, 1, 4))]
-    case("segment_matmul", [sg],
-         lambda x=sg: weighted(T.segment_matmul(blocks, x), w63))
-    sg2 = p(rng.normal(size=(5, 2)))
-    stacks = [rng.normal(size=(2, 3, 2)), rng.normal(size=(3, 3, 3))]
-    w56 = const((5, 6))
-    case("segment_matmul[channels]", [sg2],
-         lambda x=sg2: weighted(T.segment_matmul(stacks, x), w56))
+    sg_weight = rng.normal(size=two_edges.shape[1])
+    case("segment_sum", [sg],
+         lambda x=sg: weighted(T.segment_sum(x, two_edges, sg_weight), w63))
+    # three channels per row, one of them never filled
+    sg2 = p(rng.normal(size=(6, 2)))
+    channel = np.where(two_edges[1] % 2 == 0, 0, 2)
+    cells = np.stack((two_edges[0], 3 * two_edges[1] + channel))
+    w66 = const((6, 6))
+    case("segment_sum[channels]", [sg2],
+         lambda x=sg2: weighted(T.segment_sum(x, cells, channels=3), w66))
     aq, ak, av = (p(rng.normal(size=(3, 4))), p(rng.normal(size=(5, 4))),
                   p(rng.normal(size=(5, 4))))
     case("attention", [aq, ak, av],
@@ -217,28 +224,21 @@ def _op_sweep():
          lambda q=bq, k=bk, v=bv: weighted(T.attention(q, k, v, 2), w214))
     na_dst, na_src = gat_scores([1, 1, -1, 1])
     na_val = p(rng.normal(size=(2, 4, 3)))
-    w243 = const((2, 4, 3))
+    full = np.stack(np.divmod(np.arange(16), 4)[::-1])
     case("neighbor_attention", [na_dst, na_src, na_val],
          lambda a=na_dst, b=na_src, v=na_val: weighted(
-             T.neighbor_attention(a, b, v, [np.ones((4, 4), dtype=bool)]),
-             w243))
+             T.neighbor_attention(a, b, v, full), w43))
     # two segments; negative source scores take LeakyReLU's lower branch
     nb_dst, nb_src = gat_scores([1, -1, -1, 1, -1, 1])
     nb_val = p(rng.normal(size=(2, 6, 3)))
-    w263 = const((2, 6, 3))
     case("neighbor_attention[segments-both-branches]", [nb_dst, nb_src, nb_val],
          lambda a=nb_dst, b=nb_src, v=nb_val: weighted(
-             T.neighbor_attention(a, b, v, [np.ones((2, 2), dtype=bool),
-                                            nb_mask]), w263))
+             T.neighbor_attention(a, b, v, two_edges), w63))
     ns_dst, ns_src = gat_scores([-1, 1, -1, 1])
     ns_val = p(rng.normal(size=(2, 4, 3)))
     case("neighbor_attention[sparse-mask]", [ns_dst, ns_src, ns_val],
          lambda a=ns_dst, b=ns_src, v=ns_val: weighted(
-             T.neighbor_attention(a, b, v, [nb_mask]), w243))
-    ts = p(rng.normal(size=(3, 4)))
-    case("tsum", [ts], lambda x=ts: T.tsum(x))
-    ts2 = p(rng.normal(size=(2, 3, 4)))
-    case("tsum[axis0]", [ts2], lambda x=ts2: weighted(T.tsum(x, axis=0), w34))
+             T.neighbor_attention(a, b, v, nb_edges), w43))
 
     # every tape op has a case and every case names a tape op; a label is
     # the op name, with an optional [variant]

@@ -8,8 +8,9 @@ from graphtext import data as D
 from graphtext import gnn as N
 from graphtext import graph as G
 from graphtext import tensor as T
-from oracles import (bucket_index, finite_difference, loop_gat_messages, mul,
-                     recorded_nodes, relative_error)
+from oracles import (bucket_index, edge_graph_tensors, finite_difference,
+                     loop_gat_messages, mul, recorded_nodes, relative_error,
+                     tsum)
 
 TOL = 1e-4
 
@@ -77,30 +78,28 @@ def test_gat_uniform_logits_reduce_to_mean():
 
 def test_gat_attention_rows_sum_to_one():
     """With identity values, ``neighbor_attention``'s output is its
-    weights: each row sums to one, and unselected and cross-segment pairs
-    weigh exactly zero. An empty mask row, or masks that do not cover the
-    rows, raise."""
-    masks = [N.graph_tensors(g).in_mask
-             for g in (iraq_graph(), all_buckets_graph())]
-    n1, rows, heads = len(masks[0]), sum(map(len, masks)), 3
+    head-averaged weights: each row sums to one, and pairs joined by no
+    edge, within or across the packed graphs, weigh exactly zero. A row
+    with no in-edge, or an edge list of fewer rows, raises."""
+    packed = N.pack([N.graph_tensors(g)
+                     for g in (iraq_graph(), all_buckets_graph())])
+    rows, heads = packed.num_nodes, 3
     rng = np.random.default_rng(2)
     s_dst = T.Tensor(rng.standard_normal((heads, rows, 1)))
     s_src = T.Tensor(rng.standard_normal((heads, 1, rows)))
     eye = T.Tensor(np.tile(np.eye(rows), (heads, 1, 1)))
-    alphas = T.neighbor_attention(s_dst, s_src, eye, masks).data
-    allowed = np.zeros((rows, rows), dtype=bool)
-    allowed[:n1, :n1], allowed[n1:, n1:] = masks
-    assert alphas.shape == (heads, rows, rows)
-    for alpha in alphas:
-        assert np.allclose(alpha.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-        assert np.all(alpha[~allowed] == 0.0)
-        assert np.all(alpha[allowed] > 0.0)
-    empty = masks[0].copy()
-    empty[1] = False
+    alphas = T.neighbor_attention(s_dst, s_src, eye, packed.pairs).data
+    allowed = packed.in_mask
+    assert alphas.shape == (rows, rows)
+    assert np.allclose(alphas.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.all(alphas[~allowed] == 0.0)
+    assert np.all(alphas[allowed] > 0.0)
+    lonely = packed.pairs[:, packed.pairs[1] != 1]  # row 1 loses its in-edges
     with pytest.raises(T.ShapeError):
-        T.neighbor_attention(s_dst, s_src, eye, [empty, masks[1]])
-    with pytest.raises(T.ShapeError):
-        T.neighbor_attention(s_dst, s_src, eye, masks[:1])
+        T.neighbor_attention(s_dst, s_src, eye, lonely)
+    with pytest.raises(T.ShapeError):  # the first graph's rows only
+        T.neighbor_attention(s_dst, s_src, eye,
+                             N.graph_tensors(iraq_graph()).pairs)
 
 
 def test_gat_matches_loop_oracle_on_a_packed_batch():
@@ -175,6 +174,60 @@ def all_buckets_graph():
     return G.build_graph(inp)
 
 
+def duplicate_pair_graph():
+    """A relation string equal to an entity string: R2 and R5 then join
+    the same markers, so a (source, target) pair carries two relations."""
+    ex = D.Example([D.Triple("Rome", "Rome", "Italy")])
+    inp = D.linearize(ex, D.DEFAULT_PROMPT, D.build_vocabulary([ex]))
+    return G.build_graph(inp)
+
+
+def dense_messages(states, graph, layer):
+    """A family's messages from ``oracles.edge_graph_tensors``' dense
+    arrays, filled edge by edge, or GAT's loop re-derivation."""
+    if layer.config.family == "GAT":
+        return loop_gat_messages(states, [graph], *(
+            layer.p[k].data for k in ("w", "a_src", "a_dst")))
+    dense = edge_graph_tensors(graph.num_nodes, graph.edges)
+    if layer.config.family == "RGCN":
+        n = graph.num_nodes
+        return (dense["relations"].reshape(-1, n) @ states).reshape(n, -1)
+    agg = layer.config.sage_aggregator
+    if agg == "MAX":
+        return np.where(dense["in_mask"][:, :, None], states[None],
+                        -np.inf).max(axis=1)
+    return dense["mean_matrix" if agg == "MEAN" else "sum_matrix"] @ states
+
+
+@pytest.mark.parametrize("family,kw", [
+    ("SAGE", {}),
+    ("SAGE", {"sage_aggregator": "SUM"}),
+    ("SAGE", {"sage_aggregator": "MAX"}),
+    ("GAT", {"gat_heads": 3}),
+    ("RGCN", {}),
+])
+def test_duplicate_pairs_match_the_dense_oracle_on_a_packed_batch(family, kw):
+    """A pair joined by two relations is one neighbour to SAGE and GAT and
+    one in each of its buckets to RGCN: every family's packed edge-list
+    path equals the dense oracle of each graph alone."""
+    graphs = [iraq_graph(), duplicate_pair_graph(), all_buckets_graph()]
+    dup = N.graph_tensors(graphs[1])
+    assert len(graphs[1].src) - dup.pairs.shape[1] == 2
+    assert dup.cells.shape[1] == len(graphs[1].src)
+    assert dup.sum_matrix.data.max() == 1.0
+    layer, _ = make_layer(family, 4, rng_seed=17, **kw)
+    rows = sum(g.num_nodes for g in graphs)
+    states = np.random.default_rng(18).standard_normal((rows, 4))
+    got = layer.aggregate(T.Tensor(states),
+                          [N.graph_tensors(g) for g in graphs]).data
+    start = 0
+    for graph in graphs:
+        part = slice(start, start + graph.num_nodes)
+        want = dense_messages(states[part], graph, layer)
+        assert relative_error(got[part], want) <= 1e-12, family
+        start += graph.num_nodes
+
+
 @pytest.mark.parametrize("bidirectional", [True, False])
 def test_rgcn_tape_size_does_not_grow_with_buckets(bidirectional):
     graph = all_buckets_graph()
@@ -197,9 +250,9 @@ def test_gat_tape_size_does_not_grow_with_heads(heads):
     layer, _ = make_layer("GAT", 4, gat_heads=heads)
     states = T.Tensor(np.random.default_rng(16).standard_normal(
         (graph.num_nodes, 4)), requires_grad=True)
-    # three matmuls (projection and both scores), neighbor_attention, the
-    # head mean's sum and scale, and the combine's add
-    assert recorded_nodes(layer.forward(states, gt)) == 7
+    # three matmuls (projection and both scores), neighbor_attention with
+    # its head mean, and the combine's add
+    assert recorded_nodes(layer.forward(states, gt)) == 5
 
 
 def test_identity_mode_is_exact_and_parameter_free():
@@ -241,7 +294,7 @@ def test_gradients_vs_finite_differences(family, kw):
     probe = T.Tensor(rng.standard_normal((graph.num_nodes, dim)))
 
     def build_loss():
-        return T.tsum(mul(layer.forward(states, gt), probe))
+        return tsum(mul(layer.forward(states, gt), probe))
 
     loss = build_loss()
     T.backward(loss)

@@ -12,7 +12,7 @@ import pytest
 from graphtext import tensor as T
 from oracles import (ReferenceAdam, finite_difference, mul,
                      reference_attention, reference_cross_entropy,
-                     reference_softmax, relative_error)
+                     reference_softmax, relative_error, tsum)
 
 TOL = 1e-4
 
@@ -39,14 +39,14 @@ def test_add_broadcast_grads():
     rng = np.random.default_rng(0)
     a = leaf(rng, 3, 4)
     b = leaf(rng, 4)
-    fd_check(lambda: T.tsum(mul(T.add(a, b), T.add(a, b))), [a, b])
+    fd_check(lambda: tsum(mul(T.add(a, b), T.add(a, b))), [a, b])
 
 
 def test_mul_broadcast_grads():
     rng = np.random.default_rng(1)
     a = leaf(rng, 2, 5)
     b = leaf(rng, 1, 5)
-    fd_check(lambda: T.tsum(mul(a, b)), [a, b])
+    fd_check(lambda: tsum(mul(a, b)), [a, b])
 
 
 def test_shape_mismatch_raises():
@@ -70,7 +70,7 @@ def test_matmul_transpose_grads(ta, tb):
     a = leaf(rng, *( (4, 3) if ta else (3, 4) ))
     b = leaf(rng, *( (5, 4) if tb else (4, 5) ))
     w = T.Tensor(rng.standard_normal((3, 5)))
-    fd_check(lambda: T.tsum(mul(T.matmul(a, b, ta, tb), w)), [a, b])
+    fd_check(lambda: tsum(mul(T.matmul(a, b, ta, tb), w)), [a, b])
 
 
 def test_merge_heads_over_leading_axes():
@@ -84,7 +84,7 @@ def test_merge_heads_over_leading_axes():
         assert np.array_equal(merged.data[i],
                               T.merge_heads(T.Tensor(b.data[i])).data)
     w_merge = T.Tensor(rng.standard_normal((2, 4, 15)))
-    fd_check(lambda: T.tsum(mul(T.merge_heads(b), w_merge)), [b])
+    fd_check(lambda: tsum(mul(T.merge_heads(b), w_merge)), [b])
 
 
 def test_matmul_folds_leading_axes_against_a_matrix():
@@ -97,8 +97,15 @@ def test_matmul_folds_leading_axes_against_a_matrix():
     for i in range(3):
         assert np.allclose(out.data[i], a.data[i] @ b.data.T, atol=1e-12)
     w = T.Tensor(rng.standard_normal((3, 2, 5)))
-    fd_check(lambda: T.tsum(mul(T.matmul(a, b, transpose_b=True), w)),
+    fd_check(lambda: tsum(mul(T.matmul(a, b, transpose_b=True), w)),
              [a, b])
+
+
+def edges_of(mask, first=0):
+    """The (source, target) edge list of a mask whose ``mask[v, u]`` marks
+    an edge u -> v, sorted by target, with node ids offset by ``first``."""
+    dst, src = np.nonzero(mask)
+    return np.stack((src, dst)) + first
 
 
 def test_packed_ops_match_each_segment_alone():
@@ -109,18 +116,31 @@ def test_packed_ops_match_each_segment_alone():
     x = T.Tensor(rng.standard_normal((8, 6)))
     bounds = np.cumsum([0] + sizes)
     parts = [x.data[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    blocks = [rng.standard_normal((n, n)) for n in sizes]
-    stacks = [rng.standard_normal((n, 2, n)) for n in sizes]
     masks = [(rng.random((n, n)) > 0.5) | np.eye(n, dtype=bool) for n in sizes]
-    got = T.segment_matmul([m[:, None] for m in blocks], x).data
-    assert np.allclose(got, np.concatenate([m @ p for m, p in zip(blocks, parts)]),
-                       atol=1e-12)
-    got = T.segment_matmul(stacks, x).data
-    want = [np.concatenate([m[:, c] @ p for c in range(2)], axis=1)
-            for m, p in zip(stacks, parts)]
-    assert np.allclose(got, np.concatenate(want), atol=1e-12)
-    got = T.neighbor_max(x, masks).data
-    want = [T.neighbor_max(T.Tensor(p), [m]).data for m, p in zip(masks, parts)]
+    weights = [rng.standard_normal(m.sum()) for m in masks]
+    edges = np.concatenate([edges_of(m, lo) for m, lo in zip(masks, bounds)],
+                           axis=1)
+    weight = np.concatenate(weights)
+    got = T.segment_sum(x, edges, weight).data
+    want = [T.segment_sum(T.Tensor(p), edges_of(m), w).data
+            for m, p, w in zip(masks, parts, weights)]
+    assert np.array_equal(got, np.concatenate(want))
+    dense = [np.zeros(m.shape) for m in masks]
+    for d, m, w in zip(dense, masks, weights):
+        d[m] = w
+    want = np.concatenate([d @ p for d, p in zip(dense, parts)])
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    # two channels: edge e feeds cell 2 * target + channel
+    channel = rng.integers(0, 2, len(weight))
+    cells = np.stack((edges[0], 2 * edges[1] + channel))
+    order = np.argsort(cells[1], kind="stable")
+    got = T.segment_sum(x, cells[:, order], weight[order], channels=2).data
+    want = np.zeros((8, 2, 6))
+    np.add.at(want, (edges[1], channel), weight[:, None] * x.data[edges[0]])
+    assert np.allclose(got, want.reshape(8, 12), rtol=0, atol=1e-12)
+    got = T.segment_max(x, edges).data
+    want = [T.segment_max(T.Tensor(p), edges_of(m)).data
+            for m, p in zip(masks, parts)]
     assert np.array_equal(got, np.concatenate(want))
     heads, segs = 2, [(n, n) for n in sizes]
     got = T.attention(x, x, x, heads, segs, causal=True)
@@ -133,18 +153,18 @@ def test_packed_ops_match_each_segment_alone():
     vals = T.Tensor(rng.standard_normal((2, 8, 6)))
     s_dst, s_src = (T.Tensor(rng.standard_normal(shape))
                     for shape in ((2, 8, 1), (2, 1, 8)))
-    got = T.neighbor_attention(s_dst, s_src, vals, masks).data
+    got = T.neighbor_attention(s_dst, s_src, vals, edges).data
     for lo, hi, m in zip(bounds, bounds[1:], masks):
         alone = T.neighbor_attention(
             T.Tensor(s_dst.data[:, lo:hi]), T.Tensor(s_src.data[:, :, lo:hi]),
-            T.Tensor(vals.data[:, lo:hi]), [m])
-        assert np.array_equal(got[:, lo:hi], alone.data)
+            T.Tensor(vals.data[:, lo:hi]), edges_of(m))
+        assert np.array_equal(got[lo:hi], alone.data)
+    with pytest.raises(T.ShapeError):  # the edges of more rows than x has
+        T.segment_sum(T.Tensor(x.data[:4]), edges)
+    with pytest.raises(T.ShapeError):  # the last segment's rows uncovered
+        T.segment_max(x, edges[:, :-masks[-1].sum()])
     with pytest.raises(T.ShapeError):
-        T.segment_matmul(stacks[:2], x)
-    with pytest.raises(T.ShapeError):
-        T.neighbor_max(x, masks[1:])
-    with pytest.raises(T.ShapeError):
-        T.neighbor_attention(s_dst, s_src, vals, masks[1:])
+        T.neighbor_attention(s_dst, s_src, vals, edges[:, :-masks[-1].sum()])
     with pytest.raises(T.ShapeError):
         T.attention(x, x, x, heads, segs[:2])
 
@@ -161,7 +181,83 @@ def test_attention_broadcasts_leading_axes():
         alone = T.attention(T.Tensor(q.data[i]), k, v, 2)
         assert np.allclose(out.data[i], alone.data, atol=1e-12)
     g = T.Tensor(rng.standard_normal((3, 1, 4)))
-    fd_check(lambda: T.tsum(mul(T.attention(q, k, v, 2), g)), [q, k, v])
+    fd_check(lambda: tsum(mul(T.attention(q, k, v, 2), g)), [q, k, v])
+
+
+def test_segment_ops_match_dense_references_and_grads():
+    """``segment_sum`` equals the weighted adjacency product with empty
+    cells zero, and ``segment_max`` a masked max whose gradient goes to the
+    lowest source row on a tie; both pass central differences."""
+    rng = np.random.default_rng(12)
+    mask = np.array([[1, 1, 0, 1], [0, 1, 1, 0], [1, 0, 1, 0], [0, 1, 0, 1]],
+                    dtype=bool)
+    edges = edges_of(mask)
+    weight = rng.standard_normal(len(edges[0]))
+    x = leaf(rng, 4, 3)
+    dense = np.zeros((4, 4))
+    dense[mask] = weight
+    assert np.allclose(T.segment_sum(x, edges, weight).data, dense @ x.data,
+                       rtol=0, atol=1e-12)
+    assert np.allclose(T.segment_sum(x, edges).data, mask @ x.data,
+                       rtol=0, atol=1e-12)
+    # three channels, only channel 1 filled: channels 0 and 2 are zeros
+    got = T.segment_sum(x, (edges[0], 3 * edges[1] + 1), weight, channels=3)
+    assert got.shape == (4, 9)
+    assert np.array_equal(got.data[:, :3], np.zeros((4, 3)))
+    assert np.array_equal(got.data[:, 6:], np.zeros((4, 3)))
+    assert np.allclose(got.data[:, 3:6], dense @ x.data, rtol=0, atol=1e-12)
+    w = T.Tensor(rng.standard_normal((4, 9)))
+    fd_check(lambda: tsum(mul(T.segment_sum(
+        x, (edges[0], 3 * edges[1] + 1), weight, channels=3), w)), [x])
+    # distinct values per column keep the max clear of ties
+    x2 = T.Tensor(np.arange(12.0).reshape(4, 3) * 0.5
+                  + rng.uniform(0.0, 0.2, (4, 3)), requires_grad=True)
+    want = np.where(mask[:, :, None], x2.data[None], -np.inf).max(axis=1)
+    assert np.array_equal(T.segment_max(x2, edges).data, want)
+    w = T.Tensor(rng.standard_normal((4, 3)))
+    fd_check(lambda: tsum(mul(T.segment_max(x2, edges), w)), [x2])
+    tied = T.Tensor(np.array([[1.0, 5.0], [3.0, 2.0], [0.0, 5.0], [3.0, 3.0]]),
+                    requires_grad=True)
+    T.backward(tsum(T.segment_max(tied, edges)))
+    # ties: rows 1 and 3 in column 0 for targets 0 and 3, rows 0 and 2
+    # in column 1 for target 2; the lowest source row takes each
+    assert np.array_equal(tied.grad, [[1.0, 2.0], [3.0, 0.0], [0.0, 1.0],
+                                      [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("op", ["segment_sum", "segment_max",
+                                "neighbor_attention"])
+def test_edge_ops_reject_bad_edge_lists(op):
+    """A node id out of range, edge arrays of unequal length and edges not
+    sorted by target raise ``ShapeError``; so does a row with no in-edge,
+    for the ops that need every row to have one."""
+    rng = np.random.default_rng(13)
+    x = T.Tensor(rng.standard_normal((3, 2)))
+    scores = (T.Tensor(rng.standard_normal((2, 3, 1))),
+              T.Tensor(rng.standard_normal((2, 1, 3))))
+    values = T.Tensor(rng.standard_normal((2, 3, 2)))
+
+    def run(edges):
+        if op == "neighbor_attention":
+            return T.neighbor_attention(*scores, values, edges)
+        return getattr(T, op)(x, edges)
+
+    good = np.array([[0, 1, 1, 2], [0, 0, 1, 2]])
+    assert run(good).shape == (3, 2)
+    bad = [np.array([[0, 3], [0, 1]]),          # source 3 of 3 rows
+           np.array([[0, 1], [0, -1]]),         # a negative target
+           (np.array([0, 1, 2]), np.array([0, 1])),  # unequal lengths
+           np.array([[0, 1, 2], [0, 0, 1, 2]], dtype=object),
+           np.array([[1, 0, 2], [1, 0, 2]])]    # not sorted by target
+    for edges in bad:
+        with pytest.raises(T.ShapeError):
+            run(edges)
+    no_in_edge = np.array([[0, 1], [0, 2]])  # row 1 has no in-edge
+    if op == "segment_sum":  # its row is zero
+        assert np.array_equal(run(no_in_edge).data[1], [0.0, 0.0])
+    else:
+        with pytest.raises(T.ShapeError):
+            run(no_in_edge)
 
 
 @pytest.mark.parametrize("segments,causal,q_shape", [
@@ -178,7 +274,7 @@ def test_in_place_attention_is_bit_identical_to_reference(segments, causal,
     q, k, v = leaf(rng, *q_shape), leaf(rng, k_rows, 8), leaf(rng, k_rows, 8)
     g = rng.standard_normal(q_shape)
     out = T.attention(q, k, v, 2, segments, causal=causal)
-    T.backward(T.tsum(mul(out, T.Tensor(g))))
+    T.backward(tsum(mul(out, T.Tensor(g))))
     ref_out, ref_grads = reference_attention(
         q.data, k.data, v.data, 2, segments, causal, g)
     assert np.array_equal(out.data, ref_out)
@@ -266,7 +362,7 @@ def test_relu_grads():
     x = T.Tensor(rng.standard_normal((4, 4)) + 0.3, requires_grad=True)
     # keep values away from the kink so finite differences are valid
     x.data[np.abs(x.data) < 0.05] += 0.2
-    fd_check(lambda: T.tsum(T.relu(x)), [x])
+    fd_check(lambda: tsum(T.relu(x)), [x])
     y = T.relu(T.Tensor([[-1.0, 2.0]]))
     assert np.allclose(y.data, [[0.0, 2.0]])
 
@@ -277,7 +373,7 @@ def test_embedding_lookup_duplicate_ids_accumulate():
     ids = [1, 4, 1, 1]
     out = T.embedding_lookup(table, ids)
     assert np.array_equal(out.data, table.data[ids])
-    loss = T.tsum(out)
+    loss = tsum(out)
     T.backward(loss)
     expected = np.zeros((6, 3))
     for i in ids:
@@ -285,7 +381,7 @@ def test_embedding_lookup_duplicate_ids_accumulate():
     assert np.array_equal(table.grad, expected)
     table.zero_grad()
     w = T.Tensor(rng.standard_normal((4, 3)))
-    fd_check(lambda: T.tsum(mul(T.embedding_lookup(table, ids), w)), [table])
+    fd_check(lambda: tsum(mul(T.embedding_lookup(table, ids), w)), [table])
     with pytest.raises(T.ShapeError):
         T.embedding_lookup(table, [6])
 
@@ -300,7 +396,7 @@ def test_embedding_backward_scatters_into_the_parameter_view():
     view = table.grad
     ids = rng.integers(0, 30, size=(5, 16))  # 2-D, with repeated ids
     w = rng.standard_normal((5, 16, 4))
-    T.backward(T.tsum(mul(T.embedding_lookup(table, ids), T.Tensor(w))))
+    T.backward(tsum(mul(T.embedding_lookup(table, ids), T.Tensor(w))))
     scattered = np.zeros((30, 4))
     np.add.at(scattered, ids, w)
     assert table.grad is view
@@ -309,7 +405,8 @@ def test_embedding_backward_scatters_into_the_parameter_view():
 
 def test_neighbor_attention_matches_reference_and_grads():
     """Each head's weights are a masked softmax of LeakyReLU scores (slope
-    0.2 below zero), and gradients match central differences."""
+    0.2 below zero), the output is the heads' mean, and gradients match
+    central differences."""
     rng = np.random.default_rng(6)
     mask = np.array([[1, 1, 0, 1], [0, 1, 1, 0], [1, 0, 1, 0], [0, 1, 0, 1]],
                     dtype=bool)
@@ -321,15 +418,15 @@ def test_neighbor_attention_matches_reference_and_grads():
     values = leaf(rng, 2, 4, 3)
     pre = s_dst.data + s_src.data
     logits = np.where(mask, np.where(pre > 0, pre, 0.2 * pre), -np.inf)
-    want = reference_softmax(logits) @ values.data
-    got = T.neighbor_attention(s_dst, s_src, values, [mask])
+    want = (reference_softmax(logits) @ values.data).mean(axis=0)
+    got = T.neighbor_attention(s_dst, s_src, values, edges_of(mask))
     assert np.allclose(got.data, want, rtol=0, atol=1e-12)
-    w = T.Tensor(rng.standard_normal((2, 4, 3)))
-    fd_check(lambda: T.tsum(mul(T.neighbor_attention(s_dst, s_src, values,
-                                                     [mask]), w)),
+    w = T.Tensor(rng.standard_normal((4, 3)))
+    fd_check(lambda: tsum(mul(T.neighbor_attention(s_dst, s_src, values,
+                                                   edges_of(mask)), w)),
              [s_dst, s_src, values])
     with pytest.raises(T.ShapeError):  # scores that do not fit the values
-        T.neighbor_attention(s_src, s_dst, values, [mask])
+        T.neighbor_attention(s_src, s_dst, values, edges_of(mask))
 
 
 def test_layer_norm_grads_and_moments():
@@ -343,7 +440,7 @@ def test_layer_norm_grads_and_moments():
     assert np.allclose(normed.data.mean(axis=-1), 0.0, atol=1e-9)
     assert np.allclose(normed.data.var(axis=-1), 1.0, atol=1e-4)
     w = T.Tensor(rng.standard_normal((4, 6)))
-    fd_check(lambda: T.tsum(mul(T.layer_norm(x, gain, bias), w)), [x, gain, bias])
+    fd_check(lambda: tsum(mul(T.layer_norm(x, gain, bias), w)), [x, gain, bias])
     assert y.shape == (4, 6)
 
 
@@ -384,10 +481,10 @@ def test_composite_mlp_grads():
 
 def test_backward_accumulates_on_repeat():
     x = T.Tensor([2.0, 3.0], requires_grad=True)
-    loss = T.tsum(mul(x, x))
+    loss = tsum(mul(x, x))
     T.backward(loss)
     first = x.grad.copy()
-    loss2 = T.tsum(mul(x, x))
+    loss2 = tsum(mul(x, x))
     T.backward(loss2)
     assert np.allclose(x.grad, 2 * first)
 
@@ -405,7 +502,7 @@ def test_shared_upstream_gradient_is_not_written_in_place(reverse):
 
     def loss():
         u, w = T.scale(x, 1.5), T.scale(y, -0.5)
-        terms = [T.tsum(mul(T.add(u, w), q)), T.tsum(mul(u, w))]
+        terms = [tsum(mul(T.add(u, w), q)), tsum(mul(u, w))]
         return T.add(*(terms[::-1] if reverse else terms))
 
     fd_check(loss, [x, y])
@@ -419,10 +516,10 @@ def test_parameter_zero_grad_fills_its_view():
     view[...] = 1.0
     p.zero_grad()
     assert p.grad is view and not view.any()
-    T.backward(T.tsum(mul(p, p)))
+    T.backward(tsum(mul(p, p)))
     assert p.grad is view and np.allclose(view, 2 * p.data)
     x = T.Tensor([1.0, 2.0], requires_grad=True)
-    T.backward(T.tsum(x))
+    T.backward(tsum(x))
     x.zero_grad()
     assert x.grad is None
 
@@ -456,7 +553,7 @@ def test_no_grad_records_nothing():
 def test_scale_transpose_mean():
     rng = np.random.default_rng(12)
     a = leaf(rng, 3, 2)
-    fd_check(lambda: T.tsum(T.scale(a, -2.5)), [a])
+    fd_check(lambda: tsum(T.scale(a, -2.5)), [a])
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from graphtext import gnn as N
 from graphtext import tensor as T
 from graphtext import training as TR
 from graphtext.data import (DataError, Example, Triple, build_vocabulary,
@@ -15,7 +16,7 @@ from graphtext.graph import build_graph
 from graphtext.model import ModelConfig, Seq2SeqModel
 from corpus import build_corpus, large_corpus
 from oracles import (ReferenceAdam, loop_batch_loss, recorded_nodes,
-                     relative_error)
+                     relative_error, tsum)
 
 EXAMPLES = [
     Example([Triple("Iraq", "language", "Arabic")],
@@ -160,6 +161,45 @@ def test_prepared_items_retain_less_than_the_dense_graph_tensors():
     sizes = [len(item.inp) for item in items]
     assert min(sizes) >= 95 and max(sizes) <= 145
     assert retained < sum(8 * n * n for n in sizes), retained
+
+
+@pytest.mark.parametrize("family,kw", [
+    ("SAGE", {}),
+    ("SAGE", {"sage_aggregator": "SUM"}),
+    ("SAGE", {"sage_aggregator": "MAX"}),
+    ("GAT", {"gat_heads": 1}),
+    ("RGCN", {}),
+])
+def test_graph_path_allocates_no_array_of_n_squared_entries(family, kw):
+    """The graph's part of a training or decode step never builds an array
+    with an entry per pair of nodes: reading two items' graph tensors,
+    packing them, and a GNN layer's forward and backward over the batch
+    peak below n² bytes, n = 3,601 nodes per example. A long prompt, whose
+    tokens have only self-loops, makes n large at a modest edge count."""
+    prompt = " ".join(f"p{j}" for j in range(3000))
+    examples = [Example([Triple(f"h{i}x{k}", f"r{i}x{k}", f"t{i}x{k}")
+                         for k in range(100)], f"t{i}x0 .")
+                for i in range(2)]
+    vocab = build_vocabulary(examples, prompt=prompt)
+    cfg = ModelConfig(vocab_size=len(vocab), d_model=2, num_heads=1,
+                      feedforward_dim=4,
+                      gnn=GnnConfig(family=family, in_dim=2, out_dim=2, **kw),
+                      max_sequence_length=4000, max_target_length=8)
+    items = TR.prepare_items(examples, vocab, cfg, prompt=prompt)
+    n = min(len(item.inp) for item in items)
+    assert n == 3601
+    layer = Seq2SeqModel(cfg, seed=1).enc_layers[0]["gnn"]
+    states = T.Tensor(np.random.default_rng(19).standard_normal(
+        (2 * n, 2)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        graph = N.pack([item.gt for item in items])
+        T.backward(tsum(layer.forward(states, graph)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert states.grad is not None
+    assert peak < n * n, (peak, n * n)
 
 
 def test_untrained_uniform_model_hits_log_vocab():
