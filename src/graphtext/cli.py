@@ -138,8 +138,11 @@ def cmd_build_graph(args) -> int:
     totals: dict[str, dict[str, int]] = {}
     with atomic_write(args.out) as fh:
         for i, ex in enumerate(corpus):
-            inp = linearize(ex, DEFAULT_PROMPT, vocab)
-            g = build_graph(inp, bidirectional=not args.unidirectional)
+            try:
+                g = build_graph(linearize(ex, DEFAULT_PROMPT, vocab),
+                                bidirectional=not args.unidirectional)
+            except DataError as exc:
+                raise DataError(f"example {i + 1}: {exc}") from None
             counts = edge_counts(g)
             record = {"index": i, **graph_record(g), "edge_counts": counts}
             fh.write((json.dumps(record) + "\n").encode("utf-8"))

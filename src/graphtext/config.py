@@ -128,10 +128,13 @@ def load_config(path: str | None = None,
                    for t in types[key].split(" | ")):
             raise DataError(f"bad config value: {key} must be {types[key]},"
                             f" got {value!r}")
-        # json reads NaN and Infinity, which no setting accepts
+        # json reads NaN, Infinity and ints of any size; no setting takes
+        # the first two, and numpy takes no size or count beyond 64 bits
         if isinstance(value, float) and not math.isfinite(value):
             raise DataError(f"bad config value: {key} must be finite,"
                             f" got {value!r}")
+        if isinstance(value, int) and not -2 ** 63 <= value < 2 ** 63:
+            raise DataError(f"bad config value: {key} must fit in 64 bits")
     try:
         return RunConfig(**values)
     except (TypeError, ValueError) as exc:

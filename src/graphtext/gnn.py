@@ -203,12 +203,9 @@ class GnnLayer:
 
     # -- aggregate ----------------------------------------------------------
 
-    def aggregate(self, states: T.Tensor,
-                  gt: GraphTensors | Sequence[GraphTensors]) -> T.Tensor:
-        """Messages for each row of ``states``. ``gt`` is the graph of all
-        the rows, or a list of graphs for a packed batch: one per
-        consecutive segment of rows, which :func:`pack` joins."""
-        g = gt if isinstance(gt, GraphTensors) else pack(gt)
+    def aggregate(self, states: T.Tensor, g: GraphTensors) -> T.Tensor:
+        """Messages for each row of ``states``. ``g`` is the graph of all
+        the rows; a packed batch passes its graphs joined by :func:`pack`."""
         if g.num_nodes != states.shape[0]:
             raise T.ShapeError(f"a graph of {g.num_nodes} nodes for"
                                f" {states.shape[0]} rows")
@@ -228,8 +225,7 @@ class GnnLayer:
     def _gat(self, states: T.Tensor, g: GraphTensors) -> T.Tensor:
         """Head-averaged messages over in-neighbourhood attention."""
         proj = T.matmul(states, self.p["w"])  # (h, N, out)
-        s_src = T.matmul(self.p["a_src"], proj, transpose_a=True,
-                         transpose_b=True)  # (h, 1, N)
+        s_src = T.matmul(proj, self.p["a_src"])  # (h, N, 1)
         s_dst = T.matmul(proj, self.p["a_dst"])  # (h, N, 1)
         return T.neighbor_attention(s_dst, s_src, proj, g.pairs)
 
@@ -242,10 +238,9 @@ class GnnLayer:
                       T.matmul(messages, self.p["w_neigh"]))
         return T.relu(T.add(mixed, self.p["b"]))
 
-    def forward(self, states: T.Tensor,
-                gt: GraphTensors | Sequence[GraphTensors]) -> T.Tensor:
-        """One aggregate+combine step over ``states``; ``gt`` as in
+    def forward(self, states: T.Tensor, g: GraphTensors) -> T.Tensor:
+        """One aggregate+combine step over ``states``; ``g`` as in
         :meth:`aggregate`."""
         if self.config.identity_mode:
             return states
-        return self._combine(states, self.aggregate(states, gt))
+        return self._combine(states, self.aggregate(states, g))

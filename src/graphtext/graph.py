@@ -18,9 +18,8 @@ the labels for the reconstruction objective.
 A graph holds its edges as four parallel arrays, one entry per edge in
 build order: ``src``, ``dst``, ``rel`` (the relation's index in
 ``RelationType`` order) and ``reverse``. The rules append plain ints, and
-counts, labels and the JSON record are computed from the arrays. ``Edge``
-objects are made only on request, by ``HierGraph.edges`` and
-``forward_edges``.
+counts, reconstruction targets and the JSON record are computed from the
+arrays. ``Edge`` objects are made only on request, by ``HierGraph.edges``.
 """
 from __future__ import annotations
 
@@ -46,9 +45,9 @@ class Direction(Enum):
     REVERSE = "REV"
 
 
-LABEL_RELATIONS = (RelationType.R1, RelationType.R2, RelationType.R3,
-                   RelationType.R4, RelationType.R5)
 RELATIONS = tuple(RelationType)  # a graph's ``rel`` indexes this
+# every relation but SELF; a reconstruction label is its ``rel`` index
+LABEL_RELATIONS = RELATIONS[:-1]
 _R1, _R2, _R3, _R4, _R5, _SELF = range(len(RELATIONS))
 _DIRECTIONS = (Direction.FORWARD, Direction.REVERSE)  # by ``reverse``
 
@@ -74,21 +73,9 @@ class HierGraph:
     @property
     def edges(self) -> list[Edge]:
         """Every edge as an ``Edge``, in build order."""
-        return self._edges(slice(None))
-
-    @property
-    def forward_edges(self) -> list[Edge]:
-        return self._edges(_forward(self))
-
-    def _edges(self, keep) -> list[Edge]:
         return [Edge(s, d, RELATIONS[r], _DIRECTIONS[b]) for s, d, r, b in zip(
-            self.src[keep].tolist(), self.dst[keep].tolist(),
-            self.rel[keep].tolist(), self.reverse[keep].tolist())]
-
-
-def _forward(graph: HierGraph) -> np.ndarray:
-    """Mask of the forward non-self edges."""
-    return ~graph.reverse & (graph.rel != _SELF)
+            self.src.tolist(), self.dst.tolist(), self.rel.tolist(),
+            self.reverse.tolist())]
 
 
 def build_graph(inp: TokenizedGraphInput, bidirectional: bool = True) -> HierGraph:
@@ -162,14 +149,13 @@ def edge_counts(graph: HierGraph) -> dict[str, dict[str, int]]:
             "reverse": dict(zip(names, counts[k:].tolist()))}
 
 
-def reconstruction_targets(graph: HierGraph) -> list[tuple[int, int, RelationType]]:
-    """Forward non-self edges with labels, sorted by (src, dst, label);
-    the labels R1-R5 sort by name as by index."""
-    keep = _forward(graph)
-    src, dst, rel = graph.src[keep], graph.dst[keep], graph.rel[keep]
-    order = np.lexsort((rel, dst, src))
-    return [(u, v, RELATIONS[r]) for u, v, r in zip(
-        src[order].tolist(), dst[order].tolist(), rel[order].tolist())]
+def reconstruction_targets(graph: HierGraph) -> np.ndarray:
+    """The forward non-self edges as a (3, P) int array: rows src, dst and
+    label (the ``rel`` index, which is the index in LABEL_RELATIONS),
+    columns sorted by (src, dst, label)."""
+    keep = ~graph.reverse & (graph.rel != _SELF)
+    targets = np.stack((graph.src[keep], graph.dst[keep], graph.rel[keep]))
+    return targets[:, np.lexsort(targets[::-1])]
 
 
 def graph_record(graph: HierGraph) -> dict:

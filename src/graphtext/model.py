@@ -16,9 +16,10 @@ packed: its examples' token rows are concatenated into one block per
 side, with no padding, and every row-wise layer is one tape op over the
 block; attention and the graph step keep each example to its own rows.
 Decoding runs the decoder one position at a time against a
-``DecoderCache`` of the earlier positions' keys and values. A small
-bilinear head scores ordered node pairs against the five structural
-relation labels for the reconstruction objective.
+``DecoderCache`` of the earlier positions' keys and values. For the
+reconstruction objective, a linear head over each ordered node pair's
+concatenated states, ``[h_u; h_v] W + b``, scores the pair against the
+five structural relation labels.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ import numpy as np
 from . import tensor as T
 from .data import TokenizedGraphInput
 from .gnn import GnnConfig, GnnLayer, GraphTensors, pack, xavier
-from .graph import LABEL_RELATIONS, RelationType
+from .graph import LABEL_RELATIONS
 
 VARIATIONS = ("BASE", "GRASAME", "VAR1", "VAR2")
 
@@ -308,12 +309,12 @@ class Seq2SeqModel:
         return T.matmul(y, self.lm_head, transpose_b=True)
 
     def reconstruct_relations(self, enc_states: T.Tensor,
-                              targets: list[tuple[int, int, RelationType]]
-                              ) -> T.Tensor:
-        """Logits (num_pairs x 5) for the labeled forward edges."""
-        if not targets:
+                              ends: np.ndarray) -> T.Tensor:
+        """Relation logits (P x 5) of the ordered node pairs ``ends``, a
+        (2, P) int array of source and target rows of ``enc_states``: the
+        first two rows of :func:`graph.reconstruction_targets`."""
+        if not ends.shape[1]:
             raise ValueError("no relation targets supplied")
-        ends = [[u for u, _, _ in targets], [v for _, v, _ in targets]]
         # (pairs, 2 * d_model): the source state, then the target state
         pair = T.merge_heads(T.embedding_lookup(enc_states, ends))
         return T.add(T.matmul(pair, self.gr_w), self.gr_b)
@@ -351,9 +352,3 @@ class DecoderCache:
         self.keys[i] = np.concatenate((self.keys[i], k.data), axis=-2)
         self.values[i] = np.concatenate((self.values[i], v.data), axis=-2)
         return T.Tensor(self.keys[i]), T.Tensor(self.values[i])
-
-
-def relation_label_ids(targets: list[tuple[int, int, RelationType]]) -> list[int]:
-    # an index into a tuple of members compares by identity; a dict
-    # keyed by them would run Enum's Python-level hash once per pair
-    return [LABEL_RELATIONS.index(rel) for _, _, rel in targets]

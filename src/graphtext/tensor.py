@@ -217,17 +217,16 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _result(data, (a,), backward)
 
 
-def matmul(a: Tensor, b: Tensor, transpose_a: bool = False,
-           transpose_b: bool = False) -> Tensor:
+def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
     """Matrix product over the last two axes, broadcast over any leading
-    axes (numpy ``@``); a transpose flag swaps its operand's last two axes.
-    A 2-D right operand meets the untransposed left operand's leading axes
-    folded into its rows: one product, and one for its own gradient."""
+    axes (numpy ``@``); ``transpose_b`` swaps the right operand's last two
+    axes. A 2-D right operand meets the left operand's leading axes folded
+    into its rows: one product, and one for its own gradient."""
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul: operands need rank >= 2, got {a.shape} and {b.shape}")
-    am = np.swapaxes(a.data, -1, -2) if transpose_a else a.data
+    am = a.data
     bm = np.swapaxes(b.data, -1, -2) if transpose_b else b.data
-    fold = bm.ndim == 2 and am.ndim > 2 and not transpose_a
+    fold = bm.ndim == 2 and am.ndim > 2
     if fold:
         am = am.reshape(-1, am.shape[-1])
     try:
@@ -242,7 +241,6 @@ def matmul(a: Tensor, b: Tensor, transpose_a: bool = False,
             g = g.reshape(am.shape[0], -1)
         if a.requires_grad:
             ga = g @ np.swapaxes(bm, -1, -2)
-            ga = np.swapaxes(ga, -1, -2) if transpose_a else ga
             if fold:
                 ga = ga.reshape(a.shape)
             a._accumulate_grad(_unbroadcast(ga, a.shape))
@@ -495,7 +493,7 @@ def neighbor_attention(s_dst: Tensor, s_src: Tensor, values: Tensor,
                        edges) -> Tensor:
     """GAT's head-averaged attention over each row's in-edges.
 
-    ``s_dst`` (h, N, 1) and ``s_src`` (h, 1, N) are each head's scores of
+    ``s_dst`` and ``s_src``, both (h, N, 1), are each head's scores of
     a row as an edge's target and as its source, ``values`` is (h, N, d),
     and ``edges`` a (source, target) pair of int arrays, sorted by
     target; every row needs an in-edge. Head h's weight of edge u -> v is
@@ -511,13 +509,13 @@ def neighbor_attention(s_dst: Tensor, s_src: Tensor, values: Tensor,
         raise ShapeError(
             f"neighbor_attention: values must be 3-D, got {values.shape}")
     h, rows, d = values.shape
-    if s_dst.shape != (h, rows, 1) or s_src.shape != (h, 1, rows):
+    if s_dst.shape != (h, rows, 1) or s_src.shape != (h, rows, 1):
         raise ShapeError(f"neighbor_attention: scores {s_dst.shape} and"
                          f" {s_src.shape} vs values {values.shape}")
     src, dst, starts = _edge_list(edges, rows, rows, "neighbor_attention",
                                   covered=True)
     # each edge's logit, turned into its weight in place
-    w = s_dst.data[:, dst, 0] + s_src.data[:, 0, src]  # (h, edges)
+    w = s_dst.data[:, dst, 0] + s_src.data[:, src, 0]  # (h, edges)
     pos = w > 0
     np.multiply(w, _LEAKY_SLOPE, out=w, where=~pos)
     w -= np.maximum.reduceat(w, starts, axis=1)[:, dst]
@@ -537,7 +535,7 @@ def neighbor_attention(s_dst: Tensor, s_src: Tensor, values: Tensor,
         g_src = np.zeros((rows, h))
         _scatter_rows(g_src, src, ge.T)
         s_dst._accumulate_grad(np.add.reduceat(ge, starts, axis=1)[..., None])
-        s_src._accumulate_grad(g_src.T[:, None, :])
+        s_src._accumulate_grad(g_src.T[..., None])
         values._accumulate_grad(
             g_values.reshape(rows, h, d).swapaxes(0, 1))
 

@@ -24,10 +24,9 @@ from .data import (DEFAULT_PROMPT, DataError, Example, TokenizedGraphInput,
                    Vocabulary, atomic_write, encode_target, linearize, tokenize)
 from .decoding import DecodeConfig, Hypothesis, decode_example
 from .gnn import GraphTensors, graph_tensors
-from .graph import (HierGraph, RelationType, build_graph,
-                    reconstruction_targets)
+from .graph import HierGraph, build_graph, reconstruction_targets
 from .metrics import corpus_bleu
-from .model import ModelConfig, Seq2SeqModel, relation_label_ids
+from .model import ModelConfig, Seq2SeqModel
 
 FREEZE_MODES = ("NONE", "FREEZE_BASE")
 
@@ -58,6 +57,8 @@ class TrainConfig:
             raise ValueError(f"unknown freeze mode {self.freeze_mode!r}")
         if self.epochs < 1 or self.batch_size < 1 or self.eval_every < 1:
             raise ValueError("epochs, batch_size and eval_every must be >= 1")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ValueError("seed must be >= 0")
         # each check is written so that NaN fails it
         if not self.lambda_gr >= 0.0:
             raise ValueError("lambda_gr must be >= 0")
@@ -78,13 +79,15 @@ class TrainItem:
     The token graph is kept as its int edge arrays (None for BASE), and
     ``gt`` builds its graph tensors, two deduplicated edge lists of about
     48 bytes per edge, afresh on each read. They live only while the
-    batch or decode that read them runs.
+    batch or decode that read them runs. ``gr_targets`` holds the
+    relation-reconstruction targets as :func:`graph.reconstruction_targets`
+    returns them, a (3, P) int array of source node, target node and
+    label; it is kept for BASE too.
     """
     inp: TokenizedGraphInput
     graph: HierGraph | None
     target_ids: list[int]
-    gr_pairs: list[tuple[int, int, RelationType]]
-    gr_labels: list[int]
+    gr_targets: np.ndarray
     ref_tokens: list[str] = field(default_factory=list)
 
     @property
@@ -107,10 +110,9 @@ def prepare_items(examples: list[Example], vocab: Vocabulary,
             g = build_graph(inp, bidirectional=bidirectional)
         except DataError as exc:
             raise DataError(f"example {number}: {exc}") from None
-        pairs = reconstruction_targets(g)
         items.append(TrainItem(
             inp=inp, graph=g if keep_graph else None, target_ids=target_ids,
-            gr_pairs=pairs, gr_labels=relation_label_ids(pairs),
+            gr_targets=reconstruction_targets(g),
             ref_tokens=tokenize(ex.target_text)))
     return items
 
@@ -170,31 +172,28 @@ def compute_batch_loss(model: Seq2SeqModel, items: list[TrainItem],
                        lambda_gr: float, disable_gr_loss: bool = False
                        ) -> tuple[T.Tensor, LossBreakdown]:
     """Forward the batch, packed, and assemble the combined loss tensor."""
+    sizes = [len(item.inp) for item in items]
     enc = model.encode([item.inp for item in items],
                        [item.gt for item in items])
     logits = model.decode([item.target_ids[:-1] for item in items], enc,
-                          enc_lengths=[len(item.inp) for item in items])
+                          enc_lengths=sizes)
     labels = np.concatenate([item.target_ids[1:] for item in items])
     tg_total = T.cross_entropy(logits, labels)
     bd = LossBreakdown(
         tg_sum=float(tg_total.data), num_tokens=len(labels),
         tok_correct=int((logits.data.argmax(axis=-1) == labels).sum()))
     loss = T.scale(tg_total, 1.0 / bd.num_tokens)
-    # each example's node ids, shifted to its rows of the packed states
-    pairs, gr_labels, start = [], [], 0
-    for item in items:
-        if not disable_gr_loss:
-            pairs += [(u + start, v + start, rel)
-                      for u, v, rel in item.gr_pairs]
-            gr_labels += item.gr_labels
-        start += len(item.inp)
-    if pairs:
-        gr_logits = model.reconstruct_relations(enc, pairs)
-        gr_total = T.cross_entropy(gr_logits, gr_labels)
+    targets = np.concatenate([item.gr_targets for item in items], axis=1)
+    if targets.shape[1] and not disable_gr_loss:
+        # each example's node ids, shifted to its rows of the packed states
+        targets[:2] += np.repeat(np.cumsum(sizes) - sizes,
+                                 [item.gr_targets.shape[1] for item in items])
+        gr_logits = model.reconstruct_relations(enc, targets[:2])
+        gr_total = T.cross_entropy(gr_logits, targets[2])
         bd.gr_sum = float(gr_total.data)
-        bd.num_pairs = len(gr_labels)
+        bd.num_pairs = targets.shape[1]
         bd.gr_correct = int((gr_logits.data.argmax(axis=-1)
-                             == np.asarray(gr_labels)).sum())
+                             == targets[2]).sum())
         gr_loss = T.scale(gr_total, 1.0 / bd.num_pairs)
         loss = T.add(loss, T.scale(gr_loss, lambda_gr))
     bd.l_total = float(loss.data)

@@ -252,12 +252,13 @@ def loop_batch_loss(model, items, lambda_gr: float,
         bd.num_tokens += len(labels)
         bd.tok_correct += int((logits.data.argmax(axis=-1)
                                == np.asarray(labels)).sum())
-        if not disable_gr_loss and item.gr_labels:
-            gr_logits = model.reconstruct_relations(enc, item.gr_pairs)
-            gr_terms.append(T.cross_entropy(gr_logits, item.gr_labels))
-            bd.num_pairs += len(item.gr_labels)
+        ends, gr_labels = item.gr_targets[:2], item.gr_targets[2]
+        if not disable_gr_loss and len(gr_labels):
+            gr_logits = model.reconstruct_relations(enc, ends)
+            gr_terms.append(T.cross_entropy(gr_logits, gr_labels))
+            bd.num_pairs += len(gr_labels)
             bd.gr_correct += int((gr_logits.data.argmax(axis=-1)
-                                  == np.asarray(item.gr_labels)).sum())
+                                  == gr_labels).sum())
     tg_total = _tape_sum(tg_terms)
     bd.tg_sum = float(tg_total.data)
     loss = T.scale(tg_total, 1.0 / bd.num_tokens)
@@ -368,9 +369,18 @@ def edge_counts_of(edges: list[Edge]) -> dict[str, dict[str, int]]:
     return out
 
 
-def reconstruction_targets_of(edges: list[Edge]):
-    return sorted(((e.src, e.dst, e.rel) for e in _forward_labels(edges)),
-                  key=lambda t: (t[0], t[1], t[2].value))
+def forward_edges_of(graph) -> list[Edge]:
+    """A graph's forward non-self edges as ``Edge`` objects, in build
+    order."""
+    return _forward_labels(graph.edges)
+
+
+def reconstruction_targets_of(edges: list[Edge]) -> list[tuple[int, int, int]]:
+    """(src, dst, label) of each forward non-self edge, sorted; the label
+    is the relation's position among R1-R5."""
+    labels = [r for r in RelationType if r is not RelationType.SELF]
+    return sorted((e.src, e.dst, labels.index(e.rel))
+                  for e in _forward_labels(edges))
 
 
 def graph_record_of(num_nodes: int, edges: list[Edge]) -> dict:

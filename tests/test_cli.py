@@ -96,6 +96,21 @@ def test_build_graph_unidirectional_halves_edges(tmp_path, capsys):
     assert {r: n for r, n in uni["forward"].items()} == bi["forward"]
 
 
+@pytest.mark.parametrize("record,message", [
+    ({"triples": [["Iraq", "language", "Arabic"]] * 40, "text": "Iraq ."},
+     "linearized length 246 exceeds the 187-token limit"),
+    ({"triples": [["Iraq", "<R>", "Arabic"]], "text": "Iraq ."},
+     "triple 0 holds the reserved token '<R>'"),
+], ids=["too-long", "reserved-token"])
+def test_build_graph_names_the_bad_example(tmp_path, capsys, record,
+                                           message):
+    data = write_dataset(tmp_path / "bad.jsonl", [DATASET[0], record])
+    code = cli.main(["build-graph", "--data", data,
+                     "--out", str(tmp_path / "graphs.jsonl")])
+    assert capsys.readouterr().err == f"data error: example 2: {message}\n"
+    assert code == 2
+
+
 def test_build_graph_missing_file(tmp_path, capsys):
     missing = tmp_path / "nope.jsonl"
     code = cli.main(["build-graph", "--data", str(missing), "--out",
@@ -466,7 +481,9 @@ def _checkpoint_offsets(blob):
     {"learning_rate": math.nan}, {"beta1": 1.0}, {"lambda_gr": math.inf},
     {"learning_rate": -1.0}, {"clip_norm": -1.0}, {"length_penalty": math.nan},
     {"num_decoder_layers": -1}, {"stop_token_accuracy": math.nan},
-    {"beta2": -0.1}, {"adam_eps": 0.0}, {"stop_gr_accuracy": 1.5}])
+    {"beta2": -0.1}, {"adam_eps": 0.0}, {"stop_gr_accuracy": 1.5},
+    # a negative seed and ints beyond 64 bits, which numpy refuses
+    {"seed": -1}, {"num_encoder_layers": 2 ** 63}, {"epochs": 10 ** 400}])
 def test_bad_config_is_data_error_for_every_command(workspace, tmp_path,
                                                      capsys, bad):
     data = workspace["data"]
@@ -754,13 +771,14 @@ _JSON_VALUES = [None, True, 0, -1, 1.5, 1e308, float("nan"), float("inf"),
                 ["a", "b"], {"triples": []}]
 
 
-def _data_mutations(rng: random.Random, records: list, count: int):
-    """``count`` (label, bytes) mutations of the JSON-lines file of
-    ``records``, cycling through the kinds below: byte flips, truncation
-    and insertion; swapped JSON types, NaN and Infinity; empty and huge
-    fields."""
-    blob = "".join(json.dumps(r) + "\n" for r in records).encode("utf-8")
+_JSON_PIECES = [b"{", b"}", b"[", b"]", b'"', b",", b":", b"\n", b"\\", b"NaN",
+                b"-Infinity", b"null", b"\xef\xbb\xbf", b"\xff"]
+_HUGE_NUMBERS = [10 ** 400, -(10 ** 400), 2 ** 63]
 
+
+def _byte_mutations(rng: random.Random, blob: bytes) -> list:
+    """(kind, mutate) pairs that damage ``blob``: byte flips, truncation,
+    and insertion of random bytes or of a piece of JSON syntax."""
     def flip():
         out = bytearray(blob)
         for _ in range(rng.randint(1, 3)):
@@ -770,6 +788,29 @@ def _data_mutations(rng: random.Random, records: list, count: int):
     def insert(piece):
         at = rng.randrange(len(blob) + 1)
         return blob[:at] + piece + blob[at:]
+
+    return [
+        ("flip", flip),
+        ("truncate", lambda: blob[:rng.randrange(len(blob))]),
+        ("insert-bytes", lambda: insert(bytes(
+            rng.randrange(256) for _ in range(rng.randint(1, 8))))),
+        ("insert-json", lambda: insert(rng.choice(_JSON_PIECES))),
+    ]
+
+
+def _cycle(kinds: list, count: int):
+    """``count`` (label, bytes) mutations, cycling through ``kinds``."""
+    for i in range(count):
+        name, mutate = kinds[i % len(kinds)]
+        yield f"{i}:{name}", mutate()
+
+
+def _data_mutations(rng: random.Random, records: list, count: int):
+    """``count`` (label, bytes) mutations of the JSON-lines file of
+    ``records``, cycling through the kinds below: byte flips, truncation
+    and insertion; swapped JSON types, NaN and Infinity; empty and huge
+    fields."""
+    blob = "".join(json.dumps(r) + "\n" for r in records).encode("utf-8")
 
     def edited(edit):
         recs = json.loads(json.dumps(records))  # a deep copy
@@ -791,14 +832,7 @@ def _data_mutations(rng: random.Random, records: list, count: int):
     def huge_triples(rec):
         rec["triples"] = rec["triples"] * rng.choice([20, 200])
 
-    kinds = [
-        ("flip", flip),
-        ("truncate", lambda: blob[:rng.randrange(len(blob))]),
-        ("insert-bytes", lambda: insert(bytes(
-            rng.randrange(256) for _ in range(rng.randint(1, 8))))),
-        ("insert-json", lambda: insert(rng.choice(
-            [b"{", b"}", b"[", b"]", b'"', b",", b":", b"\n", b"\\", b"NaN",
-             b"-Infinity", b"null", b"\xef\xbb\xbf", b"\xff"]))),
+    return _cycle(_byte_mutations(rng, blob) + [
         ("swap-type", lambda: set_field(rng.choice(_JSON_VALUES))),
         ("drop-key", lambda: edited(
             lambda rec: rec.pop(rng.choice(sorted(rec))))),
@@ -806,12 +840,98 @@ def _data_mutations(rng: random.Random, records: list, count: int):
         ("huge-text", lambda: set_field(" ".join(
             f"w{rng.randrange(50)}" for _ in range(rng.choice([200, 5000]))))),
         ("huge-triples", lambda: edited(huge_triples)),
-        ("huge-number", lambda: set_field(
-            rng.choice([10 ** 400, -(10 ** 400), 2 ** 63]))),
+        ("huge-number", lambda: set_field(rng.choice(_HUGE_NUMBERS))),
+    ], count)
+
+
+def _config_mutations(rng: random.Random, config: dict) -> list:
+    """(kind, mutate) pairs that damage the JSON config ``config``: its
+    bytes; a field of another JSON type, NaN or Infinity; a dropped key;
+    an empty or huge field."""
+    def set_field(value):
+        # json writes NaN and Infinity bare; Python's reader accepts them
+        return json.dumps({**config, rng.choice(sorted(config)): value}
+                          ).encode("utf-8")
+
+    def drop_key():
+        key = rng.choice(sorted(config))
+        return json.dumps({k: v for k, v in config.items() if k != key}
+                          ).encode("utf-8")
+
+    return _byte_mutations(rng, json.dumps(config, indent=2).encode()) + [
+        ("swap-type", lambda: set_field(rng.choice(_JSON_VALUES))),
+        ("drop-key", drop_key),
+        ("empty", lambda: set_field(rng.choice(["", " ", [], {}]))),
+        ("huge-text", lambda: set_field(" ".join(
+            f"w{rng.randrange(50)}" for _ in range(rng.choice([200, 5000]))))),
+        ("huge-number", lambda: set_field(rng.choice(_HUGE_NUMBERS))),
     ]
-    for i in range(count):
-        name, mutate = kinds[i % len(kinds)]
-        yield f"{i}:{name}", mutate()
+
+
+def _vocab_mutations(rng: random.Random, blob: bytes) -> list:
+    """(kind, mutate) pairs that damage the vocabulary file ``blob``: its
+    bytes; a line set to a reserved token, NaN or Infinity; a dropped
+    line; an empty or huge line."""
+    lines = blob.decode("utf-8").splitlines()
+
+    def set_line(value):
+        edited = list(lines)
+        edited[rng.randrange(len(edited))] = value
+        return "".join(t + "\n" for t in edited).encode("utf-8")
+
+    def drop_line():
+        edited = list(lines)
+        del edited[rng.randrange(len(edited))]
+        return "".join(t + "\n" for t in edited).encode("utf-8")
+
+    return _byte_mutations(rng, blob) + [
+        ("swap-token", lambda: set_line(rng.choice(
+            ["<pad>", "<unk>", "NaN", "Infinity", "\u0000"]))),
+        ("drop-line", drop_line),
+        ("empty", lambda: set_line(rng.choice(["", " "]))),
+        ("huge-line", lambda: set_line("w" * rng.choice([1000, 100000]))),
+    ]
+
+
+def _checkpoint_mutations(rng: random.Random, blob: bytes) -> list:
+    """(kind, mutate) pairs that damage the checkpoint ``blob``: its bytes;
+    a header field set empty or huge; a value set to NaN, Infinity or a
+    huge number. Each comes once as it is, which the CRC32 rejects, and
+    once with the CRC32 made good again, so the parser sees it."""
+    header, values = _checkpoint_offsets(blob)
+
+    def put(offsets, piece):
+        at = rng.choice(offsets)
+        return blob[:at] + piece + blob[at + len(piece):]
+
+    damage = _byte_mutations(rng, blob) + [
+        ("empty-field", lambda: put(header[:-4], b"\0" * 4)),
+        ("huge-field", lambda: put(header[:-4], b"\xff" * 4)),
+        ("value", lambda: put(values, struct.pack("<d", rng.choice(
+            [math.nan, math.inf, -math.inf, 1e308])))),
+    ]
+
+    def resealed(mutate):
+        body = mutate()[:-4]
+        return body + struct.pack("<I", zlib.crc32(body))
+
+    return damage + [(f"resealed-{name}", lambda m=mutate: resealed(m))
+                     for name, mutate in damage]
+
+
+def _assert_no_crash(argv, label, blob, capsys):
+    """``argv`` ends in exit 0, 2 or 3 with at most one line on stderr and
+    no traceback."""
+    try:
+        code = cli.main(argv)
+    except BaseException as exc:  # a crash, reported with its input
+        pytest.fail(f"{label} {argv[0]}: {type(exc).__name__}: {exc}"
+                    f"\n{blob[:300]!r}")
+    err = capsys.readouterr().err
+    where = f"{label} {argv[0]}: {err!r}\n{blob[:300]!r}"
+    assert code in (0, 2, 3), where
+    assert len(err.splitlines()) <= 1, where
+    assert "Traceback" not in err, where
 
 
 def test_mutated_data_files_never_crash_the_cli(workspace, tmp_path, capsys):
@@ -827,13 +947,47 @@ def test_mutated_data_files_never_crash_the_cli(workspace, tmp_path, capsys):
                       "--out", str(tmp_path / "graphs.jsonl")],
                      ["train", "--config", str(config), "--data", str(data),
                       "--out", str(tmp_path / "run")]):
-            try:
-                code = cli.main(argv)
-            except BaseException as exc:  # a crash, reported with its input
-                pytest.fail(f"{label} {argv[0]}: {type(exc).__name__}: {exc}"
-                            f"\n{blob[:300]!r}")
-            err = capsys.readouterr().err
-            where = f"{label} {argv[0]}: {err!r}\n{blob[:300]!r}"
-            assert code in (0, 2, 3), where
-            assert len(err.splitlines()) <= 1, where
-            assert "Traceback" not in err, where
+            _assert_no_crash(argv, label, blob, capsys)
+
+
+def test_mutated_run_files_never_crash_the_cli(workspace, tmp_path, capsys):
+    """Seeded mutations of a trained run's ``config.json``, ``vocab.txt``
+    and ``model.ckpt``, and of a ``--config`` file, never crash a command
+    that reads them: ``generate`` and ``eval`` read the run's files, and
+    ``train`` and ``sweep-lambda`` read a config (the run's ``config.json``
+    is one too). Each ends as ``_assert_no_crash`` asks."""
+    rng = random.Random(2024)
+    run = tmp_path / "run"
+    shutil.copytree(workspace["run"], run)
+    original = {name: (run / name).read_bytes()
+                for name in ("config.json", "vocab.txt", "model.ckpt")}
+    config = tmp_path / "settings.json"
+    data = workspace["data"]
+    decode = [[command, "--run", str(run), "--data", data]
+              for command in ("generate", "eval")]
+
+    def train(config_path):
+        return [["train", "--config", str(config_path), "--data", data,
+                 "--out", str(tmp_path / "out")],
+                ["sweep-lambda", "--config", str(config_path), "--data", data,
+                 "--val", data, "--out", str(tmp_path / "sweep"),
+                 "--values", "0.08"]]
+
+    cases = [  # the file mutated, its mutations, the commands that read it
+        (run / "config.json", _config_mutations(
+            rng, json.loads(original["config.json"])), 36,
+         decode + train(run / "config.json")),
+        (run / "vocab.txt", _vocab_mutations(
+            rng, original["vocab.txt"]), 24, decode),
+        (run / "model.ckpt", _checkpoint_mutations(
+            rng, original["model.ckpt"]), 42, decode),
+        (config, _config_mutations(rng, {**CONFIG, "epochs": 1}), 27,
+         train(config)),
+    ]
+    for path, kinds, count, commands in cases:
+        for label, blob in _cycle(kinds, count):
+            for name, content in original.items():
+                (run / name).write_bytes(content)
+            path.write_bytes(blob)
+            for argv in commands:
+                _assert_no_crash(argv, f"{path.name} {label}", blob, capsys)

@@ -86,7 +86,7 @@ def test_gat_attention_rows_sum_to_one():
     rows, heads = packed.num_nodes, 3
     rng = np.random.default_rng(2)
     s_dst = T.Tensor(rng.standard_normal((heads, rows, 1)))
-    s_src = T.Tensor(rng.standard_normal((heads, 1, rows)))
+    s_src = T.Tensor(rng.standard_normal((heads, rows, 1)))
     eye = T.Tensor(np.tile(np.eye(rows), (heads, 1, 1)))
     alphas = T.neighbor_attention(s_dst, s_src, eye, packed.pairs).data
     allowed = packed.in_mask
@@ -110,7 +110,7 @@ def test_gat_matches_loop_oracle_on_a_packed_batch():
     rows = sum(g.num_nodes for g in graphs)
     states = np.random.default_rng(10).standard_normal((rows, 5))
     got = layer.aggregate(T.Tensor(states),
-                          [N.graph_tensors(g) for g in graphs]).data
+                          N.pack([N.graph_tensors(g) for g in graphs])).data
     want = loop_gat_messages(states, graphs, *(layer.p[k].data
                                                for k in ("w", "a_src", "a_dst")))
     assert relative_error(got, want) <= 1e-12
@@ -219,7 +219,7 @@ def test_duplicate_pairs_match_the_dense_oracle_on_a_packed_batch(family, kw):
     rows = sum(g.num_nodes for g in graphs)
     states = np.random.default_rng(18).standard_normal((rows, 4))
     got = layer.aggregate(T.Tensor(states),
-                          [N.graph_tensors(g) for g in graphs]).data
+                          N.pack([N.graph_tensors(g) for g in graphs])).data
     start = 0
     for graph in graphs:
         part = slice(start, start + graph.num_nodes)

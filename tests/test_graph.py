@@ -11,7 +11,8 @@ from graphtext import gnn as N
 from graphtext import graph as G
 from graphtext.data import TokenKind
 from oracles import (edge_build_graph, edge_counts_of, edge_graph_tensors,
-                     graph_record_of, reconstruction_targets_of)
+                     forward_edges_of, graph_record_of,
+                     reconstruction_targets_of)
 
 
 def oracle_forward_edges(inp):
@@ -46,7 +47,7 @@ def oracle_forward_edges(inp):
 
 
 def forward_set(graph):
-    return {(e.src, e.dst, e.rel.value) for e in graph.forward_edges}
+    return {(e.src, e.dst, e.rel.value) for e in forward_edges_of(graph)}
 
 
 def iraq_example():
@@ -80,7 +81,7 @@ def test_iraq_edge_counts():
                                  "SELF": 12}
     assert counts["reverse"] == {"R1": 3, "R2": 2, "R3": 3, "R4": 0, "R5": 0,
                                  "SELF": 0}
-    assert len(g.forward_edges) == 8
+    assert len(forward_edges_of(g)) == 8
     non_self = [e for e in g.edges if e.rel is not G.RelationType.SELF]
     assert len(non_self) == 16
     self_loops = [e for e in g.edges if e.rel is G.RelationType.SELF]
@@ -135,7 +136,7 @@ def test_oracle_equivalence_on_random_inputs():
         # structural invariants
         quad = [(e.src, e.dst, e.rel, e.dir) for e in g.edges]
         assert len(quad) == len(set(quad))
-        for e in g.forward_edges:
+        for e in forward_edges_of(g):
             assert e.src < e.dst
         rev = {(e.src, e.dst, e.rel.value) for e in g.edges
                if e.dir is G.Direction.REVERSE}
@@ -147,28 +148,31 @@ def test_unidirectional_mode():
     inp = linearized(iraq_example())
     g = G.build_graph(inp, bidirectional=False)
     assert all(e.dir is G.Direction.FORWARD for e in g.edges)
-    assert G.reconstruction_targets(g) == G.reconstruction_targets(
-        G.build_graph(inp, bidirectional=True))
+    assert np.array_equal(G.reconstruction_targets(g),
+                          G.reconstruction_targets(
+                              G.build_graph(inp, bidirectional=True)))
 
 
 def test_reconstruction_targets_sorted_and_complete():
     inp = linearized(monocacy_example())
     g = G.build_graph(inp)
     targets = G.reconstruction_targets(g)
-    assert len(targets) == len(g.forward_edges)
-    assert targets == sorted(targets, key=lambda t: (t[0], t[1], t[2].value))
-    assert {(u, v, r.value) for u, v, r in targets} == forward_set(g)
-    for _, _, r in targets:
-        assert r in G.LABEL_RELATIONS
+    assert targets.shape == (3, len(forward_edges_of(g)))
+    columns = [tuple(c) for c in targets.T.tolist()]
+    assert columns == sorted(columns)
+    assert {(u, v, G.LABEL_RELATIONS[r].value)
+            for u, v, r in columns} == forward_set(g)
 
 
 def test_every_special_has_incoming_r1_and_entities_have_r3():
     inp = linearized(monocacy_example())
     g = G.build_graph(inp)
-    r1_dst = [e.dst for e in g.forward_edges if e.rel is G.RelationType.R1]
+    r1_dst = [e.dst for e in forward_edges_of(g)
+              if e.rel is G.RelationType.R1]
     specials = [i for i, k in enumerate(inp.kinds) if k in D.SPECIAL_KINDS]
     assert sorted(r1_dst) == specials
-    r3_dst = {e.dst for e in g.forward_edges if e.rel is G.RelationType.R3}
+    r3_dst = {e.dst for e in forward_edges_of(g)
+              if e.rel is G.RelationType.R3}
     entities = {i for i, k in enumerate(inp.kinds) if k is TokenKind.ENTITY}
     assert entities <= r3_dst
 
@@ -235,9 +239,9 @@ def test_edge_arrays_match_edge_object_oracle():
             assert json.dumps(G.edge_counts(g)) == json.dumps(
                 edge_counts_of(edges)), where
             targets = G.reconstruction_targets(g)
-            assert targets == reconstruction_targets_of(edges), where
-            assert all(type(u) is int and type(v) is int
-                       for u, v, _ in targets), where
+            assert targets.dtype == np.intp, where
+            assert [tuple(c) for c in targets.T.tolist()] == \
+                reconstruction_targets_of(edges), where
             gt = N.graph_tensors(g)
             ref = edge_graph_tensors(len(inp), edges)
             assert gt.num_nodes == len(inp), where

@@ -9,8 +9,8 @@ from graphtext import gnn as N
 from graphtext import graph as G
 from graphtext import model as M
 from graphtext import tensor as T
-from oracles import (finite_difference, recorded_nodes, reference_softmax,
-                     relative_error)
+from oracles import (finite_difference, forward_edges_of, recorded_nodes,
+                     reference_softmax, relative_error)
 
 
 def oracle_attention(q_in, kv_in, wq, wk, wv, wo, num_heads, mask=None):
@@ -319,7 +319,7 @@ def test_reconstruction_head_contracts():
     model.gr_w.data[:] = 0.0
     model.gr_b.data[:] = 0.0
     with T.no_grad():
-        logits = model.reconstruct_relations(enc, targets).data
+        logits = model.reconstruct_relations(enc, targets[:2]).data
     probs = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs /= probs.sum(axis=1, keepdims=True)
     assert np.allclose(probs, 0.2, atol=1e-12)
@@ -327,20 +327,27 @@ def test_reconstruction_head_contracts():
     model.gr_b.data[:] = 0.0
     model.gr_b.data[3] = 50.0
     with T.no_grad():
-        logits = model.reconstruct_relations(enc, targets)
+        logits = model.reconstruct_relations(enc, targets[:2])
     assert np.all(np.argmax(logits.data, axis=1) == 3)
 
     with pytest.raises(T.ShapeError):
-        model.reconstruct_relations(enc, [(0, 99, G.RelationType.R1)])
+        model.reconstruct_relations(enc, np.array([[0], [99]]))
     with pytest.raises(ValueError):
-        model.reconstruct_relations(enc, [])
+        model.reconstruct_relations(enc, np.empty((2, 0), dtype=np.intp))
 
 
 def test_relation_label_ids_cover_five_labels():
+    """A target's label is its relation's index in LABEL_RELATIONS, and a
+    graph with every relation uses all five."""
     assert M.NUM_EDGE_LABELS == 5
-    labels = M.relation_label_ids(
-        [(0, 1, r) for r in G.LABEL_RELATIONS])
-    assert labels == [0, 1, 2, 3, 4]
+    ex = D.Example([D.Triple("New Italy", "capital city", "Old Rome"),
+                    D.Triple("Old Rome", "population", "2873000")])
+    graph = G.build_graph(D.linearize(ex, D.DEFAULT_PROMPT,
+                                      D.build_vocabulary([ex])))
+    targets = G.reconstruction_targets(graph)
+    assert sorted(set(targets[2].tolist())) == [0, 1, 2, 3, 4]
+    assert {(u, v, G.LABEL_RELATIONS[r]) for u, v, r in targets.T.tolist()} \
+        == {(e.src, e.dst, e.rel) for e in forward_edges_of(graph)}
 
 
 def relu_kink_margin(build_loss):
@@ -370,7 +377,7 @@ def test_full_model_gradients_vs_finite_differences():
     graph = G.build_graph(inp)
     gt = N.graph_tensors(graph)
     targets = G.reconstruction_targets(graph)
-    labels = M.relation_label_ids(targets)
+    ends, labels = targets[:2], targets[2]
     cfg = M.ModelConfig(vocab_size=len(vocab), d_model=4, num_heads=2,
                         num_encoder_layers=1, num_decoder_layers=1,
                         feedforward_dim=8, variation="GRASAME",
@@ -385,7 +392,7 @@ def test_full_model_gradients_vs_finite_differences():
         # each mean is the summed cross-entropy over its count
         l_tg = T.scale(T.cross_entropy(logits, target_ids[1:]),
                        1 / (len(target_ids) - 1))
-        gr_logits = model.reconstruct_relations(enc, targets)
+        gr_logits = model.reconstruct_relations(enc, ends)
         l_gr = T.scale(T.cross_entropy(gr_logits, labels), 1 / len(labels))
         return T.add(l_tg, T.scale(l_gr, 0.08))
 

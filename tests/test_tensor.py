@@ -63,14 +63,13 @@ def test_shape_mismatch_raises():
         T.attention(x, x, x, 4)
 
 
-@pytest.mark.parametrize("ta,tb", [(False, False), (True, False),
-                                   (False, True), (True, True)])
-def test_matmul_transpose_grads(ta, tb):
+@pytest.mark.parametrize("tb", [False, True])
+def test_matmul_transpose_grads(tb):
     rng = np.random.default_rng(2)
-    a = leaf(rng, *( (4, 3) if ta else (3, 4) ))
+    a = leaf(rng, 3, 4)
     b = leaf(rng, *( (5, 4) if tb else (4, 5) ))
     w = T.Tensor(rng.standard_normal((3, 5)))
-    fd_check(lambda: tsum(mul(T.matmul(a, b, ta, tb), w)), [a, b])
+    fd_check(lambda: tsum(mul(T.matmul(a, b, tb), w)), [a, b])
 
 
 def test_merge_heads_over_leading_axes():
@@ -152,11 +151,11 @@ def test_packed_ops_match_each_segment_alone():
     assert np.array_equal(np.concatenate(parts), x.data)
     vals = T.Tensor(rng.standard_normal((2, 8, 6)))
     s_dst, s_src = (T.Tensor(rng.standard_normal(shape))
-                    for shape in ((2, 8, 1), (2, 1, 8)))
+                    for shape in ((2, 8, 1), (2, 8, 1)))
     got = T.neighbor_attention(s_dst, s_src, vals, edges).data
     for lo, hi, m in zip(bounds, bounds[1:], masks):
         alone = T.neighbor_attention(
-            T.Tensor(s_dst.data[:, lo:hi]), T.Tensor(s_src.data[:, :, lo:hi]),
+            T.Tensor(s_dst.data[:, lo:hi]), T.Tensor(s_src.data[:, lo:hi]),
             T.Tensor(vals.data[:, lo:hi]), edges_of(m))
         assert np.array_equal(got[lo:hi], alone.data)
     with pytest.raises(T.ShapeError):  # the edges of more rows than x has
@@ -234,7 +233,7 @@ def test_edge_ops_reject_bad_edge_lists(op):
     rng = np.random.default_rng(13)
     x = T.Tensor(rng.standard_normal((3, 2)))
     scores = (T.Tensor(rng.standard_normal((2, 3, 1))),
-              T.Tensor(rng.standard_normal((2, 1, 3))))
+              T.Tensor(rng.standard_normal((2, 3, 1))))
     values = T.Tensor(rng.standard_normal((2, 3, 2)))
 
     def run(edges):
@@ -413,10 +412,10 @@ def test_neighbor_attention_matches_reference_and_grads():
     # source scores of both signs dominate, so each row mixes both
     # branches and every pre-activation is clear of the kink at zero
     s_dst = T.Tensor(rng.uniform(-0.4, 0.4, (2, 4, 1)), requires_grad=True)
-    s_src = T.Tensor(rng.uniform(1.0, 1.5, (2, 1, 4)) * [1, -1, 1, -1],
+    s_src = T.Tensor(rng.uniform(1.0, 1.5, (2, 4, 1)) * [[1], [-1], [1], [-1]],
                      requires_grad=True)
     values = leaf(rng, 2, 4, 3)
-    pre = s_dst.data + s_src.data
+    pre = s_dst.data + s_src.data.swapaxes(1, 2)
     logits = np.where(mask, np.where(pre > 0, pre, 0.2 * pre), -np.inf)
     want = (reference_softmax(logits) @ values.data).mean(axis=0)
     got = T.neighbor_attention(s_dst, s_src, values, edges_of(mask))
@@ -426,7 +425,8 @@ def test_neighbor_attention_matches_reference_and_grads():
                                                    edges_of(mask)), w)),
              [s_dst, s_src, values])
     with pytest.raises(T.ShapeError):  # scores that do not fit the values
-        T.neighbor_attention(s_src, s_dst, values, edges_of(mask))
+        T.neighbor_attention(s_dst, T.Tensor(s_src.data.swapaxes(1, 2)),
+                             values, edges_of(mask))
 
 
 def test_layer_norm_grads_and_moments():

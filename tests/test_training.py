@@ -52,7 +52,8 @@ def make_setup(variation="GRASAME", d_model=8, layers=1, **gnn_kw):
 def test_prepare_items_base_skips_graph_tensors():
     vocab, cfg, items = make_setup("BASE")
     assert all(it.gt is None for it in items)
-    assert all(len(it.gr_pairs) == len(it.gr_labels) > 0 for it in items)
+    assert all(it.gr_targets.shape[0] == 3 and it.gr_targets.shape[1] > 0
+               for it in items)
     assert items[0].ref_tokens == tokenize(EXAMPLES[0].target_text)
     _, _, graph_items = make_setup("GRASAME")
     assert all(it.gt is not None for it in graph_items)
@@ -122,8 +123,11 @@ def test_items_hold_edge_arrays_and_build_graph_tensors_on_read(
                              bidirectional=bidirectional)
     for item in items:
         n = len(item.inp)
-        arrays = list(reachable_arrays(item))
-        assert all(a.size < n * n for a in arrays)
+        # the graph's arrays: all but the reconstruction targets, which
+        # BASE keeps too
+        arrays = list(reachable_arrays(
+            dataclasses.replace(item, gr_targets=None)))
+        assert all(a.size < n * n for a in arrays + [item.gr_targets])
         if family == "BASE":
             assert item.graph is None and item.gt is None and not arrays
             continue
@@ -406,7 +410,8 @@ def test_packed_batch_matches_loop_reference(variation, gnn):
     reconstruction pairs, under each loss setting."""
     vocab, cfg, items = make_setup(variation, layers=2, **gnn)
     model = Seq2SeqModel(cfg, seed=21)
-    no_pairs = dataclasses.replace(items[1], gr_pairs=[], gr_labels=[])
+    no_pairs = dataclasses.replace(items[1],
+                                   gr_targets=np.empty((3, 0), dtype=np.intp))
     batches = [items, items[2:3], [items[0], no_pairs, items[2]]]
     for name, (lam, no_gr, freeze) in LOSS_SETTINGS.items():
         TR._apply_freeze(model, freeze)
@@ -425,8 +430,8 @@ def test_packed_batch_matches_loop_reference(variation, gnn):
                 if g is not None:
                     assert relative_error(g, ref) <= 1e-10, (name, p)
     # the last batch scored: the item without pairs adds none
-    assert got[1].num_pairs == (len(items[0].gr_labels)
-                                + len(items[2].gr_labels))
+    assert got[1].num_pairs == (items[0].gr_targets.shape[1]
+                                + items[2].gr_targets.shape[1])
 
 
 # GAT last, which keeps the other models' test ids from before GAT joined
