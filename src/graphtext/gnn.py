@@ -9,21 +9,19 @@ side and one weight maps them all, so SAGE and RGCN share one combine.
 Neighborhoods are edge lists, built by :func:`graph_tensors` from the
 graph's edge arrays: the distinct (source, target) node pairs for SAGE
 and GAT, and the distinct (source, target, bucket) cells for RGCN, each
-sorted by target and carrying its normalizing weight. A prepared training
-item keeps only the graph's edge arrays and builds these lists when a
-batch or a decode reads them. A packed batch is one disconnected graph:
-:func:`pack` joins its examples' lists once, with each example's node ids
-offset by its first row, and every layer of the encoder reuses it. Each
-family then aggregates the whole batch in one tape op over the edge list
-(a segment sum, a segment max, or GAT's per-node softmax), with relation
-buckets and GAT heads as tensor axes, so a forward of any family is a
-fixed handful of tape ops whatever the batch, bucket or head count, and
-no array has an entry per pair of nodes.
+sorted by target and carrying its normalizing weight. A packed batch is
+one disconnected graph: training joins its examples' edge arrays, each
+example's node ids offset by its first row, and builds the batch's lists
+once for every layer of the encoder; a decode builds its one example's.
+Each family then aggregates the whole batch in one tape op over the edge
+list (a segment sum, a segment max, or GAT's per-node softmax), with
+relation buckets and GAT heads as tensor axes, so a forward of any family
+is a fixed handful of tape ops whatever the batch, bucket or head count,
+and no array has an entry per pair of nodes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -147,25 +145,6 @@ def graph_tensors(graph: HierGraph) -> GraphTensors:
         cells=cells, cell_weight=1.0 / np.bincount(cells[1])[cells[1]])
 
 
-def pack(gts: Sequence[GraphTensors]) -> GraphTensors:
-    """The graphs of a packed batch as one disconnected graph: example i's
-    node ids are offset by its first row, the rows of the examples before
-    it."""
-    if len(gts) == 1:
-        return gts[0]
-    sizes = [g.num_nodes for g in gts]
-    firsts = np.cumsum(sizes) - sizes
-    pairs = np.concatenate([g.pairs for g in gts], axis=1)
-    pairs += np.repeat(firsts, [g.pairs.shape[1] for g in gts])
-    cells = np.concatenate([g.cells for g in gts], axis=1)
-    cells += np.repeat(firsts, [g.cells.shape[1] for g in gts]) * np.array(
-        [[1], [NUM_RELATION_BUCKETS]])
-    return GraphTensors(
-        num_nodes=sum(sizes), pairs=pairs,
-        pair_weight=np.concatenate([g.pair_weight for g in gts]),
-        cells=cells, cell_weight=np.concatenate([g.cell_weight for g in gts]))
-
-
 def xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     bound = float(np.sqrt(6.0 / (fan_in + fan_out)))
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
@@ -205,7 +184,8 @@ class GnnLayer:
 
     def aggregate(self, states: T.Tensor, g: GraphTensors) -> T.Tensor:
         """Messages for each row of ``states``. ``g`` is the graph of all
-        the rows; a packed batch passes its graphs joined by :func:`pack`."""
+        the rows; a packed batch passes its examples' graphs joined into
+        one."""
         if g.num_nodes != states.shape[0]:
             raise T.ShapeError(f"a graph of {g.num_nodes} nodes for"
                                f" {states.shape[0]} rows")

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import TokenizedGraphInput
-from .gnn import GnnConfig, GnnLayer, GraphTensors, pack, xavier
+from .gnn import GnnConfig, GnnLayer, GraphTensors, xavier
 from .graph import LABEL_RELATIONS
 
 VARIATIONS = ("BASE", "GRASAME", "VAR1", "VAR2")
@@ -135,7 +135,14 @@ class Seq2SeqModel:
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
         self.store = T.ParameterStore()
-        rng = np.random.default_rng(seed)
+        try:
+            self._create_parameters(np.random.default_rng(seed))
+        except ValueError as exc:
+            # numpy refuses an array of 2**63 bytes or more with ValueError
+            raise MemoryError(str(exc)) from None
+
+    def _create_parameters(self, rng: np.random.Generator) -> None:
+        config = self.config
         d = config.d_model
         pos_rows = max(config.max_sequence_length, config.max_target_length)
 
@@ -210,34 +217,26 @@ class Seq2SeqModel:
         """Final encoder states, one row per input token, ready for the
         decoder and the relation head.
 
-        ``inp`` is one input (a TokenizedGraphInput or its token ids) and
-        ``gt`` its graph tensors (None for BASE). Lists of both are a packed
-        batch: the examples' rows follow one another, and each example
-        attends and aggregates over its own rows only. The examples'
-        graphs are packed into one graph once, for every layer.
+        ``inp`` is one input (a TokenizedGraphInput or its token ids), or a
+        list of them: a packed batch whose examples' rows follow one
+        another, each attending over its own rows only. ``gt`` is the graph
+        tensors of all the rows (None for BASE), reused by every layer: one
+        example's graph, or a batch's graphs joined into one.
         """
         ids = _token_lists(inp)
-        if gt is None or isinstance(gt, GraphTensors):
-            gt = [gt] * len(ids)
-        if len(gt) != len(ids):
-            raise T.ShapeError(f"{len(gt)} graphs for {len(ids)} inputs")
         lengths = [len(x) for x in ids]
         for n in lengths:
             if n > self.config.max_sequence_length:
                 raise T.ShapeError(f"input length {n} exceeds the model maximum")
-        graph = None
-        if self.config.variation != "BASE" and all(g is not None for g in gt):
-            if [g.num_nodes for g in gt] != lengths:
-                raise T.ShapeError(
-                    f"graphs of {[g.num_nodes for g in gt]} nodes for inputs"
-                    f" of {lengths} tokens")
-            graph = pack(gt)
+        if gt is not None and gt.num_nodes != sum(lengths):
+            raise T.ShapeError(f"a graph of {gt.num_nodes} nodes for inputs"
+                               f" of {sum(lengths)} tokens")
         segments = [(n, n) for n in lengths]
         x = self._embed(np.concatenate(ids), _positions(lengths))
         for layer in self.enc_layers:
             u = T.layer_norm(x, layer["ln1_g"], layer["ln1_b"])
             x = T.add(x, _graph_guided_attention(
-                u, graph, layer["gnn"],
+                u, gt, layer["gnn"],
                 (layer["wq"], layer["wk"], layer["wv"], layer["wo"]),
                 self.config.num_heads, self.config.variation, segments))
             u = T.layer_norm(x, layer["ln2_g"], layer["ln2_b"])

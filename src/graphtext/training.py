@@ -76,10 +76,11 @@ class TrainConfig:
 class TrainItem:
     """Everything the loss needs for one example.
 
-    The token graph is kept as its int edge arrays (None for BASE), and
-    ``gt`` builds its graph tensors, two deduplicated edge lists of about
-    48 bytes per edge, afresh on each read. They live only while the
-    batch or decode that read them runs. ``gr_targets`` holds the
+    The token graph is kept as its int edge arrays (None for BASE). Its
+    graph tensors, two deduplicated edge lists of about 48 bytes per
+    edge, live only while a step runs: a training batch builds one set
+    from its items' joined arrays, and ``gt`` builds the item's own afresh
+    on each read, for a decode. ``gr_targets`` holds the
     relation-reconstruction targets as :func:`graph.reconstruction_targets`
     returns them, a (3, P) int array of source node, target node and
     label; it is kept for BASE too.
@@ -168,13 +169,32 @@ def _apply_freeze(model: Seq2SeqModel, mode: str) -> None:
         model.store.set_trainable(None)
 
 
+def _join_graphs(graphs: list[HierGraph], sizes: list[int],
+                 first: np.ndarray) -> HierGraph:
+    """A packed batch's graphs as one disconnected graph: example i's node
+    ids are offset by ``first[i]``, its first row of the packed states."""
+    if [g.num_nodes for g in graphs] != sizes:
+        raise T.ShapeError(f"graphs of {[g.num_nodes for g in graphs]} nodes"
+                           f" for inputs of {sizes} tokens")
+    offset = np.repeat(first, [len(g.src) for g in graphs])
+    return HierGraph(
+        sum(sizes), np.concatenate([g.src for g in graphs]) + offset,
+        np.concatenate([g.dst for g in graphs]) + offset,
+        np.concatenate([g.rel for g in graphs]),
+        np.concatenate([g.reverse for g in graphs]))
+
+
 def compute_batch_loss(model: Seq2SeqModel, items: list[TrainItem],
                        lambda_gr: float, disable_gr_loss: bool = False
                        ) -> tuple[T.Tensor, LossBreakdown]:
     """Forward the batch, packed, and assemble the combined loss tensor."""
     sizes = [len(item.inp) for item in items]
-    enc = model.encode([item.inp for item in items],
-                       [item.gt for item in items])
+    first = np.cumsum(sizes) - sizes  # each example's first packed row
+    gt = None
+    if all(item.graph is not None for item in items):
+        gt = graph_tensors(_join_graphs([item.graph for item in items],
+                                        sizes, first))
+    enc = model.encode([item.inp for item in items], gt)
     logits = model.decode([item.target_ids[:-1] for item in items], enc,
                           enc_lengths=sizes)
     labels = np.concatenate([item.target_ids[1:] for item in items])
@@ -185,9 +205,8 @@ def compute_batch_loss(model: Seq2SeqModel, items: list[TrainItem],
     loss = T.scale(tg_total, 1.0 / bd.num_tokens)
     targets = np.concatenate([item.gr_targets for item in items], axis=1)
     if targets.shape[1] and not disable_gr_loss:
-        # each example's node ids, shifted to its rows of the packed states
-        targets[:2] += np.repeat(np.cumsum(sizes) - sizes,
-                                 [item.gr_targets.shape[1] for item in items])
+        targets[:2] += np.repeat(first, [item.gr_targets.shape[1]
+                                         for item in items])
         gr_logits = model.reconstruct_relations(enc, targets[:2])
         gr_total = T.cross_entropy(gr_logits, targets[2])
         bd.gr_sum = float(gr_total.data)

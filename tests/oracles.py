@@ -13,7 +13,9 @@ The set-up path's object versions are kept as well: the character-scan
 tokenizer, and the token graph built as a list of ``Edge`` objects with
 its counts, labels, JSON record and graph tensors taken edge by edge.
 GAT's messages are re-derived edge by edge, node by node and head by
-head.
+head. So is ``pack``, which joined a batch's per-example edge lists
+before a batch built its lists once from its examples' joined edge
+arrays.
 
 ``mul`` and ``tsum`` are the exception: tape ops that only tests use,
 to weight an op's output by a fixed probe and sum it.
@@ -27,6 +29,7 @@ import numpy as np
 
 from graphtext import tensor as T
 from graphtext.data import BOS_ID, EOS_ID, SPECIAL_KINDS, TokenKind
+from graphtext.gnn import NUM_RELATION_BUCKETS, GraphTensors
 from graphtext.graph import Direction, Edge, RelationType
 from graphtext.decoding import Hypothesis, normalized_score
 from graphtext.training import LossBreakdown
@@ -410,6 +413,25 @@ def edge_graph_tensors(num_nodes: int, edges: list[Edge]) -> dict:
     np.divide(relations, bucket_deg, out=relations, where=bucket_deg > 0)
     return {"in_mask": adj, "mean_matrix": adj / deg,
             "sum_matrix": adj.astype(np.float64), "relations": relations}
+
+
+def pack(gts: Sequence[GraphTensors]) -> GraphTensors:
+    """The graphs of a packed batch as one disconnected graph: example i's
+    node ids are offset by its first row, the rows of the examples before
+    it."""
+    if len(gts) == 1:
+        return gts[0]
+    sizes = [g.num_nodes for g in gts]
+    firsts = np.cumsum(sizes) - sizes
+    pairs = np.concatenate([g.pairs for g in gts], axis=1)
+    pairs += np.repeat(firsts, [g.pairs.shape[1] for g in gts])
+    cells = np.concatenate([g.cells for g in gts], axis=1)
+    cells += np.repeat(firsts, [g.cells.shape[1] for g in gts]) * np.array(
+        [[1], [NUM_RELATION_BUCKETS]])
+    return GraphTensors(
+        num_nodes=sum(sizes), pairs=pairs,
+        pair_weight=np.concatenate([g.pair_weight for g in gts]),
+        cells=cells, cell_weight=np.concatenate([g.cell_weight for g in gts]))
 
 
 def loop_gat_messages(states: np.ndarray, graphs, w: np.ndarray,

@@ -416,14 +416,13 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE_CAP,) * 2)
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="address-space limit")
-def test_out_of_memory_is_one_line_runtime_error(workspace, tmp_path):
-    """A model too large to allocate ends in exit 3 and one stderr line.
-    The run's address space is capped, so the refused allocation fails
-    at once and the test never holds more than the cap."""
+def _assert_train_is_out_of_memory(workspace, tmp_path, changes):
+    """``train`` under the config with ``changes`` ends in exit 3 and one
+    stderr line. The run's address space is capped, so a refused
+    allocation fails at once and the test never holds more than the
+    cap."""
     config = tmp_path / "big.json"
-    config.write_text(json.dumps({**CONFIG, "d_model": 400000}))
+    config.write_text(json.dumps({**CONFIG, **changes}))
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run(
@@ -436,6 +435,25 @@ def test_out_of_memory_is_one_line_runtime_error(workspace, tmp_path):
     assert proc.stderr.startswith("runtime error: out of memory: ")
     assert proc.stderr.count("\n") == 1
     assert proc.returncode == 3
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="address-space limit")
+def test_out_of_memory_is_one_line_runtime_error(workspace, tmp_path):
+    """A model too large to allocate ends in exit 3 and one stderr line."""
+    _assert_train_is_out_of_memory(workspace, tmp_path, {"d_model": 400000})
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="address-space limit")
+@pytest.mark.parametrize("field", ["d_model", "feedforward_dim",
+                                   "max_sequence_length"])
+def test_unaddressable_size_is_one_line_runtime_error(workspace, tmp_path,
+                                                      field):
+    """A size whose parameter array numpy cannot address (2**59 rows or
+    columns of 8-byte values) is out of memory too; numpy refuses the
+    array before it allocates anything."""
+    _assert_train_is_out_of_memory(workspace, tmp_path, {field: 2 ** 59})
 
 
 def _copy_run(run, dest, **config_changes):

@@ -38,7 +38,7 @@ def test_every_sub_config_field_is_reached_from_run_config(cls):
 # field of a config class or a parameter of a public function or public
 # method (``__init__`` included; ``self`` and ``cls`` not). Lower this when
 # a change removes one; a change that adds one must make the case for it.
-MAX_SETTABLE_VALUES = 226
+MAX_SETTABLE_VALUES = 225
 CONFIG_CLASSES = {"RunConfig", "ModelConfig", "GnnConfig", "TrainConfig",
                   "DecodeConfig"}
 

@@ -9,8 +9,8 @@ from graphtext import gnn as N
 from graphtext import graph as G
 from graphtext import tensor as T
 from oracles import (bucket_index, edge_graph_tensors, finite_difference,
-                     loop_gat_messages, mul, recorded_nodes, relative_error,
-                     tsum)
+                     loop_gat_messages, mul, pack, recorded_nodes,
+                     relative_error, tsum)
 
 TOL = 1e-4
 
@@ -81,8 +81,8 @@ def test_gat_attention_rows_sum_to_one():
     head-averaged weights: each row sums to one, and pairs joined by no
     edge, within or across the packed graphs, weigh exactly zero. A row
     with no in-edge, or an edge list of fewer rows, raises."""
-    packed = N.pack([N.graph_tensors(g)
-                     for g in (iraq_graph(), all_buckets_graph())])
+    packed = pack([N.graph_tensors(g)
+                   for g in (iraq_graph(), all_buckets_graph())])
     rows, heads = packed.num_nodes, 3
     rng = np.random.default_rng(2)
     s_dst = T.Tensor(rng.standard_normal((heads, rows, 1)))
@@ -110,7 +110,7 @@ def test_gat_matches_loop_oracle_on_a_packed_batch():
     rows = sum(g.num_nodes for g in graphs)
     states = np.random.default_rng(10).standard_normal((rows, 5))
     got = layer.aggregate(T.Tensor(states),
-                          N.pack([N.graph_tensors(g) for g in graphs])).data
+                          pack([N.graph_tensors(g) for g in graphs])).data
     want = loop_gat_messages(states, graphs, *(layer.p[k].data
                                                for k in ("w", "a_src", "a_dst")))
     assert relative_error(got, want) <= 1e-12
@@ -219,7 +219,7 @@ def test_duplicate_pairs_match_the_dense_oracle_on_a_packed_batch(family, kw):
     rows = sum(g.num_nodes for g in graphs)
     states = np.random.default_rng(18).standard_normal((rows, 4))
     got = layer.aggregate(T.Tensor(states),
-                          N.pack([N.graph_tensors(g) for g in graphs])).data
+                          pack([N.graph_tensors(g) for g in graphs])).data
     start = 0
     for graph in graphs:
         part = slice(start, start + graph.num_nodes)

@@ -180,6 +180,21 @@ def test_missing_graph_rejected_for_graph_variations():
         model.encode(inp, None)
 
 
+def test_graph_of_other_row_count_rejected():
+    """``encode`` takes one graph over all its rows: a graph of another
+    node count, such as one example's graph for a batch of two copies of
+    it, is a shape error."""
+    vocab, inp, graph, gt = iraq_inputs()
+    model = M.Seq2SeqModel(toy_config("GRASAME", vocab=len(vocab)), seed=0)
+    loops = np.arange(len(inp) - 1)  # self-loops over one node fewer
+    rel = np.full(len(loops), G.RELATIONS.index(G.RelationType.SELF))
+    short = G.HierGraph(len(loops), loops, loops, rel,
+                        np.zeros(len(loops), dtype=bool))
+    for batch, wrong in ((inp, N.graph_tensors(short)), ([inp, inp], gt)):
+        with pytest.raises(T.ShapeError, match="nodes"):
+            model.encode(batch, wrong)
+
+
 def test_head_count_shape_invariance():
     vocab, inp, graph, gt = iraq_inputs()
     for heads in (1, 2, 4, 8):

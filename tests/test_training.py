@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from graphtext import gnn as N
 from graphtext import tensor as T
 from graphtext import training as TR
 from graphtext.data import (DataError, Example, Triple, build_vocabulary,
@@ -15,7 +14,7 @@ from graphtext.gnn import GnnConfig, graph_tensors
 from graphtext.graph import build_graph
 from graphtext.model import ModelConfig, Seq2SeqModel
 from corpus import build_corpus, large_corpus
-from oracles import (ReferenceAdam, loop_batch_loss, recorded_nodes,
+from oracles import (ReferenceAdam, loop_batch_loss, pack, recorded_nodes,
                      relative_error, tsum)
 
 EXAMPLES = [
@@ -197,13 +196,60 @@ def test_graph_path_allocates_no_array_of_n_squared_entries(family, kw):
         (2 * n, 2)), requires_grad=True)
     tracemalloc.start()
     try:
-        graph = N.pack([item.gt for item in items])
+        graph = pack([item.gt for item in items])
         T.backward(tsum(layer.forward(states, graph)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert states.grad is not None
     assert peak < n * n, (peak, n * n)
+
+
+@pytest.mark.parametrize("picks", [[2, 0, 5], [4], [0, 1, 2, 3, 4, 5]])
+@pytest.mark.parametrize("bidirectional", [True, False])
+@pytest.mark.parametrize("family", ["SAGE", "GAT", "RGCN"])
+def test_batch_builds_one_graph_equal_to_the_packed_item_graphs(
+        monkeypatch, family, bidirectional, picks):
+    """``compute_batch_loss`` builds the graph tensors of the whole batch
+    with one ``graph_tensors`` call, byte-equal to the items' own graph
+    tensors joined by the oracle ``pack``."""
+    vocab = build_vocabulary(EXAMPLES)
+    cfg = ModelConfig(vocab_size=len(vocab), d_model=8, num_heads=2,
+                      num_encoder_layers=1, num_decoder_layers=1,
+                      feedforward_dim=16, gnn=GnnConfig(
+                          family=family, in_dim=8, out_dim=8, gat_heads=2),
+                      max_sequence_length=48, max_target_length=24)
+    items = TR.prepare_items(EXAMPLES, vocab, cfg,
+                             bidirectional=bidirectional)
+    batch = [items[i] for i in picks]
+    if len(batch) > 1:
+        assert len({len(item.inp) for item in batch}) > 1
+    want = graph_fields(pack([item.gt for item in batch]))
+    built = []
+
+    def counted(graph):
+        built.append(graph_tensors(graph))
+        return built[-1]
+
+    monkeypatch.setattr(TR, "graph_tensors", counted)
+    TR.compute_batch_loss(Seq2SeqModel(cfg, seed=2), batch, lambda_gr=0.08)
+    assert len(built) == 1
+    got = graph_fields(built[0])
+    assert got["num_nodes"] == want["num_nodes"] == sum(
+        len(item.inp) for item in batch)
+    for name in ("pairs", "pair_weight", "cells", "cell_weight"):
+        a, b = got[name], want[name]
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_batch_loss_rejects_a_graph_that_misfits_its_input():
+    vocab, cfg, items = make_setup()
+    assert len(items[2].inp) != len(items[0].inp)
+    misfit = dataclasses.replace(items[0], graph=items[2].graph)
+    with pytest.raises(T.ShapeError, match="nodes"):
+        TR.compute_batch_loss(Seq2SeqModel(cfg, seed=0),
+                              [items[1], misfit], lambda_gr=0.08)
 
 
 def test_untrained_uniform_model_hits_log_vocab():
