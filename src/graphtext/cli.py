@@ -17,6 +17,7 @@ import shutil
 import signal
 import sys
 import tempfile
+from collections import Counter
 
 from . import tensor as T
 from .config import RunConfig, load_config, save_config
@@ -135,7 +136,7 @@ def _items(corpus, rc: RunConfig, vocab: Vocabulary,
 def cmd_build_graph(args) -> int:
     corpus = _load_corpus(args.data)
     vocab = build_vocabulary(corpus)
-    totals: dict[str, dict[str, int]] = {}
+    totals: dict[str, Counter] = {}
     with atomic_write(args.out) as fh:
         for i, ex in enumerate(corpus):
             try:
@@ -147,9 +148,7 @@ def cmd_build_graph(args) -> int:
             record = {"index": i, **graph_record(g), "edge_counts": counts}
             fh.write((json.dumps(record) + "\n").encode("utf-8"))
             for direction, per_rel in counts.items():
-                slot = totals.setdefault(direction, {})
-                for rel, n in per_rel.items():
-                    slot[rel] = slot.get(rel, 0) + n
+                totals.setdefault(direction, Counter()).update(per_rel)
     print(json.dumps({"examples": len(corpus), "edge_counts": totals}))
     return EXIT_OK
 
@@ -314,14 +313,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (T.NumericsError, T.ShapeError, ArithmeticError,
-            RuntimeError) as exc:
+    except (T.ShapeError, ArithmeticError, RuntimeError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except MemoryError as exc:  # numpy's message names the refused size

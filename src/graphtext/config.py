@@ -12,7 +12,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .data import DEFAULT_PROMPT, RESERVED_TOKENS, DataError, atomic_write
+from .data import (DEFAULT_PROMPT, MAX_SEQUENCE_LENGTH, MAX_TARGET_LENGTH,
+                   RESERVED_TOKENS, DataError, atomic_write)
 from .decoding import DecodeConfig
 from .gnn import GnnConfig
 from .model import ModelConfig
@@ -27,8 +28,8 @@ class RunConfig:
     # data handling
     prompt: str = DEFAULT_PROMPT
     vocab_min_count: int = 1
-    max_sequence_length: int = 187
-    max_target_length: int = 120
+    max_sequence_length: int = MAX_SEQUENCE_LENGTH
+    max_target_length: int = MAX_TARGET_LENGTH
     # model shape
     d_model: int = 64
     num_heads: int = 4

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
-from .data import BOS_ID, EOS_ID, TokenizedGraphInput
+from .data import BOS_ID, EOS_ID, MAX_TARGET_LENGTH, TokenizedGraphInput
 from .gnn import GraphTensors
 from .model import DecoderCache, Seq2SeqModel
 
@@ -43,7 +43,7 @@ MODES = ("GREEDY", "BEAM")
 class DecodeConfig:
     mode: str = "BEAM"
     beam_size: int = 3
-    max_target_length: int = 120
+    max_target_length: int = MAX_TARGET_LENGTH
     length_penalty: float = 1.0
 
     def __post_init__(self) -> None:

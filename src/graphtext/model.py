@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .data import TokenizedGraphInput
+from .data import MAX_SEQUENCE_LENGTH, MAX_TARGET_LENGTH, TokenizedGraphInput
 from .gnn import GnnConfig, GnnLayer, GraphTensors, xavier
 from .graph import LABEL_RELATIONS
 
@@ -47,8 +47,8 @@ class ModelConfig:
     feedforward_dim: int = 128
     variation: str = "GRASAME"
     gnn: GnnConfig | None = None
-    max_sequence_length: int = 187
-    max_target_length: int = 120
+    max_sequence_length: int = MAX_SEQUENCE_LENGTH
+    max_target_length: int = MAX_TARGET_LENGTH
     tie_embeddings: bool = True
 
     def __post_init__(self) -> None:
@@ -114,19 +114,18 @@ def _graph_guided_attention(x: T.Tensor, graph: GraphTensors | None,
     return multi_head_attention(q_in, kv_in, weights, num_heads, segments)
 
 
-def _token_lists(inp) -> list:
-    """The token ids of each example: ``inp`` is one input (a
-    TokenizedGraphInput or its ids) or a list of them."""
+def _pack(inp) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The packed token ids of ``inp``, one input (a TokenizedGraphInput or
+    its ids) or a list of them; each row's position, counted from 0 in
+    each example; and each example's length."""
     if isinstance(inp, TokenizedGraphInput) or not len(inp) or isinstance(
             inp[0], (int, np.integer)):
         inp = [inp]
-    return [x.token_ids if isinstance(x, TokenizedGraphInput) else x
-            for x in inp]
-
-
-def _positions(lengths: list[int]) -> np.ndarray:
-    """Position ids of packed rows: each example counts from 0."""
-    return np.concatenate([np.arange(n) for n in lengths])
+    ids = [x.token_ids if isinstance(x, TokenizedGraphInput) else x
+           for x in inp]
+    lengths = [len(x) for x in ids]
+    return (np.concatenate(ids),
+            np.concatenate([np.arange(n) for n in lengths]), lengths)
 
 
 class Seq2SeqModel:
@@ -143,7 +142,7 @@ class Seq2SeqModel:
 
     def _create_parameters(self, rng: np.random.Generator) -> None:
         config = self.config
-        d = config.d_model
+        d, ff = config.d_model, config.feedforward_dim
         pos_rows = max(config.max_sequence_length, config.max_target_length)
 
         def mat(name, fi, fo):
@@ -152,49 +151,37 @@ class Seq2SeqModel:
         def vec(name, n, value=0.0):
             return self.store.create(name, np.full(n, value, dtype=np.float64))
 
+        def norm(p, key):  # a layer norm's gain and bias
+            return {f"{key}_g": vec(f"{p}.{key}.g", d, 1.0),
+                    f"{key}_b": vec(f"{p}.{key}.b", d)}
+
+        def attn(p, part, key):  # query, key, value and output projections
+            return {key + x: mat(f"{p}.{part}.{x}", d, d) for x in "qkvo"}
+
+        def feedforward(p):
+            return {"ff_w1": mat(f"{p}.ff.w1", d, ff),
+                    "ff_b1": vec(f"{p}.ff.b1", ff),
+                    "ff_w2": mat(f"{p}.ff.w2", ff, d),
+                    "ff_b2": vec(f"{p}.ff.b2", d)}
+
         self.emb_tok = self.store.create(
             "emb.tok", rng.normal(0.0, 0.02, size=(config.vocab_size, d)))
         self.emb_pos = self.store.create(
             "emb.pos", rng.normal(0.0, 0.02, size=(pos_rows, d)))
 
-        self.enc_layers = []
-        for i in range(config.num_encoder_layers):
-            p = f"enc.{i}"
-            layer = {
-                "ln1_g": vec(f"{p}.ln1.g", d, 1.0), "ln1_b": vec(f"{p}.ln1.b", d),
-                "wq": mat(f"{p}.attn.q", d, d), "wk": mat(f"{p}.attn.k", d, d),
-                "wv": mat(f"{p}.attn.v", d, d), "wo": mat(f"{p}.attn.o", d, d),
-                "gnn": None,
-                "ln2_g": vec(f"{p}.ln2.g", d, 1.0), "ln2_b": vec(f"{p}.ln2.b", d),
-                "ff_w1": mat(f"{p}.ff.w1", d, config.feedforward_dim),
-                "ff_b1": vec(f"{p}.ff.b1", config.feedforward_dim),
-                "ff_w2": mat(f"{p}.ff.w2", config.feedforward_dim, d),
-                "ff_b2": vec(f"{p}.ff.b2", d),
-            }
-            if config.variation != "BASE":
-                layer["gnn"] = GnnLayer(config.gnn, self.store, f"{p}.gnn", rng)
-            self.enc_layers.append(layer)
-        self.enc_ln_g = vec("enc.ln.g", d, 1.0)
-        self.enc_ln_b = vec("enc.ln.b", d)
+        self.enc_layers = [{
+            **norm(p, "ln1"), **attn(p, "attn", "w"), **norm(p, "ln2"),
+            **feedforward(p),
+            "gnn": None if config.variation == "BASE"
+            else GnnLayer(config.gnn, self.store, f"{p}.gnn", rng)}
+            for p in (f"enc.{i}" for i in range(config.num_encoder_layers))]
+        self.enc_ln_g, self.enc_ln_b = norm("enc", "ln").values()
 
-        self.dec_layers = []
-        for i in range(config.num_decoder_layers):
-            p = f"dec.{i}"
-            self.dec_layers.append({
-                "ln1_g": vec(f"{p}.ln1.g", d, 1.0), "ln1_b": vec(f"{p}.ln1.b", d),
-                "sq": mat(f"{p}.self.q", d, d), "sk": mat(f"{p}.self.k", d, d),
-                "sv": mat(f"{p}.self.v", d, d), "so": mat(f"{p}.self.o", d, d),
-                "ln2_g": vec(f"{p}.ln2.g", d, 1.0), "ln2_b": vec(f"{p}.ln2.b", d),
-                "cq": mat(f"{p}.cross.q", d, d), "ck": mat(f"{p}.cross.k", d, d),
-                "cv": mat(f"{p}.cross.v", d, d), "co": mat(f"{p}.cross.o", d, d),
-                "ln3_g": vec(f"{p}.ln3.g", d, 1.0), "ln3_b": vec(f"{p}.ln3.b", d),
-                "ff_w1": mat(f"{p}.ff.w1", d, config.feedforward_dim),
-                "ff_b1": vec(f"{p}.ff.b1", config.feedforward_dim),
-                "ff_w2": mat(f"{p}.ff.w2", config.feedforward_dim, d),
-                "ff_b2": vec(f"{p}.ff.b2", d),
-            })
-        self.dec_ln_g = vec("dec.ln.g", d, 1.0)
-        self.dec_ln_b = vec("dec.ln.b", d)
+        self.dec_layers = [{
+            **norm(p, "ln1"), **attn(p, "self", "s"), **norm(p, "ln2"),
+            **attn(p, "cross", "c"), **norm(p, "ln3"), **feedforward(p)}
+            for p in (f"dec.{i}" for i in range(config.num_decoder_layers))]
+        self.dec_ln_g, self.dec_ln_b = norm("dec", "ln").values()
 
         self.gr_w = mat("gr_head.W", 2 * d, NUM_EDGE_LABELS)
         self.gr_b = vec("gr_head.b", NUM_EDGE_LABELS)
@@ -223,8 +210,7 @@ class Seq2SeqModel:
         tensors of all the rows (None for BASE), reused by every layer: one
         example's graph, or a batch's graphs joined into one.
         """
-        ids = _token_lists(inp)
-        lengths = [len(x) for x in ids]
+        ids, positions, lengths = _pack(inp)
         for n in lengths:
             if n > self.config.max_sequence_length:
                 raise T.ShapeError(f"input length {n} exceeds the model maximum")
@@ -232,7 +218,7 @@ class Seq2SeqModel:
             raise T.ShapeError(f"a graph of {gt.num_nodes} nodes for inputs"
                                f" of {sum(lengths)} tokens")
         segments = [(n, n) for n in lengths]
-        x = self._embed(np.concatenate(ids), _positions(lengths))
+        x = self._embed(ids, positions)
         for layer in self.enc_layers:
             u = T.layer_norm(x, layer["ln1_g"], layer["ln1_b"])
             x = T.add(x, _graph_guided_attention(
@@ -260,15 +246,13 @@ class Seq2SeqModel:
         and returns (rows x 1 x vocab) logits.
         """
         if cache is None:
-            prefixes = _token_lists(token_ids)
-            lengths = [len(p) for p in prefixes]
-            if enc_lengths is None and len(prefixes) == 1:
+            ids, positions, lengths = _pack(token_ids)
+            if enc_lengths is None and len(lengths) == 1:
                 enc_lengths = [enc_states.shape[0]]
-            if enc_lengths is None or len(enc_lengths) != len(prefixes):
+            if enc_lengths is None or len(enc_lengths) != len(lengths):
                 raise T.ShapeError(
-                    f"{len(prefixes)} prefixes need as many encoder lengths")
+                    f"{len(lengths)} prefixes need as many encoder lengths")
             m = max(lengths)
-            ids, positions = np.concatenate(prefixes), _positions(lengths)
             self_segments = [(n, n) for n in lengths]
             cross_segments = list(zip(lengths, enc_lengths))
         else:  # one sequence of one token per cache row

@@ -185,20 +185,15 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are incompatible") from None
-
-
 # ---------------------------------------------------------------------------
 # core ops
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "add")
-    data = a.data + b.data
+    try:
+        data = a.data + b.data
+    except ValueError:  # shapes that do not broadcast
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} are incompatible") from None
 
     def backward(g: np.ndarray) -> None:
         a._accumulate_grad(_unbroadcast(g, a.shape))
@@ -312,7 +307,7 @@ def _scatter_rows(dest: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
         return
     order = np.argsort(ids, kind="stable")
     ids = ids[order]
-    starts = np.flatnonzero(np.diff(ids, prepend=-1))
+    starts = _runs(ids)
     dest[ids[starts]] += np.add.reduceat(g.reshape(ids.size, -1)[order], starts)
 
 

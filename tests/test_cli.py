@@ -1,13 +1,16 @@
+import argparse
 import json
 import math
 import os
 import random
+import re
 import signal
 import shutil
 import struct
 import subprocess
 import sys
 import zlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,7 +18,8 @@ import pytest
 from graphtext import cli
 from graphtext import tensor as T
 from graphtext.config import load_config
-from graphtext.data import EOS_ID
+from graphtext.data import (DEFAULT_PROMPT, EOS_ID, RESERVED_TOKENS,
+                            tokenize)
 from graphtext.decoding import DecodeConfig
 from graphtext.tensor import read_checkpoint
 
@@ -224,6 +228,60 @@ def test_every_flag_reaches_its_config_field(workspace, tmp_path,
                          "--beam-size", "2", "--length-penalty", "0.5"]) == 0
     assert seen == 2 * [DecodeConfig("GREEDY", 2, CONFIG["max_target_length"],
                                      0.5)]
+
+
+def test_readme_names_every_command_line_option():
+    """Each subcommand's usage in README's command-line block names every
+    option the parser gives it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    usage = {u.split()[0]: u for u in block.split("graphtext ")[1:]}
+    [commands] = [a for a in cli.build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    assert set(usage) == set(commands.choices)
+    for name, parser in commands.choices.items():
+        for action in parser._actions:
+            for option in action.option_strings:
+                if option not in ("-h", "--help"):
+                    assert re.search(re.escape(option) + r"(?![\w-])",
+                                     usage[name]), (name, option)
+
+
+def _train_with(workspace, tmp_path, **changes) -> Path:
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**CONFIG, **changes}))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(config), "--data",
+                     workspace["data"], "--out", str(out)]) == 0
+    return out
+
+
+def test_vocab_min_count_drops_singletons_from_vocab_file(workspace,
+                                                          tmp_path):
+    out = _train_with(workspace, tmp_path, vocab_min_count=2)
+    counts = Counter(tok for rec in DATASET
+                     for s in [*(x for t in rec["triples"] for x in t),
+                               rec["text"]]
+                     for tok in tokenize(s))
+    every = (Path(workspace["run"]) / "vocab.txt").read_text().splitlines()
+    kept = (out / "vocab.txt").read_text().splitlines()
+    always = RESERVED_TOKENS + tokenize(DEFAULT_PROMPT)
+    assert "spoken" in every and counts["spoken"] == 1
+    assert kept == [t for t in every if t in always or counts[t] >= 2]
+
+
+def test_untied_embeddings_round_trip_through_train_and_generate(
+        workspace, tmp_path):
+    out = _train_with(workspace, tmp_path, tie_embeddings=False)
+    params = read_checkpoint(str(out / "model.ckpt"))
+    vocab_size = len((out / "vocab.txt").read_text().splitlines())
+    assert list(params)[-1] == "lm_head"
+    assert params["lm_head"].shape == (vocab_size, CONFIG["d_model"])
+    gen = tmp_path / "gen.jsonl"
+    assert cli.main(["generate", "--run", str(out), "--data",
+                     workspace["data"], "--out", str(gen)]) == 0
+    assert len(gen.read_text().splitlines()) == len(DATASET)
 
 
 def test_usage_errors(tmp_path):

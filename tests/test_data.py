@@ -151,11 +151,36 @@ def test_vocabulary_contents_and_unk():
 
 
 def test_vocabulary_min_count():
+    """Reserved tokens, then the prompt's tokens however rare, then the
+    corpus tokens seen at least ``min_count`` times, in first-appearance
+    order; a dropped singleton reads as <unk> in inputs and targets."""
     corpus = [D.Example([D.Triple("a a b", "r", "c")], "a common words")]
     vocab = D.build_vocabulary(corpus, min_count=2)
     assert "a" in vocab  # appears 3 times
     assert "b" not in vocab
     assert vocab.encode(["b"])[0] == D.UNK_ID
+
+    corpus = [
+        D.Example([D.Triple("Rome", "capital", "Italy")],
+                  "Rome is the old capital of Italy ."),
+        D.Example([D.Triple("Lima", "capital", "Peru"),
+                   D.Triple("Lima", "population", "9751000")],
+                  "Lima is the capital of Peru today ."),
+    ]
+    prompt = "verbalize the graph :"
+    vocab = D.build_vocabulary(corpus, min_count=2, prompt=prompt)
+    assert vocab._id_to_token == D.RESERVED_TOKENS + [
+        "verbalize", "the", "graph", ":",
+        "Rome", "capital", "Italy", "is", "of", ".", "Lima", "Peru"]
+    singletons = ["old", "population", "9751000", "today"]
+    assert all(tok in D.build_vocabulary(corpus, prompt=prompt)
+               for tok in singletons)
+    inp = D.linearize(corpus[1], prompt, vocab)
+    for tok, tid in zip(inp.surface, inp.token_ids):
+        assert (tid == D.UNK_ID) == (tok in singletons), tok
+    target = D.encode_target(corpus[0].target_text, vocab)
+    assert target[1:-1] == vocab.encode(
+        ["Rome", "is", "the", "<unk>", "capital", "of", "Italy", "."])
 
 
 def test_vocabulary_roundtrip(tmp_path):

@@ -9,6 +9,7 @@ from graphtext import gnn as N
 from graphtext import graph as G
 from graphtext import model as M
 from graphtext import tensor as T
+from graphtext import training as TR
 from oracles import (finite_difference, forward_edges_of, recorded_nodes,
                      reference_softmax, relative_error)
 
@@ -218,6 +219,41 @@ def test_zeroed_output_paths_leave_residual_stream():
         expected = T.layer_norm(emb, model.enc_ln_g, model.enc_ln_b)
     assert np.allclose(out.data, expected.data, atol=1e-12)
     assert out.shape == (len(inp), model.config.d_model)
+
+
+def test_untied_model_has_its_own_lm_head():
+    """With ``tie_embeddings`` off, the vocabulary head is a (V, d)
+    parameter of its own, created after every other, so the rest of the
+    model draws the tied model's values. Backward reaches it, and
+    FREEZE_BASE, which trains only the graph parameters, freezes it."""
+    vocab, inp, graph, gt = iraq_inputs()
+    target = D.encode_target("Iraq language is Arabic.", vocab)
+    cfg = toy_config("GRASAME", vocab=len(vocab), tie_embeddings=False)
+    model = M.Seq2SeqModel(cfg, seed=6)
+    tied = M.Seq2SeqModel(toy_config("GRASAME", vocab=len(vocab)), seed=6)
+    names = model.store.names()
+    assert names[-1] == "lm_head" and tied.store.names() == names[:-1]
+    for name in names[:-1]:
+        assert np.array_equal(model.store.get(name).data,
+                              tied.store.get(name).data), name
+    assert model.lm_head is model.store.get("lm_head")
+    assert model.lm_head is not model.emb_tok
+    assert model.lm_head.shape == (len(vocab), cfg.d_model)
+
+    def loss_of(m):
+        logits = m.decode(target[:-1], m.encode(inp, gt))
+        return T.cross_entropy(logits, target[1:])
+
+    T.backward(loss_of(model))
+    head = model.lm_head
+    assert np.any(head.grad)
+    [numeric] = finite_difference(lambda: loss_of(model).item(), [head.data])
+    assert relative_error(head.grad, numeric) <= 1e-4
+    TR._apply_freeze(model, "FREEZE_BASE")
+    assert not head.requires_grad
+    head.zero_grad()
+    T.backward(loss_of(model))
+    assert head.grad is None
 
 
 def test_encoder_output_finite_at_max_length():

@@ -175,9 +175,11 @@ def test_prepared_items_retain_less_than_the_dense_graph_tensors():
 ])
 def test_graph_path_allocates_no_array_of_n_squared_entries(family, kw):
     """The graph's part of a training or decode step never builds an array
-    with an entry per pair of nodes: reading two items' graph tensors,
-    packing them, and a GNN layer's forward and backward over the batch
-    peak below n² bytes, n = 3,601 nodes per example. A long prompt, whose
+    with an entry per pair of nodes: building two items' batch graph, and
+    a GNN layer's forward and backward over it, peak below n² bytes, n =
+    3,601 nodes per example. The batch graph is built both by the oracle
+    ``pack`` of the items' graph tensors and as ``compute_batch_loss``
+    builds it, by joining the items' edge arrays. A long prompt, whose
     tokens have only self-loops, makes n large at a modest edge count."""
     prompt = " ".join(f"p{j}" for j in range(3000))
     examples = [Example([Triple(f"h{i}x{k}", f"r{i}x{k}", f"t{i}x{k}")
@@ -192,17 +194,25 @@ def test_graph_path_allocates_no_array_of_n_squared_entries(family, kw):
     n = min(len(item.inp) for item in items)
     assert n == 3601
     layer = Seq2SeqModel(cfg, seed=1).enc_layers[0]["gnn"]
-    states = T.Tensor(np.random.default_rng(19).standard_normal(
-        (2 * n, 2)), requires_grad=True)
-    tracemalloc.start()
-    try:
-        graph = pack([item.gt for item in items])
-        T.backward(tsum(layer.forward(states, graph)))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert states.grad is not None
-    assert peak < n * n, (peak, n * n)
+    sizes = [len(item.inp) for item in items]
+    builds = {
+        "oracle pack": lambda: pack([item.gt for item in items]),
+        "batch join": lambda: graph_tensors(TR._join_graphs(
+            [item.graph for item in items], sizes,
+            np.cumsum(sizes) - sizes)),
+    }
+    for name, build in builds.items():
+        states = T.Tensor(np.random.default_rng(19).standard_normal(
+            (2 * n, 2)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            graph = build()
+            T.backward(tsum(layer.forward(states, graph)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert states.grad is not None, name
+        assert peak < n * n, (name, peak, n * n)
 
 
 @pytest.mark.parametrize("picks", [[2, 0, 5], [4], [0, 1, 2, 3, 4, 5]])
