@@ -1,11 +1,15 @@
 """Dense tensor engine with reverse-mode gradients over a fixed op set.
 
-Every operation records a backward closure on the output tensor; calling
-:func:`backward` on a scalar loss walks the recorded graph in reverse
-topological order and accumulates gradients into every reachable tensor
-that has ``requires_grad`` set. There is no general autodiff: the op
-vocabulary is exactly what the model needs, which keeps each backward
-rule small enough to verify against finite differences.
+Every operation run while grad is on records a tape node beside its
+output tensor: the backward rule and the nodes of the op's parents, not
+the output's value. A rule keeps only the arrays and shapes it reads, so
+an output that no rule reads, such as an ``add``'s, is freed as soon as
+the caller drops its tensor. Calling :func:`backward` on a scalar loss
+walks the recorded graph in reverse topological order and accumulates
+gradients into every reachable tensor that has ``requires_grad`` set.
+There is no general autodiff: the op vocabulary is exactly what the model
+needs, which keeps each backward rule small enough to verify against
+finite differences.
 
 An intermediate tensor takes its first incoming gradient array over
 rather than copying it, and adds any later one out of place, since an op
@@ -18,16 +22,20 @@ Adam evaluates the update in Kingma & Ba's efficient order with the clip
 scale folded into the moment coefficients, so it rounds differently from
 the textbook expressions; the values it trains agree with theirs to
 1e-12. Attention builds its softmax in the one weights array its
-backward keeps and reuses its weight gradient in place, and
-cross-entropy turns its softmax into the logits' gradient in place; both
-round exactly as the out-of-place expressions do.
+backward keeps and reuses its weight gradient in place, cross-entropy
+turns its softmax into the logits' gradient in place, and layer norm
+reuses its buffers; all three round exactly as the out-of-place
+expressions do.
 
 Values are double precision: a tensor casts whatever it is built from to
 float64, and checkpoints are written in float64. The checkpoint reader
 still parses float32 values, which loading casts.
 
-Memory: a training step builds tens of megabytes of activations on the
-tape and frees them all when :func:`backward` returns. With glibc's
+Memory: while a training step runs, its arrays are held by the rules
+that read them and by the tensors the caller still holds. :func:`backward`
+drops each rule once it has run, so the saved arrays are freed as the
+walk proceeds and none outlive the call; the loss tensor keeps only its
+value. A step still builds and frees tens of megabytes. With glibc's
 default, dynamic thresholds the allocator hands that memory back to the
 kernel and the next step faults every page in again. Importing this
 module therefore fixes glibc's mmap threshold at 4 MiB and its trim
@@ -119,19 +127,20 @@ class Tensor:
     takes the incoming array over; a later accumulation makes a new sum
     and never writes into it, because an op may hand one array to several
     parents. A laid-out parameter's ``grad`` is a view into its store's
-    flat gradient buffer that accumulates in place. Tensors created by ops
-    carry the backward closure and parent links used by :func:`backward`.
+    flat gradient buffer that accumulates in place. A tensor an op makes
+    while grad is on links to its tape entry, a :class:`_Node`; a leaf (a
+    parameter or an input) is its own entry.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
-                 "_flat")
+    __slots__ = ("data", "grad", "requires_grad", "_node", "_flat")
+    _parents: tuple = ()  # a leaf has no parents and no backward rule
+    _backward = None
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
+        self._node: _Node | None = None
         self._flat = False  # grad is a view into a store's gradient buffer
 
     @property
@@ -162,13 +171,31 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+class _Node:
+    """An op output's entry on the tape, without its value: the backward
+    rule ``rule(g, parents)``, the nodes of the op's parents, and the
+    gradient flowing in during :func:`backward`. The rule keeps only the
+    arrays and shapes it reads. :func:`backward` drops the rule and the
+    parent links once the rule has run; ``_parents`` None marks a spent
+    node."""
+
+    __slots__ = ("grad", "_parents", "_backward")
+    requires_grad = True
+    _flat = False
+    _accumulate_grad = Tensor._accumulate_grad
+
+    def __init__(self, parents: tuple, backward: Callable) -> None:
+        self.grad: np.ndarray | None = None
+        self._parents = parents
+        self._backward = backward
+
+
 def _result(data: np.ndarray, parents: Sequence[Tensor],
-            backward: Callable[[np.ndarray], None]) -> Tensor:
+            backward: Callable[[np.ndarray, tuple], None]) -> Tensor:
     out = Tensor(data)
     if _GRAD_ENABLED and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+        out._node = _Node(tuple(p._node or p for p in parents), backward)
     return out
 
 
@@ -194,10 +221,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         data = a.data + b.data
     except ValueError:  # shapes that do not broadcast
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} are incompatible") from None
+    sa, sb = a.data.shape, b.data.shape
 
-    def backward(g: np.ndarray) -> None:
-        a._accumulate_grad(_unbroadcast(g, a.shape))
-        b._accumulate_grad(_unbroadcast(g, b.shape))
+    def backward(g: np.ndarray, parents: tuple) -> None:
+        parents[0]._accumulate_grad(_unbroadcast(g, sa))
+        parents[1]._accumulate_grad(_unbroadcast(g, sb))
 
     return _result(data, (a, b), backward)
 
@@ -206,8 +234,8 @@ def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
     data = a.data * s
 
-    def backward(g: np.ndarray) -> None:
-        a._accumulate_grad(g * s)
+    def backward(g: np.ndarray, parents: tuple) -> None:
+        parents[0]._accumulate_grad(g * s)
 
     return _result(data, (a,), backward)
 
@@ -228,21 +256,23 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
         data = am @ bm
     except ValueError:  # inner or batch dims differ
         raise ShapeError(f"matmul: cannot multiply {a.shape} by {b.shape}") from None
+    sa, sb = a.data.shape, b.data.shape
     if fold:
-        data = data.reshape(*a.shape[:-1], data.shape[-1])
+        data = data.reshape(*sa[:-1], data.shape[-1])
 
-    def backward(g: np.ndarray) -> None:
+    def backward(g: np.ndarray, parents: tuple) -> None:
+        a, b = parents
         if fold:
             g = g.reshape(am.shape[0], -1)
         if a.requires_grad:
             ga = g @ np.swapaxes(bm, -1, -2)
             if fold:
-                ga = ga.reshape(a.shape)
-            a._accumulate_grad(_unbroadcast(ga, a.shape))
+                ga = ga.reshape(sa)
+            a._accumulate_grad(_unbroadcast(ga, sa))
         if b.requires_grad:
             gb = np.swapaxes(am, -1, -2) @ g
             gb = np.swapaxes(gb, -1, -2) if transpose_b else gb
-            b._accumulate_grad(_unbroadcast(gb, b.shape))
+            b._accumulate_grad(_unbroadcast(gb, sb))
 
     return _result(data, (a, b), backward)
 
@@ -251,8 +281,8 @@ def relu(a: Tensor) -> Tensor:
     keep = a.data > 0
     data = np.where(keep, a.data, 0.0)
 
-    def backward(g: np.ndarray) -> None:
-        a._accumulate_grad(g * keep)
+    def backward(g: np.ndarray, parents: tuple) -> None:
+        parents[0]._accumulate_grad(g * keep)
 
     return _result(data, (a,), backward)
 
@@ -266,8 +296,9 @@ def merge_heads(a: Tensor) -> Tensor:
     *lead, h, n, k = a.shape
     data = a.data.swapaxes(-2, -3).reshape(*lead, n, h * k)
 
-    def backward(g: np.ndarray) -> None:
-        a._accumulate_grad(g.reshape(*lead, n, h, k).swapaxes(-2, -3))
+    def backward(g: np.ndarray, parents: tuple) -> None:
+        parents[0]._accumulate_grad(
+            g.reshape(*lead, n, h, k).swapaxes(-2, -3))
 
     return _result(data, (a,), backward)
 
@@ -282,14 +313,16 @@ def embedding_lookup(table: Tensor, ids: Sequence) -> Tensor:
         raise ShapeError(
             f"embedding_lookup: index out of range for table with {table.shape[0]} rows")
     data = table.data[idx]
+    shape = table.data.shape
 
-    def backward(g: np.ndarray) -> None:
+    def backward(g: np.ndarray, parents: tuple) -> None:
+        (table,) = parents
         if not table.requires_grad:
             return
         if table._flat:
             _scatter_rows(table.grad, idx, g)
         else:
-            full = np.zeros_like(table.data)
+            full = np.zeros(shape)
             _scatter_rows(full, idx, g)
             table._accumulate_grad(full)
 
@@ -318,24 +351,33 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(
             f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} != ({d},)")
-    mu = a.data.mean(axis=-1, keepdims=True)
-    centered = a.data - mu
-    var = (centered ** 2).mean(axis=-1, keepdims=True)
+    # each row mean is a sum over the row, then one division: the
+    # rounding of ndarray.mean, without its per-call overhead
+    mu = np.add.reduce(a.data, -1, keepdims=True) / d
+    xhat = a.data - mu
+    var = np.add.reduce(xhat ** 2, -1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat = centered * inv
-    data = xhat * gain.data + bias.data
+    xhat *= inv
+    gd = gain.data
+    data = xhat * gd
+    data += bias.data
 
-    def backward(g: np.ndarray) -> None:
+    def backward(g: np.ndarray, parents: tuple) -> None:
+        a, gain, bias = parents
         if gain.requires_grad:
             gain._accumulate_grad((g * xhat).reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
             bias._accumulate_grad(g.reshape(-1, d).sum(axis=0))
         if a.requires_grad:
-            gx = g * gain.data
-            # d/dx of (x - mu) * inv with mu, inv functions of the row
-            term = gx - gx.mean(axis=-1, keepdims=True) \
-                - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-            a._accumulate_grad(term * inv)
+            # d/dx of (x - mu) * inv with mu, inv functions of the row:
+            # (gx - mean(gx) - xhat * mean(gx * xhat)) * inv
+            gx = g * gd
+            prod = gx * xhat
+            gx -= np.add.reduce(gx, -1, keepdims=True) / d
+            m2 = np.add.reduce(prod, -1, keepdims=True) / d
+            gx -= np.multiply(xhat, m2, out=prod)
+            gx *= inv
+            a._accumulate_grad(gx)
 
     return _result(data, (a, gain, bias), backward)
 
@@ -354,13 +396,11 @@ def cross_entropy(logits: Tensor, target_ids: Sequence[int]) -> Tensor:
     rows = np.arange(len(ids))
     data = np.asarray((-logp[rows, ids]).sum())
 
-    def backward(g: np.ndarray) -> None:
-        if not logits.requires_grad:
-            return
+    def backward(g: np.ndarray, parents: tuple) -> None:
         grad = np.exp(logp)  # softmax, turned into the gradient in place
         grad[rows, ids] -= 1.0
         grad *= float(g)
-        logits._accumulate_grad(grad)
+        parents[0]._accumulate_grad(grad)
 
     return _result(data, (logits,), backward)
 
@@ -445,10 +485,10 @@ def segment_sum(x: Tensor, edges, weight=None, channels: int = 1) -> Tensor:
                              f" {len(src)} edges")
     data = _sum_into(x.data, src, dst, starts, weight, cells)
 
-    def backward(g: np.ndarray) -> None:
+    def backward(g: np.ndarray, parents: tuple) -> None:
         order = np.argsort(src, kind="stable")
         by_src = src[order]
-        x._accumulate_grad(_sum_into(
+        parents[0]._accumulate_grad(_sum_into(
             g.reshape(cells, d), dst[order], by_src, _runs(by_src),
             None if weight is None else weight[order], rows))
 
@@ -473,10 +513,10 @@ def segment_max(x: Tensor, edges) -> Tensor:
     hit = (gathered == data[dst]) | np.isnan(gathered)
     arg = np.minimum.reduceat(np.where(hit, src[:, None], rows), starts)
 
-    def backward(g: np.ndarray) -> None:
+    def backward(g: np.ndarray, parents: tuple) -> None:
         flat = (arg * d + np.arange(d)).reshape(-1)
-        x._accumulate_grad(np.bincount(flat, weights=g.reshape(-1),
-                                       minlength=rows * d).reshape(rows, d))
+        parents[0]._accumulate_grad(np.bincount(
+            flat, weights=g.reshape(-1), minlength=rows * d).reshape(rows, d))
 
     return _result(data, (x,), backward)
 
@@ -516,19 +556,21 @@ def neighbor_attention(s_dst: Tensor, s_src: Tensor, values: Tensor,
     w -= np.maximum.reduceat(w, starts, axis=1)[:, dst]
     np.exp(w, out=w)
     w /= np.add.reduceat(w, starts, axis=1)[:, dst]
-    heads = np.add.reduceat(w[..., None] * values.data[:, src], starts, axis=1)
+    vd = values.data
+    heads = np.add.reduceat(w[..., None] * vd[:, src], starts, axis=1)
     data = heads.sum(axis=0) * (1.0 / h)
 
-    def backward(g: np.ndarray) -> None:
+    def backward(g: np.ndarray, parents: tuple) -> None:
         g_edge = g[dst] * (1.0 / h)  # each edge's share of a head's gradient
         g_values = np.zeros((rows, h * d))  # row-major for the scatter
         _scatter_rows(g_values, src, (w[..., None] * g_edge).swapaxes(0, 1))
-        ge = (values.data[:, src] * g_edge).sum(axis=-1)  # (h, edges)
+        ge = (vd[:, src] * g_edge).sum(axis=-1)  # (h, edges)
         ge -= np.add.reduceat(ge * w, starts, axis=1)[:, dst]  # softmax
         ge *= w
         np.multiply(ge, _LEAKY_SLOPE, out=ge, where=~pos)
         g_src = np.zeros((rows, h))
         _scatter_rows(g_src, src, ge.T)
+        s_dst, s_src, values = parents
         s_dst._accumulate_grad(np.add.reduceat(ge, starts, axis=1)[..., None])
         s_src._accumulate_grad(g_src.T[..., None])
         values._accumulate_grad(
@@ -583,10 +625,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
         longest = ((q.shape[-2], k.shape[-2]) if segments is None
                    else counts.max(axis=0))
         future = ~np.tri(*longest, dtype=bool)
+    qd, kd, vd = q.data, k.data, v.data
     weights, outs = [], []
     for qs, ks in blocks:
         # the softmax is built in place in the one array backward keeps
-        w = split(q.data[..., qs, :]) @ split(k.data[..., ks, :]).swapaxes(-1, -2)
+        w = split(qd[..., qs, :]) @ split(kd[..., ks, :]).swapaxes(-1, -2)
         w *= factor
         if causal:
             np.copyto(w, -np.inf, where=future[:w.shape[-2], :w.shape[-1]])
@@ -594,24 +637,24 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
         np.exp(w, out=w)
         w /= w.sum(axis=-1, keepdims=True)
         weights.append(w)
-        outs.append(merge(w @ split(v.data[..., ks, :])))
+        outs.append(merge(w @ split(vd[..., ks, :])))
     data = np.concatenate(outs, axis=-2)
 
-    def backward(g: np.ndarray) -> None:
+    def backward(g: np.ndarray, parents: tuple) -> None:
         grads: tuple[list, list, list] = ([], [], [])
         for (qs, ks), w in zip(blocks, weights):
             gh = split(g[..., qs, :])
-            kh = split(k.data[..., ks, :])
-            gs = gh @ split(v.data[..., ks, :]).swapaxes(-1, -2)
+            kh = split(kd[..., ks, :])
+            gs = gh @ split(vd[..., ks, :]).swapaxes(-1, -2)
             gs -= (gs * w).sum(axis=-1, keepdims=True)  # softmax backward
             gs *= w
             gs *= factor
             grads[0].append(merge(gs @ kh))
-            grads[1].append(merge(gs.swapaxes(-1, -2) @ split(q.data[..., qs, :])))
+            grads[1].append(merge(gs.swapaxes(-1, -2) @ split(qd[..., qs, :])))
             grads[2].append(merge(w.swapaxes(-1, -2) @ gh))
-        for t, parts in zip((q, k, v), grads):
+        for t, x, parts in zip(parents, (qd, kd, vd), grads):
             t._accumulate_grad(_unbroadcast(np.concatenate(parts, axis=-2),
-                                            t.shape))
+                                            x.shape))
 
     return _result(data, (q, k, v), backward)
 
@@ -622,13 +665,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
 
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(t) into every reachable tensor that has
-    ``requires_grad``. Gradients on intermediate nodes are freed once
-    consumed, so only leaves keep a ``.grad`` after the call."""
+    ``requires_grad``. The walk spends the tape: each node's gradient is
+    freed once consumed and its rule, with the arrays the rule saved, once
+    it has run, so only leaves keep a ``.grad`` after the call and nothing
+    the forward saved outlives it. A second call that reaches a spent node
+    raises ``RuntimeError`` before any gradient changes."""
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
-    order: list[Tensor] = []
+    root = loss._node or loss
+    order: list[Tensor | _Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[Tensor | _Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -637,15 +684,20 @@ def backward(loss: Tensor) -> None:
         if id(node) in seen:
             continue
         seen.add(id(node))
+        if node._parents is None:
+            raise RuntimeError("backward: the tape was already spent by an"
+                               " earlier backward; run the forward again")
         stack.append((node, True))
         for p in node._parents:
             if id(p) not in seen and p.requires_grad:
                 stack.append((p, False))
-    loss._accumulate_grad(np.ones_like(loss.data))
+    root._accumulate_grad(np.ones_like(loss.data))
     for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
-            node.grad = None
+        rule, parents, g = node._backward, node._parents, node.grad
+        if rule is not None:  # not a leaf
+            node._backward = node._parents = node.grad = None
+            if g is not None:
+                rule(g, parents)
 
 
 # ---------------------------------------------------------------------------

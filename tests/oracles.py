@@ -85,19 +85,22 @@ def relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
 
 def mul(a: T.Tensor, b: T.Tensor) -> T.Tensor:
     """Elementwise product with numpy broadcasting, on the tape."""
-    data = a.data * b.data
+    ad, bd = a.data, b.data
+    data = ad * bd
 
-    def backward(g: np.ndarray) -> None:
-        a._accumulate_grad(T._unbroadcast(g * b.data, a.shape))
-        b._accumulate_grad(T._unbroadcast(g * a.data, b.shape))
+    def backward(g: np.ndarray, parents: tuple) -> None:
+        parents[0]._accumulate_grad(T._unbroadcast(g * bd, ad.shape))
+        parents[1]._accumulate_grad(T._unbroadcast(g * ad, bd.shape))
 
     return T._result(data, (a, b), backward)
 
 
 def tsum(a: T.Tensor) -> T.Tensor:
     """Sum of every entry, on the tape."""
-    def backward(g: np.ndarray) -> None:
-        a._accumulate_grad(np.broadcast_to(g, a.shape))
+    shape = a.data.shape
+
+    def backward(g: np.ndarray, parents: tuple) -> None:
+        parents[0]._accumulate_grad(np.broadcast_to(g, shape))
 
     return T._result(np.asarray(a.data.sum()), (a,), backward)
 
@@ -166,6 +169,24 @@ def reference_cross_entropy(x, ids, g):
     return losses.sum(), grad * float(g)
 
 
+def reference_layer_norm(x, gain, bias, g):
+    """``tensor.layer_norm`` on plain arrays, every row mean taken with
+    ``ndarray.mean`` and a fresh array per step. Returns the output and,
+    for the upstream gradient ``g``, the gradients of x, gain and bias."""
+    d = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered ** 2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = centered * inv
+    out = xhat * gain + bias
+    gx = g * gain
+    term = gx - gx.mean(axis=-1, keepdims=True) \
+        - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+    return out, [term * inv, (g * xhat).reshape(-1, d).sum(axis=0),
+                 g.reshape(-1, d).sum(axis=0)]
+
+
 def reference_softmax(x: np.ndarray) -> np.ndarray:
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
@@ -190,15 +211,21 @@ class ReferenceAdam:
             p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
-def recorded_nodes(out) -> int:
+def tape_nodes(out) -> list:
     """Tape nodes reachable from ``out`` that carry a backward rule."""
-    recorded, stack = set(), [out]
+    nodes, seen, stack = [], set(), [out._node or out]
     while stack:
         node = stack.pop()
-        if node._backward is not None and id(node) not in recorded:
-            recorded.add(id(node))
+        if node._backward is not None and id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
             stack.extend(node._parents)
-    return len(recorded)
+    return nodes
+
+
+def recorded_nodes(out) -> int:
+    """How many tape nodes reachable from ``out`` carry a backward rule."""
+    return len(tape_nodes(out))
 
 
 def per_prefix_step(step):

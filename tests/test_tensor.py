@@ -1,9 +1,11 @@
 import ast
+import gc
 import os
 import pathlib
 import struct
 import subprocess
 import sys
+import weakref
 import zlib
 
 import numpy as np
@@ -12,7 +14,8 @@ import pytest
 from graphtext import tensor as T
 from oracles import (ReferenceAdam, finite_difference, mul,
                      reference_attention, reference_cross_entropy,
-                     reference_softmax, relative_error, tsum)
+                     reference_layer_norm, reference_softmax, relative_error,
+                     tsum)
 
 TOL = 1e-4
 
@@ -281,6 +284,29 @@ def test_in_place_attention_is_bit_identical_to_reference(segments, causal,
         assert np.array_equal(t.grad, ref)
 
 
+@pytest.mark.parametrize("shape", [(1, 64), (4, 1, 64), (13, 64), (250, 64),
+                                   (471, 64), (7, 16), (3, 5, 8)])
+def test_lean_layer_norm_is_bit_identical_to_reference(shape):
+    """Row means are sums then one division, and the steps reuse their
+    buffers; the output and all three gradients equal the
+    ``ndarray.mean`` expressions bit for bit."""
+    rng = np.random.default_rng(35)
+    d = shape[-1]
+    for offset, spread in [(0.0, 1.0), (3.0, 0.1), (-20.0, 7.0), (1e3, 1e-3)]:
+        x = T.Tensor(offset + spread * rng.standard_normal(shape),
+                     requires_grad=True)
+        gain = T.Tensor(1.0 + rng.standard_normal(d), requires_grad=True)
+        bias = leaf(rng, d)
+        g = rng.standard_normal(shape)
+        out = T.layer_norm(x, gain, bias)
+        T.backward(tsum(mul(out, T.Tensor(g))))
+        ref_out, ref_grads = reference_layer_norm(x.data, gain.data,
+                                                  bias.data, g)
+        assert np.array_equal(out.data, ref_out), (offset, spread)
+        for t, ref in zip((x, gain, bias), ref_grads):
+            assert np.array_equal(t.grad, ref), (offset, spread)
+
+
 @pytest.mark.parametrize("ignore_id,reduction", [(None, "mean"), (0, "mean"),
                                                  (0, "sum")])
 def test_in_place_cross_entropy_is_bit_identical_to_reference(ignore_id,
@@ -489,6 +515,50 @@ def test_backward_accumulates_on_repeat():
     assert np.allclose(x.grad, 2 * first)
 
 
+def test_second_backward_over_a_spent_tape_raises():
+    """Backward spends the tape it walks. Walking it again, from the same
+    loss or from a new one built on a spent output, raises before any
+    leaf's gradient changes."""
+    rng = np.random.default_rng(36)
+    x, w = leaf(rng, 3, 4), leaf(rng, 4, 2)
+    h = T.matmul(x, w)
+    loss = tsum(h)
+    T.backward(loss)
+    grads = [x.grad.copy(), w.grad.copy()]
+    for again in (loss, tsum(T.relu(h))):
+        with pytest.raises(RuntimeError, match="already spent"):
+            T.backward(again)
+        for t, before in zip((x, w), grads):
+            assert np.array_equal(t.grad, before)
+
+
+def test_op_output_no_rule_reads_is_freed_with_its_tensor():
+    """Rules keep only the arrays they read. ``add`` reads neither
+    operand, so the matmul output it consumed dies with its tensor while
+    the sum's tape lives, with no help from the cyclic collector; the
+    tape's gradients still match central differences."""
+    rng = np.random.default_rng(37)
+    x, w, b = leaf(rng, 3, 4), leaf(rng, 4, 5), leaf(rng, 5)
+    probe = T.Tensor(rng.standard_normal((3, 5)))
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        h = T.matmul(x, w)
+        value = weakref.ref(h.data)
+        y = T.add(h, b)
+        del h
+        assert value() is None
+        T.backward(tsum(mul(y, probe)))
+    finally:
+        if collecting:
+            gc.enable()
+    numeric = finite_difference(
+        lambda: tsum(mul(T.add(T.matmul(x, w), b), probe)).item(),
+        [x.data, w.data, b.data])
+    for t, n in zip((x, w, b), numeric):
+        assert relative_error(t.grad, n) <= TOL
+
+
 @pytest.mark.parametrize("reverse", [False, True])
 def test_shared_upstream_gradient_is_not_written_in_place(reverse):
     """``add`` hands one gradient array to both parents, which take it
@@ -547,7 +617,7 @@ def test_no_grad_records_nothing():
     with T.no_grad():
         y = mul(x, x)
     assert not y.requires_grad
-    assert y._parents == ()
+    assert y._node is None
 
 
 def test_scale_transpose_mean():

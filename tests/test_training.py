@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from graphtext.graph import build_graph
 from graphtext.model import ModelConfig, Seq2SeqModel
 from corpus import build_corpus, large_corpus
 from oracles import (ReferenceAdam, loop_batch_loss, pack, recorded_nodes,
-                     relative_error, tsum)
+                     relative_error, tape_nodes, tsum)
 
 EXAMPLES = [
     Example([Triple("Iraq", "language", "Arabic")],
@@ -600,3 +601,59 @@ def test_config_validation():
         TR.TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TR.TrainConfig(lambda_gr=-0.1)
+
+
+@pytest.mark.parametrize("variation,gnn", PACKED_MODELS)
+def test_backward_rules_keep_arrays_not_tensors(variation, gnn):
+    """Every rule on a batch's tape closes over arrays, shapes and helper
+    functions only, never a tensor or another node, so an op output that
+    no rule reads dies with its tensor."""
+    vocab, cfg, items = make_setup(variation, **gnn)
+    model = Seq2SeqModel(cfg, seed=3)
+    loss, _ = TR.compute_batch_loss(model, items, lambda_gr=0.08)
+    for node in tape_nodes(loss):
+        held = [cell.cell_contents for cell in node._backward.__closure__]
+        while held:
+            obj = held.pop()
+            assert not isinstance(obj, (T.Tensor, T._Node)), (
+                node._backward.__qualname__)
+            if isinstance(obj, (list, tuple)):
+                held.extend(obj)
+            elif callable(obj) and getattr(obj, "__closure__", None):
+                held.extend(cell.cell_contents for cell in obj.__closure__)
+
+
+def test_train_frees_each_batch_tape_before_the_next_forward():
+    """``train`` keeps no batch's tape past its backward: its traced peak
+    over an epoch stays within 1.25 times the peak of one loss and
+    backward on the largest of its batches."""
+    examples = large_corpus(8)
+    vocab = build_vocabulary(examples)
+    cfg = ModelConfig(vocab_size=len(vocab), d_model=32, num_heads=2,
+                      feedforward_dim=64,
+                      gnn=GnnConfig(family="SAGE", in_dim=32, out_dim=32),
+                      max_sequence_length=160, max_target_length=128)
+    items = TR.prepare_items(examples, vocab, cfg)
+    model = Seq2SeqModel(cfg, seed=1)
+    config = TR.TrainConfig(epochs=1, batch_size=4, seed=7)
+    model.store.zero_grads()  # lays out the flat buffers before tracing
+    order = list(range(len(items)))
+    random.Random(config.seed).shuffle(order)  # the batches train draws
+    step_peak = 0
+    for start in range(0, len(order), config.batch_size):
+        batch = [items[i] for i in order[start:start + config.batch_size]]
+        tracemalloc.start()
+        try:
+            loss, _ = TR.compute_batch_loss(model, batch, config.lambda_gr)
+            T.backward(loss)
+            step_peak = max(step_peak, tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del loss
+    tracemalloc.start()
+    try:
+        TR.train(model, items, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * step_peak, (peak, step_peak)
