@@ -13,6 +13,7 @@ built downstream without re-deriving structure from surface forms.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 import re
@@ -126,6 +127,9 @@ _PUNCT = frozenset('.,;:!?()[]"\'')
 _PUNCT_CLASS = re.escape("".join(sorted(_PUNCT)))
 # a word's maximal punctuation-free runs and its single punctuation marks
 _split_word = re.compile(f"[^{_PUNCT_CLASS}]+|[{_PUNCT_CLASS}]").findall
+# the same over a whole quote-free text: runs also end at whitespace (re's
+# \s is exactly what str.split splits on) and at underscores
+_split_text = re.compile(f"[^{_PUNCT_CLASS}\\s_]+|[{_PUNCT_CLASS}]").findall
 
 
 def tokenize(text: str) -> list[str]:
@@ -135,9 +139,13 @@ def tokenize(text: str) -> list[str]:
     punctuation marks detach as single-character tokens, intra-token
     hyphens survive, and double quotes wrapping a whole word are
     stripped. Joining the output with single spaces and re-tokenizing
-    returns the same list. A word with no punctuation mark is one token
-    as it stands; only a word that holds one goes through the regex.
+    returns the same list. A text with no double quote has no quotes to
+    strip, so one regex splits it whole; otherwise it goes word by word,
+    a word with no punctuation mark is one token as it stands, and one
+    regex splits a word that holds some.
     """
+    if '"' not in text:
+        return _split_text(text)
     out: list[str] = []
     for word in text.replace("_", " ").split():
         # strip symmetric quoting like "1907-07-11" (interior quote-free)
@@ -253,30 +261,46 @@ class Vocabulary:
         return cls(toks)
 
 
+# examples whose strings are joined and split as one text; a whole corpus
+# joined at once would hold a second copy of it
+_VOCAB_BLOCK = 64
+
+
 def build_vocabulary(corpus: list[Example], min_count: int = 1,
                      prompt: str = DEFAULT_PROMPT) -> Vocabulary:
     """Reserved tokens, then prompt tokens, then corpus tokens with
-    frequency >= min_count, in first-appearance order."""
+    frequency >= min_count, in first-appearance order.
+
+    ``tokenize`` works word by word, so the corpus words are counted
+    first, a block of examples per ``str.split``, and each distinct word
+    is tokenized once, in first-appearance order, adding its count to
+    each of its tokens. Tokens, counts and order are those of tokenizing
+    every string.
+    """
     if not corpus:
         raise DataError("cannot build a vocabulary from an empty corpus")
-    counts: Counter[str] = Counter()  # keys in first-appearance order
-    for ex in corpus:
-        for tr in ex.triples:
-            counts.update(tokenize(tr.head))
-            counts.update(tokenize(tr.relation))
-            counts.update(tokenize(tr.tail))
-        counts.update(tokenize(ex.target_text))
+    words: Counter[str] = Counter()  # keys in first-appearance order
+    for start in range(0, len(corpus), _VOCAB_BLOCK):
+        parts: list[str] = []
+        for ex in corpus[start:start + _VOCAB_BLOCK]:
+            for tr in ex.triples:
+                parts += (tr.head, tr.relation, tr.tail)
+            parts.append(ex.target_text)
+        words.update(" ".join(parts).replace("_", " ").split())
+    counts: dict[str, int] = {}  # keys in first-appearance order
+    for word, n in words.items():
+        if _PUNCT.isdisjoint(word):  # a plain word is its own token
+            counts[word] = counts.get(word, 0) + n
+        else:
+            for t in tokenize(word):
+                counts[t] = counts.get(t, 0) + n
 
     toks = list(RESERVED_TOKENS)
-    taken = set(toks)
     for t in tokenize(prompt):
-        if t not in taken:  # prompt tokens are always kept
+        if t not in toks:  # prompt tokens are always kept
             toks.append(t)
-            taken.add(t)
-    for t, count in counts.items():
-        if t not in taken and count >= min_count:
-            toks.append(t)
-            taken.add(t)
+    taken = set(toks)
+    toks += [t for t, n in counts.items() if n >= min_count and t not in taken]
     return Vocabulary(toks)
 
 
@@ -293,15 +317,25 @@ def _unreserved(tokens: list[str], where: str) -> list[str]:
     """``tokens`` as they are; a reserved token string among them would
     take that token's id (an end marker mid-target, say), so it is a data
     error that names ``where`` it came from."""
-    for tok in tokens:
-        if tok in _RESERVED:
-            raise DataError(f"{where} holds the reserved token {tok!r}")
+    if not _RESERVED.isdisjoint(tokens):
+        tok = next(t for t in tokens if t in _RESERVED)
+        raise DataError(f"{where} holds the reserved token {tok!r}")
     return tokens
+
+
+@functools.lru_cache(maxsize=8)
+def _prompt_tokens(prompt: str) -> tuple[str, ...]:
+    """The prompt's checked tokens, tokenized once per distinct prompt
+    rather than once per example."""
+    return tuple(_unreserved(tokenize(prompt), "the prompt"))
 
 
 def linearize(example: Example, prompt: str, vocab: Vocabulary,
               max_sequence_length: int = MAX_SEQUENCE_LENGTH) -> TokenizedGraphInput:
     """Flatten an example into the marked-up token sequence.
+
+    Each triple string is tokenized once, and each span (a marker and
+    its tokens) extends the parallel arrays in one step each.
 
     Raises rather than truncating when the result would exceed
     ``max_sequence_length``, and on a reserved token string in the prompt
@@ -309,36 +343,32 @@ def linearize(example: Example, prompt: str, vocab: Vocabulary,
     """
     if not example.triples:
         raise DataError("example has no triples")
-    surface: list[str] = []
-    kinds: list[TokenKind] = []
-    tri: list[int | None] = []
-    span: list[int | None] = []
+    prompt_tokens = _prompt_tokens(prompt)
+    surface = [*prompt_tokens, GRAPH_TOKEN]
+    kinds = [TokenKind.PROMPT] * len(prompt_tokens) + [TokenKind.GLOBAL]
+    tri: list[int | None] = [None] * len(surface)
+    span: list[int | None] = [None] * len(surface)
     span_keys: list[str] = []
-
-    def emit(tok: str, kind: TokenKind, t: int | None, s: int | None) -> None:
-        surface.append(tok)
-        kinds.append(kind)
-        tri.append(t)
-        span.append(s)
-
-    for tok in _unreserved(tokenize(prompt), "the prompt"):
-        emit(tok, TokenKind.PROMPT, None, None)
-    emit(GRAPH_TOKEN, TokenKind.GLOBAL, None, None)
 
     for ti, triple in enumerate(example.triples):
         parts = ((TokenKind.SPECIAL_H, triple.head),
                  (TokenKind.SPECIAL_R, triple.relation),
                  (TokenKind.SPECIAL_T, triple.tail))
         for kind, text in parts:
-            sid = len(span_keys)
-            span_keys.append(normalize_entity(text))
-            emit(_SPECIAL_SURFACE[kind], kind, ti, sid)
             words = tokenize(text)
             if not words:
                 raise DataError(
                     f"triple {ti}: {kind.value} span tokenizes to nothing")
-            for w in _unreserved(words, f"triple {ti}"):
-                emit(w, TokenKind.ENTITY, ti, sid)
+            _unreserved(words, f"triple {ti}")
+            sid = len(span_keys)
+            span_keys.append(normalize_entity(text))
+            n = len(words)
+            surface.append(_SPECIAL_SURFACE[kind])
+            surface += words
+            kinds.append(kind)
+            kinds += [TokenKind.ENTITY] * n
+            tri += [ti] * (n + 1)
+            span += [sid] * (n + 1)
 
     if len(surface) > max_sequence_length:
         raise DataError(
@@ -349,12 +379,12 @@ def linearize(example: Example, prompt: str, vocab: Vocabulary,
                                entity_span_id=span, span_keys=span_keys)
 
 
-def encode_target(text: str, vocab: Vocabulary,
+def encode_target(tokens: list[str], vocab: Vocabulary,
                   max_target_length: int = MAX_TARGET_LENGTH) -> list[int]:
-    """Target ids framed by the sequence markers: BOS tokens EOS. A
-    reserved token string in ``text`` is a data error."""
-    words = _unreserved(tokenize(text), "the text")
-    ids = [BOS_ID] + vocab.encode(words) + [EOS_ID]
+    """Target ids framed by the sequence markers: BOS, the ids of the
+    target text's ``tokens`` (as :func:`tokenize` gives them), EOS. A
+    reserved token string among them is a data error."""
+    ids = [BOS_ID] + vocab.encode(_unreserved(tokens, "the text")) + [EOS_ID]
     if len(ids) > max_target_length:
         raise DataError(
             f"target length {len(ids)} exceeds the {max_target_length}-token limit")

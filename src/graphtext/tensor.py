@@ -279,7 +279,10 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     keep = a.data > 0
-    data = np.where(keep, a.data, 0.0)
+    # np.where(keep, a, 0.0) bit for bit without a per-element select:
+    # fmax maps NaN to 0.0, and adding 0.0 turns -0.0 into +0.0
+    data = np.fmax(a.data, 0.0)
+    data += 0.0
 
     def backward(g: np.ndarray, parents: tuple) -> None:
         parents[0]._accumulate_grad(g * keep)
@@ -764,12 +767,17 @@ class ParameterStore:
         self.step_count = 0
 
     def create(self, name: str, array: np.ndarray) -> Tensor:
+        """Add a parameter named ``name`` holding ``array``'s values.
+
+        The store takes ownership: a float64 ``array`` becomes the
+        parameter's ``data`` as it is, not a copy, so pass a fresh array
+        and do not write to it afterwards."""
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
         if self._flat is not None:
             raise RuntimeError(
                 f"cannot create {name!r}: the store is already laid out")
-        t = Tensor(np.array(array, copy=True), requires_grad=True)
+        t = Tensor(array, requires_grad=True)
         self._params[name] = t
         return t
 

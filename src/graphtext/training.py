@@ -100,21 +100,22 @@ def prepare_items(examples: list[Example], vocab: Vocabulary,
                   model_config: ModelConfig, *, prompt: str = DEFAULT_PROMPT,
                   bidirectional: bool = True) -> list[TrainItem]:
     """One item per example; a data error names its 1-based example
-    number."""
+    number. Each string is tokenized once: the target's tokens serve both
+    ``target_ids`` and ``ref_tokens``."""
     keep_graph = model_config.gnn is not None
     items = []
     for number, ex in enumerate(examples, start=1):
         try:
             inp = linearize(ex, prompt, vocab, model_config.max_sequence_length)
-            target_ids = encode_target(ex.target_text, vocab,
+            ref_tokens = tokenize(ex.target_text)
+            target_ids = encode_target(ref_tokens, vocab,
                                        model_config.max_target_length)
             g = build_graph(inp, bidirectional=bidirectional)
         except DataError as exc:
             raise DataError(f"example {number}: {exc}") from None
         items.append(TrainItem(
             inp=inp, graph=g if keep_graph else None, target_ids=target_ids,
-            gr_targets=reconstruction_targets(g),
-            ref_tokens=tokenize(ex.target_text)))
+            gr_targets=reconstruction_targets(g), ref_tokens=ref_tokens))
     return items
 
 

@@ -10,7 +10,9 @@ loss that the packed one replaced, which runs the model one example at a
 time, and the out-of-place attention and cross-entropy expressions that
 the in-place ops replaced. Tests compare library output against these.
 The set-up path's object versions are kept as well: the character-scan
-tokenizer, and the token graph built as a list of ``Edge`` objects with
+tokenizer; the vocabulary counted and the examples linearized one string
+and one token at a time, each string tokenized wherever it is read; and
+the token graph built as a list of ``Edge`` objects with
 its counts, labels, JSON record and graph tensors taken edge by edge.
 GAT's messages are re-derived edge by edge, node by node and head by
 head. So is ``pack``, which joined a batch's per-example edge lists
@@ -23,16 +25,22 @@ to weight an op's output by a fixed probe and sum it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Callable, Sequence
 
 import numpy as np
 
 from graphtext import tensor as T
-from graphtext.data import BOS_ID, EOS_ID, SPECIAL_KINDS, TokenKind
+from graphtext.data import (BOS_ID, DEFAULT_PROMPT, EOS_ID, GRAPH_TOKEN,
+                            HEAD_TOKEN, REL_TOKEN, RESERVED_TOKENS,
+                            SPECIAL_KINDS, TAIL_TOKEN, DataError,
+                            TokenizedGraphInput, TokenKind, Vocabulary,
+                            normalize_entity)
 from graphtext.gnn import NUM_RELATION_BUCKETS, GraphTensors
-from graphtext.graph import Direction, Edge, RelationType
+from graphtext.graph import (Direction, Edge, RelationType, build_graph,
+                             reconstruction_targets)
 from graphtext.decoding import Hypothesis, normalized_score
-from graphtext.training import LossBreakdown
+from graphtext.training import LossBreakdown, TrainItem
 
 
 def finite_difference(f: Callable[[], float], arrays: Sequence[np.ndarray],
@@ -332,6 +340,103 @@ def scan_tokenize(text: str) -> list[str]:
         if run:
             out.append("".join(run))
     return out
+
+
+def per_string_vocabulary(corpus, min_count: int = 1,
+                          prompt: str = DEFAULT_PROMPT) -> Vocabulary:
+    """The vocabulary with one ``Counter`` update per tokenized string:
+    reserved tokens, then prompt tokens, then corpus tokens seen at least
+    ``min_count`` times, in first-appearance order."""
+    counts: Counter[str] = Counter()
+    for ex in corpus:
+        for tr in ex.triples:
+            counts.update(scan_tokenize(tr.head))
+            counts.update(scan_tokenize(tr.relation))
+            counts.update(scan_tokenize(tr.tail))
+        counts.update(scan_tokenize(ex.target_text))
+    toks = list(RESERVED_TOKENS)
+    for t in scan_tokenize(prompt):
+        if t not in toks:
+            toks.append(t)
+    for t, count in counts.items():
+        if t not in toks and count >= min_count:
+            toks.append(t)
+    return Vocabulary(toks)
+
+
+def _unreserved(tokens: list[str], where: str) -> list[str]:
+    for tok in tokens:
+        if tok in RESERVED_TOKENS:
+            raise DataError(f"{where} holds the reserved token {tok!r}")
+    return tokens
+
+
+_MARKERS = {TokenKind.SPECIAL_H: HEAD_TOKEN, TokenKind.SPECIAL_R: REL_TOKEN,
+            TokenKind.SPECIAL_T: TAIL_TOKEN}
+
+
+def emit_linearize(example, prompt: str, vocab: Vocabulary,
+                   max_sequence_length: int) -> TokenizedGraphInput:
+    """The linearized example built one token at a time, the prompt
+    tokenized and checked for every example."""
+    if not example.triples:
+        raise DataError("example has no triples")
+    surface, kinds, tri, span, span_keys = [], [], [], [], []
+
+    def emit(tok, kind, t, s):
+        surface.append(tok)
+        kinds.append(kind)
+        tri.append(t)
+        span.append(s)
+
+    for tok in _unreserved(scan_tokenize(prompt), "the prompt"):
+        emit(tok, TokenKind.PROMPT, None, None)
+    emit(GRAPH_TOKEN, TokenKind.GLOBAL, None, None)
+    for ti, triple in enumerate(example.triples):
+        for kind, text in zip(SPECIAL_KINDS, (triple.head, triple.relation,
+                                              triple.tail)):
+            sid = len(span_keys)
+            span_keys.append(normalize_entity(text))
+            emit(_MARKERS[kind], kind, ti, sid)
+            words = scan_tokenize(text)
+            if not words:
+                raise DataError(
+                    f"triple {ti}: {kind.value} span tokenizes to nothing")
+            for w in _unreserved(words, f"triple {ti}"):
+                emit(w, TokenKind.ENTITY, ti, sid)
+    if len(surface) > max_sequence_length:
+        raise DataError(
+            f"linearized length {len(surface)} exceeds the"
+            f" {max_sequence_length}-token limit")
+    return TokenizedGraphInput(token_ids=vocab.encode(surface), surface=surface,
+                               kinds=kinds, triple_index=tri,
+                               entity_span_id=span, span_keys=span_keys)
+
+
+def per_example_items(examples, vocab: Vocabulary, model_config, *,
+                      prompt: str = DEFAULT_PROMPT,
+                      bidirectional: bool = True) -> list[TrainItem]:
+    """``prepare_items`` example by example, tokenizing the target once
+    for its ids and again for its reference tokens."""
+    items = []
+    for number, ex in enumerate(examples, start=1):
+        try:
+            inp = emit_linearize(ex, prompt, vocab,
+                                 model_config.max_sequence_length)
+            words = _unreserved(scan_tokenize(ex.target_text), "the text")
+            target_ids = [BOS_ID] + vocab.encode(words) + [EOS_ID]
+            if len(target_ids) > model_config.max_target_length:
+                raise DataError(
+                    f"target length {len(target_ids)} exceeds the"
+                    f" {model_config.max_target_length}-token limit")
+            g = build_graph(inp, bidirectional=bidirectional)
+        except DataError as exc:
+            raise DataError(f"example {number}: {exc}") from None
+        items.append(TrainItem(
+            inp=inp, graph=g if model_config.gnn is not None else None,
+            target_ids=target_ids, gr_targets=reconstruction_targets(g),
+            ref_tokens=scan_tokenize(ex.target_text)))
+    return items
 
 
 def edge_build_graph(inp, bidirectional: bool = True) -> list[Edge]:

@@ -269,7 +269,7 @@ def _full_model_fd_setup():
     gt = N.graph_tensors(graph)
     targets = G.reconstruction_targets(graph)
     ends, labels = targets[:2], targets[2]
-    target_ids = D.encode_target(ex.target_text, vocab)
+    target_ids = D.encode_target(D.tokenize(ex.target_text), vocab)
     cfg = M.ModelConfig(vocab_size=len(vocab), d_model=32, num_heads=4,
                         num_encoder_layers=2, num_decoder_layers=2,
                         feedforward_dim=64, variation="GRASAME",

@@ -3,7 +3,7 @@ import re
 import pytest
 
 from graphtext import data as D
-from oracles import scan_tokenize
+from oracles import per_string_vocabulary, scan_tokenize
 
 
 # -- tokenizer: dual route -----------------------------------------------------
@@ -59,6 +59,12 @@ def test_tokenize_matches_reference_and_is_idempotent():
     alphabet = 'ab"c.-_\' ,():x;!?[]\té'
     fuzz = ["".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 25)))
             for _ in range(1000)]
+    # quote-free texts take the one-regex path; underscores and Unicode
+    # whitespace must end a run there as str.split ends a word
+    plain = (alphabet.replace('"', "")
+             + "__\u00a0\u2003\u3000\x1c\x1d\x1e\x1f\x85")
+    fuzz += ["".join(rng.choice(plain) for _ in range(rng.randrange(1, 25)))
+             for _ in range(1000)]
     for s in ADVERSARIAL + fuzz:
         got = D.tokenize(s)
         assert got == scan_tokenize(s) == reference_tokenize(s), repr(s)
@@ -178,9 +184,42 @@ def test_vocabulary_min_count():
     inp = D.linearize(corpus[1], prompt, vocab)
     for tok, tid in zip(inp.surface, inp.token_ids):
         assert (tid == D.UNK_ID) == (tok in singletons), tok
-    target = D.encode_target(corpus[0].target_text, vocab)
+    target = D.encode_target(D.tokenize(corpus[0].target_text), vocab)
     assert target[1:-1] == vocab.encode(
         ["Rome", "is", "the", "<unk>", "capital", "of", "Italy", "."])
+
+
+def test_vocabulary_matches_per_string_counting():
+    """Counting words a block of examples at a time, then tokenizing each
+    distinct word once, gives the tokens, counts and order of tokenizing
+    every string: over corpora longer than one block, with quote-wrapped
+    and punctuation-attached words, at min_count 1 and 2, with the
+    default and a custom prompt."""
+    import random
+    rng = random.Random(7)
+    words = ["Rome", "Rome,", '"Rome"', "(Rome)", "capital", "capital.",
+             "don't", '"1907-07-11"', 'say"', "A_B", "_x_", "New_York",
+             "Lima;", "e.g.", "well-known", "B", "b", "'", "?!"]
+    words += [f"w{i}" for i in range(60)]
+
+    def phrase():
+        return " ".join(rng.choices(words, k=rng.randint(1, 4)))
+
+    # "Lima" reaches min_count 2 only by adding the plain word's count to
+    # the one its token took from "Lima," before it
+    corpora = [[D.Example([D.Triple("Lima,", "r", "t")], "Lima ?")]]
+    for count in (1, 63, 64, 65, 200):
+        corpora.append([D.Example([D.Triple(phrase(), phrase(), phrase())
+                                   for _ in range(rng.randint(1, 3))],
+                                  phrase() + " " + phrase())
+                        for _ in range(count)])
+    for corpus in corpora:
+        for min_count in (1, 2):
+            for prompt in (D.DEFAULT_PROMPT, 'say "w3" (x):'):
+                got = D.build_vocabulary(corpus, min_count, prompt)
+                want = per_string_vocabulary(corpus, min_count, prompt)
+                assert got._id_to_token == want._id_to_token, (
+                    len(corpus), min_count)
 
 
 def test_vocabulary_roundtrip(tmp_path):
@@ -253,11 +292,12 @@ def test_linearize_rejects_overflow_and_empty_span():
 
 def test_encode_target_frames_and_limits():
     vocab = D.build_vocabulary(corpus_one())
-    ids = D.encode_target("Iraq language is Arabic.", vocab)
+    ids = D.encode_target(D.tokenize("Iraq language is Arabic."), vocab)
     assert ids[0] == D.BOS_ID and ids[-1] == D.EOS_ID
     assert vocab.decode(ids) == "Iraq language is Arabic ."
     with pytest.raises(D.DataError):
-        D.encode_target("a b c d e", vocab, max_target_length=4)
+        D.encode_target(D.tokenize("a b c d e"), vocab,
+                        max_target_length=4)
 
 
 def test_reserved_token_strings_are_data_errors():
@@ -267,10 +307,11 @@ def test_reserved_token_strings_are_data_errors():
     vocab = D.build_vocabulary(corpus_one())
     with pytest.raises(D.DataError,
                        match="the text holds the reserved token '<eos>'"):
-        D.encode_target("Iraq <eos> speaks <pad> Arabic .", vocab)
+        D.encode_target(D.tokenize("Iraq <eos> speaks <pad> Arabic ."),
+                        vocab)
     for tok in D.RESERVED_TOKENS:
         with pytest.raises(D.DataError, match=tok):
-            D.encode_target(f"a {tok} b", vocab)
+            D.encode_target(D.tokenize(f"a {tok} b"), vocab)
     ok = D.Triple("Iraq", "language", "Arabic")
     for bad in (D.Triple("<H>", "r", "t"), D.Triple("h", "is <pad>", "t"),
                 D.Triple("h", "r", "x <T>")):
@@ -280,7 +321,8 @@ def test_reserved_token_strings_are_data_errors():
                        match="the prompt holds the reserved token '<Graph>'"):
         D.linearize(D.Example([ok]), "describe <Graph> :", vocab)
     # look-alikes are ordinary (unknown) words
-    assert D.encode_target("a <EOS> <pad b", vocab)[2:4] == [D.UNK_ID] * 2
+    assert D.encode_target(D.tokenize("a <EOS> <pad b"),
+                           vocab)[2:4] == [D.UNK_ID] * 2
     assert D.linearize(D.Example([D.Triple("<h>", "r", "t")]), "",
                        vocab).surface[1:3] == ["<H>", "<h>"]
 

@@ -227,7 +227,7 @@ def test_untied_model_has_its_own_lm_head():
     model draws the tied model's values. Backward reaches it, and
     FREEZE_BASE, which trains only the graph parameters, freezes it."""
     vocab, inp, graph, gt = iraq_inputs()
-    target = D.encode_target("Iraq language is Arabic.", vocab)
+    target = D.encode_target(D.tokenize("Iraq language is Arabic."), vocab)
     cfg = toy_config("GRASAME", vocab=len(vocab), tie_embeddings=False)
     model = M.Seq2SeqModel(cfg, seed=6)
     tied = M.Seq2SeqModel(toy_config("GRASAME", vocab=len(vocab)), seed=6)
@@ -435,7 +435,7 @@ def test_full_model_gradients_vs_finite_differences():
                         gnn=N.GnnConfig(in_dim=4, out_dim=4),
                         max_sequence_length=16, max_target_length=8)
     model = M.Seq2SeqModel(cfg, seed=19)
-    target_ids = D.encode_target(ex.target_text, vocab)
+    target_ids = D.encode_target(D.tokenize(ex.target_text), vocab)
 
     def build_loss():
         enc = model.encode(inp, gt)

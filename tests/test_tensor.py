@@ -307,6 +307,30 @@ def test_lean_layer_norm_is_bit_identical_to_reference(shape):
             assert np.array_equal(t.grad, ref), (offset, spread)
 
 
+@pytest.mark.parametrize("shape", [(480, 128), (100, 128), (3, 5, 8), (0, 4)])
+def test_relu_is_bit_identical_to_masked_select(shape):
+    """Forward is ``np.where(a > 0, a, 0.0)`` bit for bit, on signed zeros,
+    infinities, NaN and subnormals too; backward passes ``g`` where
+    ``a > 0``."""
+    rng = np.random.default_rng(36)
+    a = rng.standard_normal(shape)
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
+                -5e-324, 2.2e-308, -2.2e-308]
+    flat = a.reshape(-1)
+    flat[:len(specials)] = specials[:flat.size]
+    x = T.Tensor(a, requires_grad=True)
+    out = T.relu(x)
+    ref = np.where(a > 0, a, 0.0)
+    assert out.data.tobytes() == ref.tobytes()
+    g = rng.standard_normal(shape)
+    T.backward(tsum(mul(out, T.Tensor(g))))
+    assert x.grad.tobytes() == (g * (a > 0)).tobytes()
+    # np.fmax keeps the sign of -0.0 at some positions of short arrays only
+    for n in range(1, 18):
+        zeros = np.full(n, -0.0)
+        assert T.relu(T.Tensor(zeros)).data.tobytes() == bytes(8 * n)
+
+
 @pytest.mark.parametrize("ignore_id,reduction", [(None, "mean"), (0, "mean"),
                                                  (0, "sum")])
 def test_in_place_cross_entropy_is_bit_identical_to_reference(ignore_id,

@@ -9,14 +9,14 @@ import pytest
 
 from graphtext import tensor as T
 from graphtext import training as TR
-from graphtext.data import (DataError, Example, Triple, build_vocabulary,
-                            tokenize)
+from graphtext.data import (DEFAULT_PROMPT, DataError, Example, Triple,
+                            build_vocabulary, tokenize)
 from graphtext.gnn import GnnConfig, graph_tensors
 from graphtext.graph import build_graph
 from graphtext.model import ModelConfig, Seq2SeqModel
-from corpus import build_corpus, large_corpus
-from oracles import (ReferenceAdam, loop_batch_loss, pack, recorded_nodes,
-                     relative_error, tape_nodes, tsum)
+from corpus import build_corpus, large_corpus, split_corpus
+from oracles import (ReferenceAdam, loop_batch_loss, pack, per_example_items,
+                     recorded_nodes, relative_error, tape_nodes, tsum)
 
 EXAMPLES = [
     Example([Triple("Iraq", "language", "Arabic")],
@@ -66,13 +66,55 @@ def test_prepare_items_base_skips_graph_tensors():
      "triple 0 holds the reserved token '<R>'"),
     (Example([Triple("Peru", "capital", "Lima")], "Lima " * 30),
      "target length 32 exceeds the 24-token limit"),
+    (Example([Triple('""', "capital", "Lima")], "Lima ."),
+     "triple 0: SPECIAL_H span tokenizes to nothing"),
+    (Example([Triple("Peru", "capital", "x " * 45)], "Lima ."),
+     "linearized length 56 exceeds the 48-token limit"),
 ])
 def test_prepare_items_names_the_example_in_data_errors(bad, message):
     vocab, cfg, _ = make_setup()
     examples = EXAMPLES[:4] + [bad] + EXAMPLES[4:]
-    with pytest.raises(DataError) as info:
-        TR.prepare_items(examples, vocab, cfg)
-    assert str(info.value) == f"example 5: {message}"
+    for prepare in (TR.prepare_items, per_example_items):
+        with pytest.raises(DataError) as info:
+            prepare(examples, vocab, cfg)
+        assert str(info.value) == f"example 5: {message}"
+
+
+def test_prepare_items_checks_the_prompt_once_naming_example_1():
+    vocab, cfg, _ = make_setup()
+    for prepare in (TR.prepare_items, per_example_items):
+        with pytest.raises(DataError) as info:
+            prepare(EXAMPLES, vocab, cfg, prompt="describe <Graph> :")
+        assert str(info.value) == (
+            "example 1: the prompt holds the reserved token '<Graph>'")
+
+
+@pytest.mark.parametrize("bidirectional", [True, False])
+def test_prepare_items_equals_the_per_example_path(bidirectional):
+    """Each string tokenized once, spans extended in bulk: every field of
+    every item equals the per-example path's, for the training and the
+    held-out split, with unknown tokens and with a custom prompt."""
+    train, held_out = split_corpus(build_corpus())
+    for prompt, min_count in ((DEFAULT_PROMPT, 1), ('say "it" (now):', 2)):
+        vocab = build_vocabulary(train, min_count, prompt)
+        cfg = ModelConfig(vocab_size=len(vocab), d_model=8, num_heads=2,
+                          feedforward_dim=16, gnn=GnnConfig(in_dim=8,
+                                                            out_dim=8))
+        for part in (train, held_out):
+            got = TR.prepare_items(part, vocab, cfg, prompt=prompt,
+                                   bidirectional=bidirectional)
+            want = per_example_items(part, vocab, cfg, prompt=prompt,
+                                     bidirectional=bidirectional)
+            assert len(got) == len(want) == len(part)
+            for a, b in zip(got, want):
+                assert a.inp == b.inp
+                assert a.target_ids == b.target_ids
+                assert a.ref_tokens == b.ref_tokens
+                assert np.array_equal(a.gr_targets, b.gr_targets)
+                assert a.graph.num_nodes == b.graph.num_nodes
+                for name in ("src", "dst", "rel", "reverse"):
+                    assert np.array_equal(getattr(a.graph, name),
+                                          getattr(b.graph, name))
 
 
 def reachable_arrays(obj, seen=None):
