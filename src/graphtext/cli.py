@@ -21,8 +21,8 @@ from collections import Counter
 
 from . import tensor as T
 from .config import RunConfig, load_config, save_config
-from .data import (DEFAULT_PROMPT, DataError, Vocabulary, atomic_write,
-                   build_vocabulary, linearize, parse_dataset)
+from .data import (DEFAULT_PROMPT, RESERVED_TOKENS, DataError, Vocabulary,
+                   atomic_write, build_vocabulary, linearize, parse_dataset)
 from .graph import build_graph, edge_counts, graph_record
 from .metrics import chrf_pp, corpus_bleu
 from .model import ModelConfig, Seq2SeqModel
@@ -135,7 +135,8 @@ def _items(corpus, rc: RunConfig, vocab: Vocabulary,
 
 def cmd_build_graph(args) -> int:
     corpus = _load_corpus(args.data)
-    vocab = build_vocabulary(corpus)
+    # a graph reads only the marker ids, so no corpus vocabulary is needed
+    vocab = Vocabulary(RESERVED_TOKENS)
     totals: dict[str, Counter] = {}
     with atomic_write(args.out) as fh:
         for i, ex in enumerate(corpus):

@@ -6,9 +6,9 @@ A dataset is UTF-8 JSON lines, one object per line:
 
 Triples are linearized into a single token sequence: the prompt, a global
 graph marker, then per triple the three span markers each followed by the
-tokens of its entity or relation string. Parallel arrays record each
-token's kind, owning triple, and owning span so the token graph can be
-built downstream without re-deriving structure from surface forms.
+tokens of its entity or relation string. The markers carry the whole
+structure: the reserved tokens hold ids 0-7 and no prompt or triple token
+may be one of them, so the token graph is read off the marker ids.
 """
 from __future__ import annotations
 
@@ -18,8 +18,7 @@ import json
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator
 
 DEFAULT_PROMPT = "translate graph to English: "
@@ -61,18 +60,6 @@ def atomic_write(path: str) -> Iterator[BinaryIO]:
         raise
 
 
-class TokenKind(Enum):
-    PROMPT = "PROMPT"
-    GLOBAL = "GLOBAL"
-    SPECIAL_H = "SPECIAL_H"
-    SPECIAL_R = "SPECIAL_R"
-    SPECIAL_T = "SPECIAL_T"
-    ENTITY = "ENTITY"
-
-
-SPECIAL_KINDS = (TokenKind.SPECIAL_H, TokenKind.SPECIAL_R, TokenKind.SPECIAL_T)
-
-
 @dataclass(frozen=True)
 class Triple:
     head: str
@@ -88,36 +75,21 @@ class Example:
 
 @dataclass
 class TokenizedGraphInput:
-    """One linearized example, with per-token structural annotations.
+    """One linearized example: its token ids and strings, and one key per
+    span.
 
-    ``entity_span_id`` is a unique id per span occurrence (three spans per
-    triple, numbered in sequence order). ``span_keys[sid]`` holds the
-    normalized string of span ``sid``; spans whose strings normalize
-    identically therefore carry matching keys, which is what the
-    same-entity relation looks up.
+    A span is a head, relation or tail marker and the tokens up to the
+    next marker. ``span_keys[s]`` holds the normalized string of the
+    ``s``-th span in sequence order; spans whose strings normalize
+    identically carry equal keys, which is what the same-entity relation
+    looks up.
     """
     token_ids: list[int]
     surface: list[str]
-    kinds: list[TokenKind]
-    triple_index: list[int | None]
-    entity_span_id: list[int | None]
-    span_keys: list[str] = field(default_factory=list)
+    span_keys: list[str]
 
     def __len__(self) -> int:
         return len(self.token_ids)
-
-    def validate(self) -> None:
-        n = len(self.token_ids)
-        if not (len(self.surface) == len(self.kinds) == len(self.triple_index)
-                == len(self.entity_span_id) == n):
-            raise DataError("parallel annotation arrays have unequal lengths")
-        if self.kinds.count(TokenKind.GLOBAL) != 1:
-            raise DataError("expected exactly one global token")
-        entity = TokenKind.ENTITY
-        for i, (k, t, s) in enumerate(zip(self.kinds, self.triple_index,
-                                          self.entity_span_id)):
-            if k is entity and (t is None or s is None):
-                raise DataError(f"entity token at {i} lacks span annotations")
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +279,9 @@ def build_vocabulary(corpus: list[Example], min_count: int = 1,
 # ---------------------------------------------------------------------------
 # linearization
 
-_SPECIAL_SURFACE = {TokenKind.SPECIAL_H: HEAD_TOKEN,
-                    TokenKind.SPECIAL_R: REL_TOKEN,
-                    TokenKind.SPECIAL_T: TAIL_TOKEN}
+# each span's marker, and its name in data errors
+_SPAN_MARKERS = ((HEAD_TOKEN, "SPECIAL_H"), (REL_TOKEN, "SPECIAL_R"),
+                 (TAIL_TOKEN, "SPECIAL_T"))
 _RESERVED = frozenset(RESERVED_TOKENS)
 
 
@@ -334,8 +306,8 @@ def linearize(example: Example, prompt: str, vocab: Vocabulary,
               max_sequence_length: int = MAX_SEQUENCE_LENGTH) -> TokenizedGraphInput:
     """Flatten an example into the marked-up token sequence.
 
-    Each triple string is tokenized once, and each span (a marker and
-    its tokens) extends the parallel arrays in one step each.
+    Each triple string is tokenized once, and each span adds its marker
+    and its tokens to the surface.
 
     Raises rather than truncating when the result would exceed
     ``max_sequence_length``, and on a reserved token string in the prompt
@@ -345,38 +317,26 @@ def linearize(example: Example, prompt: str, vocab: Vocabulary,
         raise DataError("example has no triples")
     prompt_tokens = _prompt_tokens(prompt)
     surface = [*prompt_tokens, GRAPH_TOKEN]
-    kinds = [TokenKind.PROMPT] * len(prompt_tokens) + [TokenKind.GLOBAL]
-    tri: list[int | None] = [None] * len(surface)
-    span: list[int | None] = [None] * len(surface)
     span_keys: list[str] = []
 
     for ti, triple in enumerate(example.triples):
-        parts = ((TokenKind.SPECIAL_H, triple.head),
-                 (TokenKind.SPECIAL_R, triple.relation),
-                 (TokenKind.SPECIAL_T, triple.tail))
-        for kind, text in parts:
+        texts = (triple.head, triple.relation, triple.tail)
+        for (marker, name), text in zip(_SPAN_MARKERS, texts):
             words = tokenize(text)
             if not words:
                 raise DataError(
-                    f"triple {ti}: {kind.value} span tokenizes to nothing")
+                    f"triple {ti}: {name} span tokenizes to nothing")
             _unreserved(words, f"triple {ti}")
-            sid = len(span_keys)
             span_keys.append(normalize_entity(text))
-            n = len(words)
-            surface.append(_SPECIAL_SURFACE[kind])
+            surface.append(marker)
             surface += words
-            kinds.append(kind)
-            kinds += [TokenKind.ENTITY] * n
-            tri += [ti] * (n + 1)
-            span += [sid] * (n + 1)
 
     if len(surface) > max_sequence_length:
         raise DataError(
             f"linearized length {len(surface)} exceeds the"
             f" {max_sequence_length}-token limit")
     return TokenizedGraphInput(token_ids=vocab.encode(surface), surface=surface,
-                               kinds=kinds, triple_index=tri,
-                               entity_span_id=span, span_keys=span_keys)
+                               span_keys=span_keys)
 
 
 def encode_target(tokens: list[str], vocab: Vocabulary,

@@ -1,4 +1,4 @@
-"""Token-level graph over a linearized example.
+"""Token-level graph over a linearized example, read off its marker ids.
 
 Edge rules, all oriented left to right in the sequence:
 
@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .data import SPECIAL_KINDS, TokenKind, TokenizedGraphInput
+from .data import GRAPH_ID, H_ID, R_ID, T_ID, DataError, TokenizedGraphInput
 
 
 class RelationType(Enum):
@@ -79,52 +79,49 @@ class HierGraph:
 
 
 def build_graph(inp: TokenizedGraphInput, bidirectional: bool = True) -> HierGraph:
-    inp.validate()
-    n = len(inp)
-    kinds = inp.kinds
-    tri = inp.triple_index
-    span = inp.entity_span_id
-    src: list[int] = []
-    dst: list[int] = []
-    rel: list[int] = []
+    """The token graph of ``inp``; a span runs from a head, relation or
+    tail marker to the next marker or the end. Raises ``DataError`` unless
+    exactly one global marker is directly followed by the first span
+    marker (if any) and the span markers cycle head, relation, tail, one
+    key each."""
+    ids = inp.token_ids
+    n = len(ids)
+    if ids.count(GRAPH_ID) != 1:
+        raise DataError("expected exactly one global marker")
+    global_pos = ids.index(GRAPH_ID)
+    markers = [i for i, t in enumerate(ids) if H_ID <= t <= T_ID]
+    if markers and markers[0] != global_pos + 1:
+        raise DataError("the first span marker does not follow the global one")
+    if [ids[m] for m in markers] != [H_ID, R_ID, T_ID] * (len(markers) // 3):
+        raise DataError("span markers must cycle head, relation, tail")
+    keys = inp.span_keys
+    if len(keys) != len(markers):
+        raise DataError(f"{len(keys)} span keys for {len(markers)} spans")
+    spans = [range(m + 1, end) for m, end in zip(markers, markers[1:] + [n])]
+    src: list[int] = [global_pos] * len(markers)
+    dst: list[int] = list(markers)
+    rel: list[int] = [_R1] * len(markers)
 
-    global_pos = kinds.index(TokenKind.GLOBAL)
-    special_pos = [i for i, k in enumerate(kinds) if k in SPECIAL_KINDS]
-    src += [global_pos] * len(special_pos)
-    dst += special_pos
-    rel += [_R1] * len(special_pos)
-
-    # per triple, the positions of its head, relation and tail markers
-    by_triple: dict[int, list[int | None]] = {}
-    for s in special_pos:
-        by_triple.setdefault(tri[s], [None, None, None])[
-            SPECIAL_KINDS.index(kinds[s])] = s
-    for _, (h, r, t) in sorted(by_triple.items()):
+    for h, r, t in zip(markers[::3], markers[1::3], markers[2::3]):
         src += (h, r)
         dst += (r, t)
         rel += (_R2, _R2)
 
-    span_tokens: dict[int, list[int]] = {}
-    for i, k in enumerate(kinds):
-        if k is TokenKind.ENTITY:
-            span_tokens.setdefault(span[i], []).append(i)
-    for s in special_pos:
-        positions = span_tokens.get(span[s], ())
-        src += [s] * len(positions)
-        dst += positions
-        rel += [_R3] * len(positions)
+    for m, span in zip(markers, spans):
+        src += [m] * len(span)
+        dst += span
+        rel += [_R3] * len(span)
 
-    for positions in span_tokens.values():
-        src += positions[:-1]
-        dst += positions[1:]
-        rel += [_R4] * (len(positions) - 1)
+    for span in spans:
+        src += span[:-1]
+        dst += span[1:]
+        rel += [_R4] * (len(span) - 1)
 
-    keys = inp.span_keys
-    for i, a in enumerate(special_pos):
-        for b in special_pos[i + 1:]:
-            if keys[span[a]] == keys[span[b]]:
+    for i, a in enumerate(markers):
+        for j in range(i + 1, len(markers)):
+            if keys[i] == keys[j]:
                 src.append(a)
-                dst.append(b)
+                dst.append(markers[j])
                 rel.append(_R5)
 
     forward = np.array((src, dst, rel), dtype=np.intp)

@@ -12,8 +12,9 @@ the in-place ops replaced. Tests compare library output against these.
 The set-up path's object versions are kept as well: the character-scan
 tokenizer; the vocabulary counted and the examples linearized one string
 and one token at a time, each string tokenized wherever it is read; and
-the token graph built as a list of ``Edge`` objects with
-its counts, labels, JSON record and graph tensors taken edge by edge.
+the token graph built as a list of ``Edge`` objects from per-token
+annotations read off the surface strings, with its counts, labels, JSON
+record and graph tensors taken edge by edge.
 GAT's messages are re-derived edge by edge, node by node and head by
 head. So is ``pack``, which joined a batch's per-example edge lists
 before a batch built its lists once from its examples' joined edge
@@ -33,9 +34,8 @@ import numpy as np
 from graphtext import tensor as T
 from graphtext.data import (BOS_ID, DEFAULT_PROMPT, EOS_ID, GRAPH_TOKEN,
                             HEAD_TOKEN, REL_TOKEN, RESERVED_TOKENS,
-                            SPECIAL_KINDS, TAIL_TOKEN, DataError,
-                            TokenizedGraphInput, TokenKind, Vocabulary,
-                            normalize_entity)
+                            TAIL_TOKEN, DataError, TokenizedGraphInput,
+                            Vocabulary, normalize_entity)
 from graphtext.gnn import NUM_RELATION_BUCKETS, GraphTensors
 from graphtext.graph import (Direction, Edge, RelationType, build_graph,
                              reconstruction_targets)
@@ -371,8 +371,10 @@ def _unreserved(tokens: list[str], where: str) -> list[str]:
     return tokens
 
 
-_MARKERS = {TokenKind.SPECIAL_H: HEAD_TOKEN, TokenKind.SPECIAL_R: REL_TOKEN,
-            TokenKind.SPECIAL_T: TAIL_TOKEN}
+# each span marker's string and the kind ``annotations_of`` gives it
+_MARKER_KINDS = {HEAD_TOKEN: "SPECIAL_H", REL_TOKEN: "SPECIAL_R",
+                 TAIL_TOKEN: "SPECIAL_T"}
+SPECIAL_KINDS = tuple(_MARKER_KINDS.values())
 
 
 def emit_linearize(example, prompt: str, vocab: Vocabulary,
@@ -381,36 +383,48 @@ def emit_linearize(example, prompt: str, vocab: Vocabulary,
     tokenized and checked for every example."""
     if not example.triples:
         raise DataError("example has no triples")
-    surface, kinds, tri, span, span_keys = [], [], [], [], []
-
-    def emit(tok, kind, t, s):
-        surface.append(tok)
-        kinds.append(kind)
-        tri.append(t)
-        span.append(s)
-
+    surface, span_keys = [], []
     for tok in _unreserved(scan_tokenize(prompt), "the prompt"):
-        emit(tok, TokenKind.PROMPT, None, None)
-    emit(GRAPH_TOKEN, TokenKind.GLOBAL, None, None)
+        surface.append(tok)
+    surface.append(GRAPH_TOKEN)
     for ti, triple in enumerate(example.triples):
-        for kind, text in zip(SPECIAL_KINDS, (triple.head, triple.relation,
-                                              triple.tail)):
-            sid = len(span_keys)
+        for (marker, kind), text in zip(_MARKER_KINDS.items(),
+                                        (triple.head, triple.relation,
+                                         triple.tail)):
             span_keys.append(normalize_entity(text))
-            emit(_MARKERS[kind], kind, ti, sid)
+            surface.append(marker)
             words = scan_tokenize(text)
             if not words:
                 raise DataError(
-                    f"triple {ti}: {kind.value} span tokenizes to nothing")
+                    f"triple {ti}: {kind} span tokenizes to nothing")
             for w in _unreserved(words, f"triple {ti}"):
-                emit(w, TokenKind.ENTITY, ti, sid)
+                surface.append(w)
     if len(surface) > max_sequence_length:
         raise DataError(
             f"linearized length {len(surface)} exceeds the"
             f" {max_sequence_length}-token limit")
     return TokenizedGraphInput(token_ids=vocab.encode(surface), surface=surface,
-                               kinds=kinds, triple_index=tri,
-                               entity_span_id=span, span_keys=span_keys)
+                               span_keys=span_keys)
+
+
+def annotations_of(inp) -> list[tuple[str, int | None, int | None]]:
+    """Each token's (kind, triple, span), read from its surface string,
+    not its id: PROMPT before the global marker, GLOBAL, a marker's kind,
+    or ENTITY for a span's token; spans are numbered in sequence order,
+    three to a triple."""
+    out = []
+    span = None
+    for tok in inp.surface:
+        if tok == GRAPH_TOKEN:
+            out.append(("GLOBAL", None, None))
+        elif tok in _MARKER_KINDS:
+            span = 0 if span is None else span + 1
+            out.append((_MARKER_KINDS[tok], span // 3, span))
+        elif span is None:
+            out.append(("PROMPT", None, None))
+        else:
+            out.append(("ENTITY", span // 3, span))
+    return out
 
 
 def per_example_items(examples, vocab: Vocabulary, model_config, *,
@@ -443,29 +457,25 @@ def edge_build_graph(inp, bidirectional: bool = True) -> list[Edge]:
     """The token graph's edges as ``Edge`` objects: forward edges rule by
     rule (R1-R5), then their reversed twins, then one self-loop a node."""
     n = len(inp)
-    kinds = inp.kinds
-    tri = inp.triple_index
-    span = inp.entity_span_id
+    kinds, tri, span = zip(*annotations_of(inp))
     fwd: list[tuple[int, int, RelationType]] = []
 
-    global_pos = kinds.index(TokenKind.GLOBAL)
+    global_pos = kinds.index("GLOBAL")
     special_pos = [i for i, k in enumerate(kinds) if k in SPECIAL_KINDS]
     for s in special_pos:
         fwd.append((global_pos, s, RelationType.R1))
 
-    by_triple: dict[int, dict[TokenKind, int]] = {}
+    by_triple: dict[int, dict[str, int]] = {}
     for s in special_pos:
         by_triple.setdefault(tri[s], {})[kinds[s]] = s
     for t in sorted(by_triple):
         trio = by_triple[t]
-        fwd.append((trio[TokenKind.SPECIAL_H], trio[TokenKind.SPECIAL_R],
-                    RelationType.R2))
-        fwd.append((trio[TokenKind.SPECIAL_R], trio[TokenKind.SPECIAL_T],
-                    RelationType.R2))
+        fwd.append((trio["SPECIAL_H"], trio["SPECIAL_R"], RelationType.R2))
+        fwd.append((trio["SPECIAL_R"], trio["SPECIAL_T"], RelationType.R2))
 
     span_tokens: dict[int, list[int]] = {}
     for i, k in enumerate(kinds):
-        if k is TokenKind.ENTITY:
+        if k == "ENTITY":
             span_tokens.setdefault(span[i], []).append(i)
     for s in special_pos:
         for q in span_tokens.get(span[s], ()):

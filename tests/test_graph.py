@@ -9,35 +9,37 @@ import pytest
 from graphtext import data as D
 from graphtext import gnn as N
 from graphtext import graph as G
-from graphtext.data import TokenKind
-from oracles import (edge_build_graph, edge_counts_of, edge_graph_tensors,
-                     forward_edges_of, graph_record_of,
-                     reconstruction_targets_of)
+from graphtext import training as TR
+from graphtext.model import ModelConfig
+from corpus import build_corpus
+from oracles import (SPECIAL_KINDS, annotations_of, edge_build_graph,
+                     edge_counts_of, edge_graph_tensors, forward_edges_of,
+                     graph_record_of, reconstruction_targets_of)
 
 
 def oracle_forward_edges(inp):
     """Independent pairwise rule scan; decides every (i, j) pair from the
     token annotations alone. Returns {(src, dst, relname)}."""
-    kinds, tri, span = inp.kinds, inp.triple_index, inp.entity_span_id
+    kinds, tri, span = zip(*annotations_of(inp))
     keys = inp.span_keys
-    specials = set(D.SPECIAL_KINDS)
+    specials = set(SPECIAL_KINDS)
     n = len(inp)
     edges = set()
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            if kinds[i] is TokenKind.GLOBAL and kinds[j] in specials:
+            if kinds[i] == "GLOBAL" and kinds[j] in specials:
                 edges.add((i, j, "R1"))
             if tri[i] is not None and tri[i] == tri[j]:
-                if kinds[i] is TokenKind.SPECIAL_H and kinds[j] is TokenKind.SPECIAL_R:
+                if kinds[i] == "SPECIAL_H" and kinds[j] == "SPECIAL_R":
                     edges.add((i, j, "R2"))
-                if kinds[i] is TokenKind.SPECIAL_R and kinds[j] is TokenKind.SPECIAL_T:
+                if kinds[i] == "SPECIAL_R" and kinds[j] == "SPECIAL_T":
                     edges.add((i, j, "R2"))
-            if (kinds[i] in specials and kinds[j] is TokenKind.ENTITY
+            if (kinds[i] in specials and kinds[j] == "ENTITY"
                     and span[i] == span[j]):
                 edges.add((i, j, "R3"))
-            if (kinds[i] is TokenKind.ENTITY and kinds[j] is TokenKind.ENTITY
+            if (kinds[i] == "ENTITY" and kinds[j] == "ENTITY"
                     and span[i] == span[j] and j == i + 1):
                 edges.add((i, j, "R4"))
             if (kinds[i] in specials and kinds[j] in specials and i < j
@@ -109,7 +111,8 @@ def test_closed_form_counts_without_sharing():
 def test_prompt_tokens_carry_only_self_loops():
     inp = linearized(iraq_example())
     g = G.build_graph(inp)
-    prompt_pos = {i for i, k in enumerate(inp.kinds) if k is TokenKind.PROMPT}
+    prompt_pos = {i for i, (k, _, _) in enumerate(annotations_of(inp))
+                  if k == "PROMPT"}
     for e in g.edges:
         if e.src in prompt_pos or e.dst in prompt_pos:
             assert e.rel is G.RelationType.SELF and e.src == e.dst
@@ -169,11 +172,12 @@ def test_every_special_has_incoming_r1_and_entities_have_r3():
     g = G.build_graph(inp)
     r1_dst = [e.dst for e in forward_edges_of(g)
               if e.rel is G.RelationType.R1]
-    specials = [i for i, k in enumerate(inp.kinds) if k in D.SPECIAL_KINDS]
+    kinds = [k for k, _, _ in annotations_of(inp)]
+    specials = [i for i, k in enumerate(kinds) if k in SPECIAL_KINDS]
     assert sorted(r1_dst) == specials
     r3_dst = {e.dst for e in forward_edges_of(g)
               if e.rel is G.RelationType.R3}
-    entities = {i for i, k in enumerate(inp.kinds) if k is TokenKind.ENTITY}
+    entities = {i for i, k in enumerate(kinds) if k == "ENTITY"}
     assert entities <= r3_dst
 
 
@@ -250,6 +254,66 @@ def test_edge_arrays_match_edge_object_oracle():
                 got = got if isinstance(got, np.ndarray) else got.data
                 assert got.dtype == want.dtype, f"{where}: {name}"
                 assert np.array_equal(got, want), f"{where}: {name}"
+
+
+def test_graph_needs_only_the_reserved_vocabulary():
+    """A graph reads only marker ids and span keys, so ``build-graph``
+    can linearize against the reserved tokens alone."""
+    corpus = build_corpus()
+    full = D.build_vocabulary(corpus)
+    reserved = D.Vocabulary(D.RESERVED_TOKENS)
+    for case, ex in enumerate(corpus):
+        for bidirectional in (True, False):
+            records = [G.graph_record(G.build_graph(
+                D.linearize(ex, D.DEFAULT_PROMPT, vocab), bidirectional))
+                for vocab in (full, reserved)]
+            assert records[0] == records[1], f"case {case}, {bidirectional}"
+
+
+def hand_built(surface, span_keys):
+    """A ``TokenizedGraphInput`` made without ``linearize``; ``w`` is an
+    ordinary token."""
+    vocab = D.Vocabulary(D.RESERVED_TOKENS + ["w"])
+    return D.TokenizedGraphInput(vocab.encode(surface), surface, span_keys)
+
+
+TRIPLE = ["<H>", "w", "<R>", "w", "<T>", "w"]
+KEYS = ["w", "w", "w"]
+
+
+@pytest.mark.parametrize("surface,span_keys,message", [
+    (["<Graph>", "<Graph>", *TRIPLE], KEYS,
+     "expected exactly one global marker"),
+    (["<H>", "w", "<Graph>", "<R>", "w", "<T>", "w"], KEYS,
+     "the first span marker does not follow the global one"),
+    (["w", "<Graph>", "w", *TRIPLE], KEYS,
+     "the first span marker does not follow the global one"),
+    (["<Graph>", "<H>", "w", "<T>", "w", "<R>", "w"], KEYS,
+     "span markers must cycle head, relation, tail"),
+    (["<Graph>", *TRIPLE, "<H>", "w"], KEYS + ["w"],
+     "span markers must cycle head, relation, tail"),
+    (["<Graph>", *TRIPLE], KEYS + ["w"], "4 span keys for 3 spans"),
+    (["<Graph>", *TRIPLE], KEYS[:2], "2 span keys for 3 spans"),
+], ids=["two-globals", "marker-before-global", "token-after-global",
+        "out-of-order", "cut-short", "key-too-many", "key-too-few"])
+def test_build_graph_rejects_malformed_structure(surface, span_keys, message,
+                                                 monkeypatch):
+    bad = hand_built(surface, span_keys)
+    with pytest.raises(D.DataError) as info:
+        G.build_graph(bad)
+    assert str(info.value) == message
+    monkeypatch.setattr(TR, "linearize", lambda *args: bad)
+    vocab = D.build_vocabulary([iraq_example()])
+    with pytest.raises(D.DataError) as info:
+        TR.prepare_items([iraq_example()], vocab,
+                         ModelConfig(vocab_size=len(vocab)))
+    assert str(info.value) == f"example 1: {message}"
+
+
+def test_build_graph_accepts_a_hand_built_input():
+    g = G.build_graph(hand_built(["w", "<Graph>", *TRIPLE], KEYS))
+    assert G.edge_counts(g)["forward"] == {
+        "R1": 3, "R2": 2, "R3": 3, "R4": 0, "R5": 3, "SELF": 8}
 
 
 def test_set_up_path_constructs_no_edge_objects(monkeypatch):

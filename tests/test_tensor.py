@@ -831,21 +831,21 @@ def test_load_rejects_non_finite_values_and_keeps_the_store(tmp_path, bad):
     assert {n: t.data.tobytes() for n, t in fresh.items()} == before
 
 
-def _engine_names_used(path: pathlib.Path) -> set[str]:
-    """Names a package module uses from the engine: attributes of its
-    ``tensor`` import and names imported from it; in ``tensor.py`` itself,
-    names loaded outside their own top-level definition and not bound
-    there as a function, argument or variable (an op's ``backward``
-    closure is not :func:`tensor.backward`)."""
+def _names_used(path: pathlib.Path, module: str) -> set[str]:
+    """Names the package module at ``path`` uses from ``module``:
+    attributes of its ``module`` import and names imported from it; in
+    ``module`` itself, names loaded outside their own top-level definition
+    and not bound there as a function, argument or variable (an op's
+    ``backward`` closure is not :func:`tensor.backward`)."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    if path.name != "tensor.py":
+    if path.stem != module:
         aliases, used = set(), set()
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 for alias in node.names:
-                    if alias.name == "tensor":
+                    if alias.name == module:
                         aliases.add(alias.asname or alias.name)
-                    elif (node.module or "").split(".")[-1] == "tensor":
+                    elif (node.module or "").split(".")[-1] == module:
                         used.add(alias.name)
         return used | {node.attr for node in ast.walk(tree)
                        if isinstance(node, ast.Attribute)
@@ -864,15 +864,17 @@ def _engine_names_used(path: pathlib.Path) -> set[str]:
     return used
 
 
-def test_every_public_engine_function_is_reached_from_the_package():
-    """Engine code the model never names is a candidate for deletion:
-    every public module-level function of ``tensor.py`` is named somewhere
-    in the package outside its own definition."""
-    package = pathlib.Path(T.__file__).parent
-    public = {node.name for node in ast.parse(
-        pathlib.Path(T.__file__).read_text(encoding="utf-8")).body
-              if isinstance(node, ast.FunctionDef)
-              and not node.name.startswith("_")}
-    used = set().union(*(_engine_names_used(path)
-                         for path in package.glob("*.py")))
-    assert sorted(public - used) == []
+def test_every_public_name_is_reached_from_the_package():
+    """Code the CLI and the model never name is a candidate for deletion:
+    every public module-level function and class of every package module
+    is named somewhere in the package outside its own definition."""
+    paths = sorted(pathlib.Path(T.__file__).parent.glob("*.py"))
+    unreached = {}
+    for path in paths:
+        public = {node.name for node in ast.parse(
+            path.read_text(encoding="utf-8")).body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_")}
+        used = set().union(*(_names_used(p, path.stem) for p in paths))
+        unreached[path.stem] = sorted(public - used)
+    assert unreached == {path.stem: [] for path in paths}
