@@ -37,6 +37,7 @@ TAIL_TOKEN = "<T>"
 RESERVED_TOKENS = [PAD_TOKEN, UNK_TOKEN, BOS_TOKEN, EOS_TOKEN,
                    GRAPH_TOKEN, HEAD_TOKEN, REL_TOKEN, TAIL_TOKEN]
 PAD_ID, UNK_ID, BOS_ID, EOS_ID, GRAPH_ID, H_ID, R_ID, T_ID = range(8)
+_RESERVED = frozenset(RESERVED_TOKENS)
 
 
 class DataError(ValueError):
@@ -97,11 +98,11 @@ class TokenizedGraphInput:
 
 _PUNCT = frozenset('.,;:!?()[]"\'')
 _PUNCT_CLASS = re.escape("".join(sorted(_PUNCT)))
-# a word's maximal punctuation-free runs and its single punctuation marks
-_split_word = re.compile(f"[^{_PUNCT_CLASS}]+|[{_PUNCT_CLASS}]").findall
-# the same over a whole quote-free text: runs also end at whitespace (re's
-# \s is exactly what str.split splits on) and at underscores
+# maximal runs free of punctuation, whitespace and underscores, and single
+# punctuation marks (re's \s is exactly what str.split splits on)
 _split_text = re.compile(f"[^{_PUNCT_CLASS}\\s_]+|[{_PUNCT_CLASS}]").findall
+# a whitespace-delimited word wrapped in double quotes with none inside
+_unquote = re.compile(r'(?<!\S)"([^"\s]*)"(?!\S)').sub
 
 
 def tokenize(text: str) -> list[str]:
@@ -109,26 +110,14 @@ def tokenize(text: str) -> list[str]:
 
     Underscores become spaces, words split on whitespace, the listed
     punctuation marks detach as single-character tokens, intra-token
-    hyphens survive, and double quotes wrapping a whole word are
-    stripped. Joining the output with single spaces and re-tokenizing
-    returns the same list. A text with no double quote has no quotes to
-    strip, so one regex splits it whole; otherwise it goes word by word,
-    a word with no punctuation mark is one token as it stands, and one
-    regex splits a word that holds some.
+    hyphens survive, and double quotes wrapping a whole word with none
+    inside are stripped, in one substitution over the text; one regex
+    then splits the text whole. Joining the output with single spaces
+    and re-tokenizing returns the same list.
     """
-    if '"' not in text:
-        return _split_text(text)
-    out: list[str] = []
-    for word in text.replace("_", " ").split():
-        # strip symmetric quoting like "1907-07-11" (interior quote-free)
-        while (len(word) >= 2 and word[0] == '"' and word[-1] == '"'
-               and '"' not in word[1:-1]):
-            word = word[1:-1]
-        if not _PUNCT.isdisjoint(word):
-            out += _split_word(word)
-        elif word:
-            out.append(word)
-    return out
+    if '"' in text:  # strip quoting like "1907-07-11"
+        text = _unquote(r"\1", text.replace("_", " "))
+    return _split_text(text)
 
 
 def normalize_entity(s: str) -> str:
@@ -217,9 +206,8 @@ class Vocabulary:
 
     def decode(self, ids: Iterable[int]) -> str:
         """Space-joined tokens, reserved tokens dropped."""
-        reserved = set(RESERVED_TOKENS)
         toks = [self._id_to_token[i] for i in ids]
-        return " ".join(t for t in toks if t not in reserved)
+        return " ".join(t for t in toks if t not in _RESERVED)
 
     def save(self, path: str) -> None:
         with atomic_write(path) as fh:
@@ -243,11 +231,11 @@ def build_vocabulary(corpus: list[Example], min_count: int = 1,
     """Reserved tokens, then prompt tokens, then corpus tokens with
     frequency >= min_count, in first-appearance order.
 
-    ``tokenize`` works word by word, so the corpus words are counted
-    first, a block of examples per ``str.split``, and each distinct word
-    is tokenized once, in first-appearance order, adding its count to
-    each of its tokens. Tokens, counts and order are those of tokenizing
-    every string.
+    A text's tokens are its words' tokens in order, so the corpus words
+    are counted first, a block of examples per ``str.split``, and each
+    distinct word is tokenized once, in first-appearance order, adding
+    its count to each of its tokens. Tokens, counts and order are those
+    of tokenizing every string.
     """
     if not corpus:
         raise DataError("cannot build a vocabulary from an empty corpus")
@@ -282,7 +270,6 @@ def build_vocabulary(corpus: list[Example], min_count: int = 1,
 # each span's marker, and its name in data errors
 _SPAN_MARKERS = ((HEAD_TOKEN, "SPECIAL_H"), (REL_TOKEN, "SPECIAL_R"),
                  (TAIL_TOKEN, "SPECIAL_T"))
-_RESERVED = frozenset(RESERVED_TOKENS)
 
 
 def _unreserved(tokens: list[str], where: str) -> list[str]:

@@ -130,13 +130,6 @@ def _hypotheses(seqs: np.ndarray, scores: np.ndarray) -> list[Hypothesis]:
     return [Hypothesis(s, float(x)) for s, x in zip(seqs.tolist(), scores)]
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise over the last axis."""
-    m = logits.max(axis=-1, keepdims=True)
-    return logits - (m + np.log(np.exp(logits - m).sum(axis=-1,
-                                                        keepdims=True)))
-
-
 def decode_example(model: Seq2SeqModel, inp: TokenizedGraphInput,
                    gt: GraphTensors | None, config: DecodeConfig) -> Hypothesis:
     """Encode once, then beam-decode with one cached decoder step per beam
@@ -148,7 +141,7 @@ def decode_example(model: Seq2SeqModel, inp: TokenizedGraphInput,
         def step_fn(seqs: np.ndarray, parents: np.ndarray) -> np.ndarray:
             cache.reorder(parents)
             logits = model.decode(seqs[:, -1], enc, cache)
-            return _log_softmax(logits.data[:, -1])
+            return T._log_softmax(logits.data[:, -1])
 
         limit = min(config.max_target_length, model.config.max_target_length)
         return beam_search(step_fn, replace(config, max_target_length=limit))

@@ -38,6 +38,14 @@ def _ngrams(items: Sequence, n: int) -> Counter:
     return Counter(tuple(items[i:i + n]) for i in range(len(items) - n + 1))
 
 
+def _overlap(cand: Sequence, ref: Sequence, n: int) -> tuple[int, int, int]:
+    """Matches of ``cand``'s n-grams in ``ref``, each clipped to its count
+    there, then each side's n-gram total."""
+    cg = _ngrams(cand, n)
+    rg = _ngrams(ref, n)
+    return sum((cg & rg).values()), sum(cg.values()), sum(rg.values())
+
+
 def corpus_bleu(candidates: Sequence[TokenList],
                 references: Sequence[TokenList]) -> float:
     """Corpus BLEU in [0, 100], single reference per candidate."""
@@ -52,10 +60,9 @@ def corpus_bleu(candidates: Sequence[TokenList],
         cand_len += len(cand)
         ref_len += len(ref)
         for n in range(1, 5):
-            cg = _ngrams(cand, n)
-            rg = _ngrams(ref, n)
-            totals[n - 1] += sum(cg.values())
-            matches[n - 1] += sum(min(c, rg[g]) for g, c in cg.items())
+            m, t, _ = _overlap(cand, ref, n)
+            matches[n - 1] += m
+            totals[n - 1] += t
     if any(m == 0 or t == 0 for m, t in zip(matches, totals)):
         return 0.0
     log_precision = sum(math.log(m / t) for m, t in zip(matches, totals)) / 4.0
@@ -64,24 +71,18 @@ def corpus_bleu(candidates: Sequence[TokenList],
 
 
 def _pooled_f(candidates, references) -> float:
-    # one (matches, cand_total, ref_total) triple per order, corpus-pooled
-    orders = CHAR_ORDERS + WORD_ORDERS
-    stats = [[0, 0, 0] for _ in range(orders)]
+    # one [matches, cand_total, ref_total] per order, corpus-pooled
+    stats = [[0, 0, 0] for _ in range(CHAR_ORDERS + WORD_ORDERS)]
     for cand, ref in zip(candidates, references):
         cand_words = list(cand)
         ref_words = list(ref)
         cand_chars = "".join(" ".join(cand_words).split())
         ref_chars = "".join(" ".join(ref_words).split())
-        for o in range(orders):
-            if o < CHAR_ORDERS:
-                cg = _ngrams(cand_chars, o + 1)
-                rg = _ngrams(ref_chars, o + 1)
-            else:
-                cg = _ngrams(cand_words, o - CHAR_ORDERS + 1)
-                rg = _ngrams(ref_words, o - CHAR_ORDERS + 1)
-            stats[o][0] += sum(min(c, rg[g]) for g, c in cg.items())
-            stats[o][1] += sum(cg.values())
-            stats[o][2] += sum(rg.values())
+        counts = [_overlap(cand_chars, ref_chars, n)
+                  for n in range(1, CHAR_ORDERS + 1)]
+        counts += [_overlap(cand_words, ref_words, n)
+                   for n in range(1, WORD_ORDERS + 1)]
+        stats = [[a + b for a, b in zip(s, c)] for s, c in zip(stats, counts)]
     precisions = []
     recalls = []
     for m, ct, rt in stats:

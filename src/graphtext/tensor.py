@@ -385,6 +385,12 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _result(data, (a, gain, bias), backward)
 
 
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    """Log-softmax over the last axis, shifted by the row max."""
+    m = x.max(axis=-1, keepdims=True)
+    return x - (m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True)))
+
+
 def cross_entropy(logits: Tensor, target_ids: Sequence[int]) -> Tensor:
     """Softmax cross-entropy of each row of ``logits`` against its target
     id, summed over the rows; a mean is ``scale(sum, 1 / rows)``."""
@@ -392,10 +398,7 @@ def cross_entropy(logits: Tensor, target_ids: Sequence[int]) -> Tensor:
     if logits.data.ndim != 2 or ids.shape != (logits.shape[0],):
         raise ShapeError(
             f"cross_entropy: logits {logits.shape} vs {ids.shape[0]} targets")
-    x = logits.data
-    m = x.max(axis=-1, keepdims=True)
-    lse = m + np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
-    logp = x - lse
+    logp = _log_softmax(logits.data)
     rows = np.arange(len(ids))
     data = np.asarray((-logp[rows, ids]).sum())
 

@@ -1,4 +1,5 @@
 import re
+import sys
 
 import pytest
 
@@ -6,7 +7,7 @@ from graphtext import data as D
 from oracles import per_string_vocabulary, scan_tokenize
 
 
-# -- tokenizer: dual route -----------------------------------------------------
+# -- tokenizer: one quote substitution, one split ------------------------------
 
 def reference_tokenize(text):
     """Regex re-statement of the tokenizer rules, kept independent of the
@@ -59,12 +60,23 @@ def test_tokenize_matches_reference_and_is_idempotent():
     alphabet = 'ab"c.-_\' ,():x;!?[]\té'
     fuzz = ["".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 25)))
             for _ in range(1000)]
-    # quote-free texts take the one-regex path; underscores and Unicode
-    # whitespace must end a run there as str.split ends a word
+    # the split regex must end a run at underscores and Unicode whitespace
+    # as str.split ends a word, in quote-free texts and in quoted ones
     plain = (alphabet.replace('"', "")
              + "__\u00a0\u2003\u3000\x1c\x1d\x1e\x1f\x85")
     fuzz += ["".join(rng.choice(plain) for _ in range(rng.randrange(1, 25)))
              for _ in range(1000)]
+    quoted = plain + '""'
+    fuzz += ["".join(rng.choice(quoted) for _ in range(rng.randrange(1, 25)))
+             for _ in range(1000)]
+    # the quote strip must find a word's edges where str.split does: put
+    # each code point that re's \s or str.isspace (str.split's test) takes
+    # for whitespace beside a quoted word
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    spaces = set(re.findall(r"\s", every)) | set(filter(str.isspace, every))
+    for c in sorted(spaces):
+        fuzz += [c + '"a"', '"a"' + c, c + '"a"' + c, '"' + c + '"',
+                 f'x{c}"a.b"{c}"_"{c}y', f'"a{c}b"', f'"a"{c}"b"']
     for s in ADVERSARIAL + fuzz:
         got = D.tokenize(s)
         assert got == scan_tokenize(s) == reference_tokenize(s), repr(s)
