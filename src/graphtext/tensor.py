@@ -853,10 +853,12 @@ class ParameterStore:
         chunk. Returns the pre-clip global gradient norm."""
         flat = self._layout()
         ranges = self._trainable_ranges()
-        sq = 0.0
+        sq = 0.0  # no BLAS dot: its rounding varies with the thread count
         for lo, hi in ranges:
-            g = flat.grads[lo:hi]
-            sq += float(np.dot(g, g))
+            for start in range(lo, hi, _CHUNK):
+                g = flat.grads[start:min(start + _CHUNK, hi)]
+                b = np.multiply(g, g, out=flat.scratch[:g.size])
+                sq += float(np.add.reduce(b))
         norm = sq ** 0.5
         scale_f = 1.0
         if clip_norm is not None and norm > clip_norm > 0:

@@ -23,6 +23,8 @@ from graphtext.data import (DEFAULT_PROMPT, EOS_ID, RESERVED_TOKENS,
 from graphtext.decoding import DecodeConfig
 from graphtext.tensor import read_checkpoint
 
+import corpus as synth
+
 DATASET = [
     {"triples": [["Iraq", "language", "Arabic"]],
      "text": "Arabic is spoken in Iraq."},
@@ -838,6 +840,68 @@ def test_interrupted_sweep_keeps_previous_files(workspace, tmp_path,
     assert {name: (out / name).read_bytes() for name in names} == before
     assert sorted(p.name for p in out.iterdir()) == names
     assert [p.name for p in tmp_path.iterdir()] == ["sweep"]
+
+
+# -- whole CLI sessions in a fresh process ------------------------------------
+
+# runs each command (a JSON list of argument lists) through cli.main in one
+# process
+_CLI_SESSION = """
+import json, sys
+from graphtext import cli
+for argv in json.loads(sys.argv[1]):
+    if cli.main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+def _cli_session(commands, **env) -> str:
+    """The stdout of a fresh process running ``commands``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_SESSION, json.dumps(commands)],
+        env={**os.environ, "PYTHONPATH": src, **env}, capture_output=True,
+        text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_run_files_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """``train --val`` and ``generate``, beam and greedy, write the same
+    bytes at one and at two BLAS threads, for BASE and for GRASAME with
+    each GNN family. A BLAS dot splits its sum across threads, so any
+    reduction through one would round differently."""
+    def records(examples):
+        return [{"triples": [[t.head, t.relation, t.tail] for t in ex.triples],
+                 "text": ex.target_text} for ex in examples]
+
+    train, val = synth.split_corpus(synth.build_corpus())
+    data = write_dataset(tmp_path / "train.jsonl", records(train))
+    held = write_dataset(tmp_path / "val.jsonl", records(val))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "d_model": 16, "num_heads": 2, "feedforward_dim": 32, "epochs": 3,
+        "max_sequence_length": 48, "max_target_length": 28}))
+    models = [["base"]] + [["grasame", "--gnn", family]
+                           for family in ("sage", "gat", "rgcn")]
+    files = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        commands = []
+        for model in models:
+            run = str(out / "-".join(model[::2]))
+            commands.append(["train", "--config", str(config), "--data", data,
+                             "--val", held, "--out", run,
+                             "--variation", *model])
+            commands += [["generate", "--run", run, "--data", held, "--mode",
+                          mode, "--out", f"{run}-{mode}.jsonl"]
+                         for mode in ("beam", "greedy")]
+        _cli_session(commands, OPENBLAS_NUM_THREADS=threads,
+                     OMP_NUM_THREADS=threads)
+        files.append({p.relative_to(out): p.read_bytes()
+                      for p in out.rglob("*") if p.is_file()})
+    assert len(files[0]) == 4 * (len(RUN_FILES) + 2)
+    assert [p for p in files[0] if files[0][p] != files[1].get(p)] == []
 
 
 # -- a seeded fuzzer over the data file ---------------------------------------
