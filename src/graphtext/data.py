@@ -101,8 +101,9 @@ _PUNCT_CLASS = re.escape("".join(sorted(_PUNCT)))
 # maximal runs free of punctuation, whitespace and underscores, and single
 # punctuation marks (re's \s is exactly what str.split splits on)
 _split_text = re.compile(f"[^{_PUNCT_CLASS}\\s_]+|[{_PUNCT_CLASS}]").findall
-# a whitespace-delimited word wrapped in double quotes with none inside
-_unquote = re.compile(r'(?<!\S)"([^"\s]*)"(?!\S)').sub
+# a whitespace-delimited word wrapped in double quotes with none inside; re
+# finds a pattern that opens on the quote faster than one opening on (?<!\S)
+_unquote = re.compile(r'"(?<!\S")([^"\s]*)"(?!\S)').sub
 
 
 def tokenize(text: str) -> list[str]:
