@@ -117,7 +117,7 @@ def _distinct_pairs(targets: np.ndarray, sources: np.ndarray,
                     n: int) -> np.ndarray:
     """The distinct (source, target) pairs as a (2, E) array sorted by
     target and then source; sorted by hand, as np.unique imports numpy.ma
-    (1.3 MB)."""
+    (1.3 MB), which ``test_no_command_imports_numpy_ma`` forbids."""
     keys = np.sort(targets * n + sources)
     keep = np.empty(len(keys), dtype=bool)
     keep[:1] = True

@@ -845,32 +845,33 @@ def test_interrupted_sweep_keeps_previous_files(workspace, tmp_path,
 # -- whole CLI sessions in a fresh process ------------------------------------
 
 # runs each command (a JSON list of argument lists) through cli.main in one
-# process
+# process, then prints whether numpy.ma was imported
 _CLI_SESSION = """
 import json, sys
 from graphtext import cli
 for argv in json.loads(sys.argv[1]):
     if cli.main(argv) != 0:
         sys.exit(f"{argv[0]} failed")
+print(json.dumps("numpy.ma" in sys.modules))
 """
 
 
 def _cli_session(commands, **env) -> str:
-    """The stdout of a fresh process running ``commands``."""
+    """The last stdout line of a fresh process running ``commands``."""
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", _CLI_SESSION, json.dumps(commands)],
         env={**os.environ, "PYTHONPATH": src, **env}, capture_output=True,
         text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return proc.stdout.splitlines()[-1]
 
 
 def test_run_files_do_not_depend_on_the_blas_thread_count(tmp_path):
     """``train --val`` and ``generate``, beam and greedy, write the same
     bytes at one and at two BLAS threads, for BASE and for GRASAME with
-    each GNN family. A BLAS dot splits its sum across threads, so any
-    reduction through one would round differently."""
+    each GNN family. A BLAS reduction may split its sum by thread count,
+    as the gradient norm's dot product did; at these sizes none does."""
     def records(examples):
         return [{"triples": [[t.head, t.relation, t.tail] for t in ex.triples],
                  "text": ex.target_text} for ex in examples]
@@ -902,6 +903,24 @@ def test_run_files_do_not_depend_on_the_blas_thread_count(tmp_path):
                       for p in out.rglob("*") if p.is_file()})
     assert len(files[0]) == 4 * (len(RUN_FILES) + 2)
     assert [p for p in files[0] if files[0][p] != files[1].get(p)] == []
+
+
+def test_no_command_imports_numpy_ma(workspace, tmp_path):
+    """No command imports numpy.ma: ``np.unique`` does, and that adds
+    about 1.7 MB of resident memory to every run, too little for the
+    benchmark's memory bound to notice."""
+    run, data = str(tmp_path / "run"), workspace["data"]
+    commands = [
+        ["train", "--config", workspace["config"], "--data", data, "--val",
+         data, "--out", run],
+        ["generate", "--run", run, "--data", data, "--out",
+         str(tmp_path / "gen.jsonl")],
+        ["eval", "--run", run, "--data", data],
+        ["build-graph", "--data", data, "--out", str(tmp_path / "g.jsonl")],
+        ["sweep-lambda", "--config", workspace["config"], "--data", data,
+         "--val", data, "--out", str(tmp_path / "sweep"), "--values", "0,0.1"],
+    ]
+    assert _cli_session(commands) == "false"
 
 
 # -- a seeded fuzzer over the data file ---------------------------------------
