@@ -4,10 +4,12 @@ The alive prefixes are a (k, t) token array beside a (k,) score array.
 Each step makes one call ``step_fn(seqs, parents) -> (k, V)`` for the
 next-token log-probs of every alive prefix, where row i of ``seqs``
 extends row ``parents[i]`` of the previous call's. ``decode_example``
-answers it with one cached model step: a ``model.DecoderCache`` holds
-each decoder layer's self-attention keys and values per row, reordered
-by ``parents``, and its cross-attention keys and values, projected once
-per example, so a step runs one new position per alive prefix.
+answers it with one ``model.DecoderCache.step``, which runs the decoder
+on plain arrays, off the tape, for one new position per alive prefix.
+The cache holds the cross-attention keys and values, projected once per
+example, and a buffer of every decoder layer's self-attention keys and
+values per row, preallocated to the length cap and reordered in place
+by ``parents``.
 
 The scores are added to the (k, V) log-probs; every continuation that
 scores at least the slots-th best is kept (``np.partition``, ties at the
@@ -136,12 +138,11 @@ def decode_example(model: Seq2SeqModel, inp: TokenizedGraphInput,
     step: each call runs the newest token of every alive prefix."""
     with T.no_grad():
         enc = model.encode(inp, gt)
-        cache = DecoderCache(model, enc)
+    cache = DecoderCache(model, enc)
 
-        def step_fn(seqs: np.ndarray, parents: np.ndarray) -> np.ndarray:
-            cache.reorder(parents)
-            logits = model.decode(seqs[:, -1], enc, cache)
-            return T._log_softmax(logits.data[:, -1])
+    def step_fn(seqs: np.ndarray, parents: np.ndarray) -> np.ndarray:
+        cache.reorder(parents)
+        return T._log_softmax(cache.step(seqs[:, -1]))
 
-        limit = min(config.max_target_length, model.config.max_target_length)
-        return beam_search(step_fn, replace(config, max_target_length=limit))
+    limit = min(config.max_target_length, model.config.max_target_length)
+    return beam_search(step_fn, replace(config, max_target_length=limit))

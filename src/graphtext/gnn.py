@@ -54,6 +54,16 @@ class GnnConfig:
         if self.in_dim <= 0 or self.out_dim <= 0 or self.gat_heads <= 0:
             raise ValueError("GNN dimensions and head count must be positive")
 
+    def num_values(self) -> int:
+        """The parameter count of one :class:`GnnLayer` of this shape."""
+        if self.identity_mode:
+            return 0
+        di, do = self.in_dim, self.out_dim
+        if self.family == "GAT":
+            return self.gat_heads * (di * do + 2 * do)
+        channels = NUM_RELATION_BUCKETS if self.family == "RGCN" else 1
+        return (1 + channels) * di * do + do
+
 
 @dataclass(eq=False)
 class GraphTensors:

@@ -15,14 +15,17 @@ final layer norm; positions use a learned embedding table. A batch runs
 packed: its examples' token rows are concatenated into one block per
 side, with no padding, and every row-wise layer is one tape op over the
 block; attention and the graph step keep each example to its own rows.
-Decoding runs the decoder one position at a time against a
-``DecoderCache`` of the earlier positions' keys and values. For the
+Decoding runs off the tape: ``DecoderCache.step`` runs the decoder one
+position at a time on plain arrays, against buffers of the earlier
+positions' keys and values preallocated to the length cap, through the
+same layer-norm and attention kernels as the tape ops. For the
 reconstruction objective, a linear head over each ordered node pair's
 concatenated states, ``[h_u; h_v] W + b``, scores the pair against the
 five structural relation labels.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,25 +75,33 @@ class ModelConfig:
                                      or self.gnn.out_dim != self.d_model):
             raise ValueError("GNN dims must equal d_model for the residual path")
 
+    def num_values(self) -> int:
+        """The parameter count of a model of this shape, in closed form:
+        what ``Seq2SeqModel(self).store.num_values()`` will be."""
+        d, ff, v = self.d_model, self.feedforward_dim, self.vocab_size
+        norm, attn = 2 * d, 4 * d * d
+        feedforward = 2 * d * ff + ff + d
+        gnn = 0 if self.gnn is None else self.gnn.num_values()
+        return ((v + max(self.max_sequence_length, self.max_target_length)) * d
+                + self.num_encoder_layers * (2 * norm + attn + feedforward + gnn)
+                + self.num_decoder_layers * (3 * norm + 2 * attn + feedforward)
+                + 2 * norm + (2 * d + 1) * NUM_EDGE_LABELS
+                + (0 if self.tie_embeddings else v * d))
 
-def multi_head_attention(q_in: T.Tensor,
-                         kv_in: T.Tensor | tuple[T.Tensor, T.Tensor],
+
+def multi_head_attention(q_in: T.Tensor, kv_in: T.Tensor,
                          weights: tuple[T.Tensor, T.Tensor, T.Tensor, T.Tensor],
-                         num_heads: int,
-                         segments: list[tuple[int, int]] | None = None,
+                         num_heads: int, segments: list[tuple[int, int]],
                          causal: bool = False) -> T.Tensor:
     """Scaled dot-product attention under the projections ``weights``,
-    (query, key, value, output); heads are column blocks of them. ``kv_in``
-    is the states keys and values are projected from, or the (keys, values)
-    pair already projected, as a :class:`DecoderCache` holds them.
-    ``segments`` and ``causal`` are :func:`tensor.attention`'s: None lets
-    every query attend every key, with leading axes of ``q_in`` a batch; a
-    list of (query rows, key rows) counts keeps each example of a packed
-    batch to its own rows."""
+    (query, key, value, output); heads are column blocks of them. Queries
+    are projected from ``q_in``, keys and values from ``kv_in``.
+    ``segments`` and ``causal`` are :func:`tensor.attention`'s: a list of
+    (query rows, key rows) counts keeps each example of a packed batch to
+    its own rows."""
     wq, wk, wv, wo = weights
-    k, v = kv_in if isinstance(kv_in, tuple) else (T.matmul(kv_in, wk),
-                                                   T.matmul(kv_in, wv))
-    out = T.attention(T.matmul(q_in, wq), k, v, num_heads, segments, causal)
+    out = T.attention(T.matmul(q_in, wq), T.matmul(kv_in, wk),
+                      T.matmul(kv_in, wv), num_heads, segments, causal)
     return T.matmul(out, wo)
 
 
@@ -133,12 +144,15 @@ class Seq2SeqModel:
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
+        # values, gradients and two Adam moments, refused before any draw
+        need = 4 * 8 * config.num_values()
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > have:
+            raise MemoryError(f"the model needs {need} bytes for its"
+                              f" parameters, gradients and Adam moments;"
+                              f" physical memory is {have} bytes")
         self.store = T.ParameterStore()
-        try:
-            self._create_parameters(np.random.default_rng(seed))
-        except ValueError as exc:
-            # numpy refuses an array of 2**63 bytes or more with ValueError
-            raise MemoryError(str(exc)) from None
+        self._create_parameters(np.random.default_rng(seed))
 
     def _create_parameters(self, rng: np.random.Generator) -> None:
         config = self.config
@@ -230,7 +244,6 @@ class Seq2SeqModel:
         return T.layer_norm(x, self.enc_ln_g, self.enc_ln_b)
 
     def decode(self, token_ids, enc_states: T.Tensor,
-               cache: DecoderCache | None = None,
                enc_lengths: list[int] | None = None) -> T.Tensor:
         """Teacher-forced logits, one row per target position, under a
         causal mask.
@@ -238,56 +251,34 @@ class Seq2SeqModel:
         ``token_ids`` is one prefix, which cross-attends every row of
         ``enc_states``, or a list of prefixes: a packed batch whose example
         i cross-attends its own ``enc_lengths[i]`` rows, in order, of the
-        states :meth:`encode` returned for the batch.
-
-        With a ``cache`` (no-grad only), ``token_ids`` holds the next token
-        of each cache row, all at the cache's next position. The step
-        attends over each row's cached keys and values, appends its own,
-        and returns (rows x 1 x vocab) logits.
+        states :meth:`encode` returned for the batch. Incremental decoding
+        runs on arrays instead, through :meth:`DecoderCache.step`.
         """
-        if cache is None:
-            ids, positions, lengths = _pack(token_ids)
-            if enc_lengths is None and len(lengths) == 1:
-                enc_lengths = [enc_states.shape[0]]
-            if enc_lengths is None or len(enc_lengths) != len(lengths):
-                raise T.ShapeError(
-                    f"{len(lengths)} prefixes need as many encoder lengths")
-            m = max(lengths)
-            self_segments = [(n, n) for n in lengths]
-            cross_segments = list(zip(lengths, enc_lengths))
-        else:  # one sequence of one token per cache row
-            if T._GRAD_ENABLED:  # the cache keeps values, not the tape
-                raise RuntimeError("a cached decode step runs under T.no_grad()")
-            ids = np.asarray(token_ids)[:, None]
-            if len(ids) != cache.rows:
-                raise T.ShapeError(
-                    f"{len(ids)} next tokens for {cache.rows} cache rows")
-            m = cache.length + 1
-            positions = [cache.length]
-            self_segments = cross_segments = None
-        if m > self.config.max_target_length:
+        ids, positions, lengths = _pack(token_ids)
+        if enc_lengths is None and len(lengths) == 1:
+            enc_lengths = [enc_states.shape[0]]
+        if enc_lengths is None or len(enc_lengths) != len(lengths):
             raise T.ShapeError(
-                f"target length {m} exceeds the model maximum")
+                f"{len(lengths)} prefixes need as many encoder lengths")
+        m = max(lengths)
+        if m > self.config.max_target_length:
+            raise T.ShapeError(f"target length {m} exceeds the model maximum")
+        self_segments = [(n, n) for n in lengths]
+        cross_segments = list(zip(lengths, enc_lengths))
         y = self._embed(ids, positions)
         heads = self.config.num_heads
-        for i, layer in enumerate(self.dec_layers):
+        for layer in self.dec_layers:
             u = T.layer_norm(y, layer["ln1_g"], layer["ln1_b"])
-            kv = u if cache is None else cache._extend(i, u, layer["sk"],
-                                                       layer["sv"])
-            att = multi_head_attention(
-                u, kv, (layer["sq"], layer["sk"], layer["sv"], layer["so"]),
-                heads, self_segments, causal=cache is None)
-            y = T.add(y, att)
+            y = T.add(y, multi_head_attention(
+                u, u, (layer["sq"], layer["sk"], layer["sv"], layer["so"]),
+                heads, self_segments, causal=True))
             u = T.layer_norm(y, layer["ln2_g"], layer["ln2_b"])
-            kv = enc_states if cache is None else cache.cross[i]
-            att = multi_head_attention(
-                u, kv, (layer["cq"], layer["ck"], layer["cv"], layer["co"]),
-                heads, cross_segments)
-            y = T.add(y, att)
+            y = T.add(y, multi_head_attention(
+                u, enc_states,
+                (layer["cq"], layer["ck"], layer["cv"], layer["co"]),
+                heads, cross_segments))
             u = T.layer_norm(y, layer["ln3_g"], layer["ln3_b"])
             y = T.add(y, self._feedforward(layer, u))
-        if cache is not None:
-            cache.length = m
         y = T.layer_norm(y, self.dec_ln_g, self.dec_ln_b)
         return T.matmul(y, self.lm_head, transpose_b=True)
 
@@ -304,34 +295,76 @@ class Seq2SeqModel:
 
 
 class DecoderCache:
-    """What an incremental decode of one example keeps between steps. Per
-    decoder layer: the self-attention keys and values of every position so
-    far, (row, position, d_model) with one row per live hypothesis, and the
-    cross-attention keys and values, projected once from the encoder
-    states. No-grad only: the cached arrays carry no tape."""
+    """An incremental decode of one example: the decoder run one position
+    at a time, on plain arrays, for every live hypothesis (a row).
+
+    It keeps each decoder layer's cross-attention keys and values,
+    projected once from the encoder states, and one buffer of every
+    layer's self-attention keys and values, (2, layers, rows,
+    max_target_length, d_model), filled up to ``length`` positions.
+    :meth:`step` records no tape, with grad on or off. Its arithmetic is
+    the teacher-forced :meth:`Seq2SeqModel.decode`'s through the shared
+    kernels of ``tensor``, so a step's logits equal the last row of a
+    decode of the whole prefix."""
 
     def __init__(self, model: Seq2SeqModel, enc_states: T.Tensor):
+        self.model = model
         self.length = 0  # positions cached in every row
         self.rows = 1
-        self.cross = [(T.matmul(enc_states, layer["ck"]),
-                       T.matmul(enc_states, layer["cv"]))
+        enc = enc_states.data
+        self.cross = [(enc @ layer["ck"].data, enc @ layer["cv"].data)
                       for layer in model.dec_layers]
-        empty = np.zeros((1, 0, model.config.d_model))
-        self.keys = [empty] * len(model.dec_layers)
-        self.values = list(self.keys)
+        cfg = model.config
+        self.kv = np.empty((2, len(model.dec_layers), 1,
+                            cfg.max_target_length, cfg.d_model))
 
     def reorder(self, parents) -> None:
         """Row i becomes a copy of the current row ``parents[i]``; rows not
-        named are dropped."""
-        self.rows = len(parents)
-        self.keys = [k[parents] for k in self.keys]
-        self.values = [v[parents] for v in self.values]
+        named are dropped. The buffer grows when there are more rows than
+        it holds."""
+        used = self.kv[:, :, :self.rows, :self.length][:, :, parents]
+        rows = used.shape[2]
+        if rows > self.kv.shape[2]:
+            self.kv = np.empty(self.kv.shape[:2] + (rows,) + self.kv.shape[3:])
+        self.kv[:, :, :rows, :self.length] = used
+        self.rows = rows
 
-    def _extend(self, i: int, states: T.Tensor, wk: T.Tensor, wv: T.Tensor
-                ) -> tuple[T.Tensor, T.Tensor]:
-        """Append the keys and values of ``states`` (rows, 1, d) to layer
-        ``i`` and return all of that layer's keys and values."""
-        k, v = T.matmul(states, wk), T.matmul(states, wv)
-        self.keys[i] = np.concatenate((self.keys[i], k.data), axis=-2)
-        self.values[i] = np.concatenate((self.values[i], v.data), axis=-2)
-        return T.Tensor(self.keys[i]), T.Tensor(self.values[i])
+    def step(self, tokens) -> np.ndarray:
+        """Run ``tokens``, the next token of each row, at the next
+        position: append their keys and values and return the (rows, V)
+        logits."""
+        model, t = self.model, self.length
+        ids = np.asarray(tokens, dtype=np.int64)
+        if ids.shape != (self.rows,):
+            raise T.ShapeError(
+                f"{ids.size} next tokens for {self.rows} cache rows")
+        if t + 1 > model.config.max_target_length:
+            raise T.ShapeError(
+                f"target length {t + 1} exceeds the model maximum")
+        table = model.emb_tok.data
+        if ids.size and (ids.min() < 0 or ids.max() >= len(table)):
+            raise T.ShapeError(f"token id out of range for a vocabulary of"
+                               f" {len(table)}")
+        heads = model.config.num_heads
+        kv = self.kv[:, :, :self.rows, :t + 1]
+        y = table[ids] + model.emb_pos.data[t]
+        for i, (layer, (ck, cv)) in enumerate(zip(model.dec_layers,
+                                                  self.cross)):
+            p = {name: w.data for name, w in layer.items()}
+            # queries stay (rows, 1, d), so numpy runs one product per row;
+            # one (rows, d) block would round differently in the last bits
+            u = T._normalize(y, p["ln1_g"], p["ln1_b"])[0]
+            kv[0, i, :, t] = u @ p["sk"]
+            kv[1, i, :, t] = u @ p["sv"]
+            out = T._attend((u @ p["sq"])[:, None], kv[0, i], kv[1, i],
+                            heads)[0]
+            y = y + out[:, 0] @ p["so"]
+            u = T._normalize(y, p["ln2_g"], p["ln2_b"])[0]
+            out = T._attend((u @ p["cq"])[:, None], ck, cv, heads)[0]
+            y = y + out[:, 0] @ p["co"]
+            u = T._normalize(y, p["ln3_g"], p["ln3_b"])[0]
+            hidden = T._relu(u @ p["ff_w1"] + p["ff_b1"])
+            y = y + (hidden @ p["ff_w2"] + p["ff_b2"])
+        self.length = t + 1
+        y = T._normalize(y, model.dec_ln_g.data, model.dec_ln_b.data)[0]
+        return y @ model.lm_head.data.T

@@ -25,7 +25,9 @@ the textbook expressions; the values it trains agree with theirs to
 backward keeps and reuses its weight gradient in place, cross-entropy
 turns its softmax into the logits' gradient in place, and layer norm
 reuses its buffers; all three round exactly as the out-of-place
-expressions do.
+expressions do. The forward arithmetic of layer norm, attention and relu
+lives in private array kernels (``_normalize``, ``_attend``, ``_relu``),
+which the model's tape-free decoder step calls too.
 
 Values are double precision: a tensor casts whatever it is built from to
 float64, and checkpoints are written in float64. The checkpoint reader
@@ -277,17 +279,33 @@ def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
     return _result(data, (a, b), backward)
 
 
+def _relu(x: np.ndarray) -> np.ndarray:
+    """np.where(x > 0, x, 0.0) bit for bit without a per-element select:
+    fmax maps NaN to 0.0, and adding 0.0 turns -0.0 into +0.0."""
+    out = np.fmax(x, 0.0)
+    out += 0.0
+    return out
+
+
 def relu(a: Tensor) -> Tensor:
     keep = a.data > 0
-    # np.where(keep, a, 0.0) bit for bit without a per-element select:
-    # fmax maps NaN to 0.0, and adding 0.0 turns -0.0 into +0.0
-    data = np.fmax(a.data, 0.0)
-    data += 0.0
+    data = _relu(a.data)
 
     def backward(g: np.ndarray, parents: tuple) -> None:
         parents[0]._accumulate_grad(g * keep)
 
     return _result(data, (a,), backward)
+
+
+def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
+    """(..., n, h*w) -> (..., h, n, w): slice i is column block i."""
+    return x.reshape(*x.shape[:-1], num_heads, -1).swapaxes(-2, -3)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """(..., h, n, w) -> (..., n, h*w), undoing :func:`_split_heads`."""
+    *lead, h, n, w = x.shape
+    return x.swapaxes(-2, -3).reshape(*lead, n, h * w)
 
 
 def merge_heads(a: Tensor) -> Tensor:
@@ -297,7 +315,7 @@ def merge_heads(a: Tensor) -> Tensor:
     if a.data.ndim < 3:
         raise ShapeError(f"merge_heads: expected at least 3 axes, got {a.shape}")
     *lead, h, n, k = a.shape
-    data = a.data.swapaxes(-2, -3).reshape(*lead, n, h * k)
+    data = _merge_heads(a.data)
 
     def backward(g: np.ndarray, parents: tuple) -> None:
         parents[0]._accumulate_grad(
@@ -347,6 +365,23 @@ def _scatter_rows(dest: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
     dest[ids[starts]] += np.add.reduceat(g.reshape(ids.size, -1)[order], starts)
 
 
+def _normalize(x: np.ndarray, gain: np.ndarray, bias: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer norm's forward on arrays: the output, the normalized rows
+    and each row's 1 / std, the last two for the backward."""
+    d = x.shape[-1]
+    # each row mean is a sum over the row, then one division: the
+    # rounding of ndarray.mean, without its per-call overhead
+    mu = np.add.reduce(x, -1, keepdims=True) / d
+    xhat = x - mu
+    var = np.add.reduce(xhat ** 2, -1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat *= inv
+    out = xhat * gain
+    out += bias
+    return out, xhat, inv
+
+
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row of the last axis to zero mean / unit variance
     (variance plus 1e-5), then apply the learned affine transform."""
@@ -354,16 +389,8 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(
             f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} != ({d},)")
-    # each row mean is a sum over the row, then one division: the
-    # rounding of ndarray.mean, without its per-call overhead
-    mu = np.add.reduce(a.data, -1, keepdims=True) / d
-    xhat = a.data - mu
-    var = np.add.reduce(xhat ** 2, -1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + 1e-5)
-    xhat *= inv
     gd = gain.data
-    data = xhat * gd
-    data += bias.data
+    data, xhat, inv = _normalize(a.data, gd, bias.data)
 
     def backward(g: np.ndarray, parents: tuple) -> None:
         a, gain, bias = parents
@@ -585,82 +612,79 @@ def neighbor_attention(s_dst: Tensor, s_src: Tensor, values: Tensor,
     return _result(data, (s_dst, s_src, values), backward)
 
 
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, num_heads: int,
+            future: np.ndarray | None = None
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Attention's forward on one block of arrays: the (..., n, d) output
+    and the (..., head, query, key) weights. Leading axes broadcast, so
+    (rows, 1, d) queries may attend (rows, t, d) or (t, d) keys. Where the
+    bool array ``future`` is True (its top-left corner is used), a query
+    does not see a key. The softmax is built in place in the weights."""
+    factor = 1.0 / math.sqrt(q.shape[-1] // num_heads)
+    w = _split_heads(q, num_heads) @ _split_heads(k, num_heads).swapaxes(-1, -2)
+    w *= factor
+    if future is not None:
+        np.copyto(w, -np.inf, where=future[:w.shape[-2], :w.shape[-1]])
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    return _merge_heads(w @ _split_heads(v, num_heads)), w
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
-              segments: Sequence[tuple[int, int]] | None = None,
+              segments: Sequence[tuple[int, int]],
               causal: bool = False) -> Tensor:
     """Multi-head scaled dot-product attention as one op.
 
-    Head i is column block i of the (..., rows, d) operands: its weights
+    Head i is column block i of the 2-D (rows, d) operands: its weights
     are softmax(q_i k_i^T / sqrt(d / h)) over the key rows, and its output
-    is those weights times v_i. With ``segments`` None every query row
-    attends every key row, and leading axes broadcast. A list of
-    (query rows, key rows) counts cuts 2-D operands into consecutive
-    blocks, one per example, and each query block attends its own key
-    block only. ``causal`` lets query j of a block see keys 0..j only.
+    is those weights times v_i. ``segments``, a list of (query rows, key
+    rows) counts, cuts the operands into consecutive blocks, one per
+    example, and each query block attends its own key block only.
+    ``causal`` lets query j of a block see keys 0..j only.
 
     Beside its inputs, backward keeps only the weights, one
-    (..., head, query, key) array per block.
+    (head, query, key) array per block.
     """
     d = q.shape[-1]
-    if (min(q.data.ndim, k.data.ndim) < 2 or num_heads < 1 or d % num_heads
-            or k.shape[-1] != d or v.shape != k.shape):
+    if (q.data.ndim != 2 or k.data.ndim != 2 or num_heads < 1
+            or d % num_heads or k.shape[-1] != d or v.shape != k.shape):
         raise ShapeError(f"attention: queries {q.shape}, keys {k.shape} and"
                          f" values {v.shape} with {num_heads} heads")
-    dk = d // num_heads
-    factor = 1.0 / math.sqrt(dk)
-
-    def split(x: np.ndarray) -> np.ndarray:  # (..., n, d) -> (..., h, n, dk)
-        return x.reshape(*x.shape[:-1], num_heads, dk).swapaxes(-2, -3)
-
-    def merge(x: np.ndarray) -> np.ndarray:  # (..., h, n, dk) -> (..., n, d)
-        return x.swapaxes(-2, -3).reshape(*x.shape[:-3], x.shape[-2], d)
-
-    if segments is None:
-        blocks = [(slice(None), slice(None))]
-    else:
-        counts = np.array(segments, dtype=np.int64).reshape(-1, 2)
-        nq, nk = (np.concatenate(([0], np.cumsum(c))) for c in counts.T)
-        if (not len(counts) or q.data.ndim != 2 or k.data.ndim != 2
-                or nq[-1] != q.shape[0] or nk[-1] != k.shape[0]
-                or min(np.diff(nk)) < 1):
-            raise ShapeError(f"attention: segments {list(segments)} do not cut"
-                             f" queries {q.shape} and keys {k.shape}")
-        blocks = [(slice(a, b), slice(c, e))
-                  for a, b, c, e in zip(nq, nq[1:], nk, nk[1:])]
-    if causal:  # True above the diagonal: keys after their query
-        longest = ((q.shape[-2], k.shape[-2]) if segments is None
-                   else counts.max(axis=0))
-        future = ~np.tri(*longest, dtype=bool)
+    counts = np.array(segments, dtype=np.int64).reshape(-1, 2)
+    nq, nk = (np.concatenate(([0], np.cumsum(c))) for c in counts.T)
+    if (not len(counts) or nq[-1] != q.shape[0] or nk[-1] != k.shape[0]
+            or min(np.diff(nk)) < 1):
+        raise ShapeError(f"attention: segments {list(segments)} do not cut"
+                         f" queries {q.shape} and keys {k.shape}")
+    blocks = [(slice(a, b), slice(c, e))
+              for a, b, c, e in zip(nq, nq[1:], nk, nk[1:])]
+    # True above the diagonal: keys after their query
+    future = ~np.tri(*counts.max(axis=0), dtype=bool) if causal else None
+    factor = 1.0 / math.sqrt(d // num_heads)
     qd, kd, vd = q.data, k.data, v.data
     weights, outs = [], []
     for qs, ks in blocks:
-        # the softmax is built in place in the one array backward keeps
-        w = split(qd[..., qs, :]) @ split(kd[..., ks, :]).swapaxes(-1, -2)
-        w *= factor
-        if causal:
-            np.copyto(w, -np.inf, where=future[:w.shape[-2], :w.shape[-1]])
-        w -= w.max(axis=-1, keepdims=True)
-        np.exp(w, out=w)
-        w /= w.sum(axis=-1, keepdims=True)
+        out, w = _attend(qd[qs], kd[ks], vd[ks], num_heads, future)
         weights.append(w)
-        outs.append(merge(w @ split(vd[..., ks, :])))
-    data = np.concatenate(outs, axis=-2)
+        outs.append(out)
+    data = np.concatenate(outs)
 
     def backward(g: np.ndarray, parents: tuple) -> None:
         grads: tuple[list, list, list] = ([], [], [])
         for (qs, ks), w in zip(blocks, weights):
-            gh = split(g[..., qs, :])
-            kh = split(kd[..., ks, :])
-            gs = gh @ split(vd[..., ks, :]).swapaxes(-1, -2)
+            gh = _split_heads(g[qs], num_heads)
+            kh = _split_heads(kd[ks], num_heads)
+            gs = gh @ _split_heads(vd[ks], num_heads).swapaxes(-1, -2)
             gs -= (gs * w).sum(axis=-1, keepdims=True)  # softmax backward
             gs *= w
             gs *= factor
-            grads[0].append(merge(gs @ kh))
-            grads[1].append(merge(gs.swapaxes(-1, -2) @ split(qd[..., qs, :])))
-            grads[2].append(merge(w.swapaxes(-1, -2) @ gh))
-        for t, x, parts in zip(parents, (qd, kd, vd), grads):
-            t._accumulate_grad(_unbroadcast(np.concatenate(parts, axis=-2),
-                                            x.shape))
+            grads[0].append(_merge_heads(gs @ kh))
+            grads[1].append(_merge_heads(
+                gs.swapaxes(-1, -2) @ _split_heads(qd[qs], num_heads)))
+            grads[2].append(_merge_heads(w.swapaxes(-1, -2) @ gh))
+        for t, parts in zip(parents, grads):
+            t._accumulate_grad(np.concatenate(parts))
 
     return _result(data, (q, k, v), backward)
 

@@ -116,8 +116,7 @@ def tsum(a: T.Tensor) -> T.Tensor:
 def reference_attention(q, k, v, num_heads, segments, causal, g):
     """``tensor.attention`` on plain arrays with a fresh array per step of
     the softmax and of its backward. Returns the output and, for the
-    upstream gradient ``g``, the gradients of q, k and v (summed over
-    broadcast leading axes)."""
+    upstream gradient ``g``, the gradients of q, k and v."""
     d = q.shape[-1]
     dk = d // num_heads
     factor = 1.0 / math.sqrt(dk)
@@ -128,13 +127,10 @@ def reference_attention(q, k, v, num_heads, segments, causal, g):
     def merge(x):
         return x.swapaxes(-2, -3).reshape(*x.shape[:-3], x.shape[-2], d)
 
-    if segments is None:
-        blocks = [(slice(None), slice(None))]
-    else:
-        nq = np.cumsum([0] + [a for a, _ in segments])
-        nk = np.cumsum([0] + [b for _, b in segments])
-        blocks = [(slice(a, b), slice(c, e))
-                  for a, b, c, e in zip(nq, nq[1:], nk, nk[1:])]
+    nq = np.cumsum([0] + [a for a, _ in segments])
+    nk = np.cumsum([0] + [b for _, b in segments])
+    blocks = [(slice(a, b), slice(c, e))
+              for a, b, c, e in zip(nq, nq[1:], nk, nk[1:])]
     weights, outs = [], []
     for qs, ks in blocks:
         s = split(q[..., qs, :]) @ split(k[..., ks, :]).swapaxes(-1, -2)
@@ -155,10 +151,7 @@ def reference_attention(q, k, v, num_heads, segments, causal, g):
         grads[0].append(merge(gs @ split(k[..., ks, :])))
         grads[1].append(merge(gs.swapaxes(-1, -2) @ split(q[..., qs, :])))
         grads[2].append(merge(w.swapaxes(-1, -2) @ gh))
-    full = [np.concatenate(parts, axis=-2) for parts in grads]
-    return out, [f.sum(axis=tuple(range(f.ndim - x.ndim)))
-                          if f.ndim > x.ndim else f
-                          for x, f in zip((q, k, v), full)]
+    return out, [np.concatenate(parts, axis=-2) for parts in grads]
 
 
 def reference_cross_entropy(x, ids, g):

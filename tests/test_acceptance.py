@@ -199,7 +199,8 @@ def _op_sweep():
     aq, ak, av = (p(rng.normal(size=(3, 4))), p(rng.normal(size=(5, 4))),
                   p(rng.normal(size=(5, 4))))
     case("attention", [aq, ak, av],
-         lambda q=aq, k=ak, v=av: weighted(T.attention(q, k, v, 2), w34))
+         lambda q=aq, k=ak, v=av: weighted(T.attention(q, k, v, 2, [(3, 5)]),
+                                           w34))
     sq, sk, sv = (p(rng.normal(size=(5, 4))), p(rng.normal(size=(5, 4))),
                   p(rng.normal(size=(5, 4))))
     w54 = const((5, 4))
@@ -211,11 +212,6 @@ def _op_sweep():
     case("attention[segments-cross]", [cq, ck, cv],
          lambda q=cq, k=ck, v=cv: weighted(
              T.attention(q, k, v, 2, [(1, 3), (2, 2)]), w34))
-    bq, bk, bv = (p(rng.normal(size=(2, 1, 4))), p(rng.normal(size=(5, 4))),
-                  p(rng.normal(size=(5, 4))))
-    w214 = const((2, 1, 4))
-    case("attention[broadcast]", [bq, bk, bv],
-         lambda q=bq, k=bk, v=bv: weighted(T.attention(q, k, v, 2), w214))
     na_dst, na_src = gat_scores([1, 1, -1, 1])
     na_val = p(rng.normal(size=(2, 4, 3)))
     full = np.stack(np.divmod(np.arange(16), 4)[::-1])

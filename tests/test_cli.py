@@ -9,6 +9,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import time
 import zlib
 from collections import Counter
 from pathlib import Path
@@ -478,23 +479,26 @@ def _cap_address_space():
 
 def _assert_train_is_out_of_memory(workspace, tmp_path, changes):
     """``train`` under the config with ``changes`` ends in exit 3 and one
-    stderr line. The run's address space is capped, so a refused
-    allocation fails at once and the test never holds more than the
-    cap."""
+    stderr line, which is returned with the run's wall time in seconds.
+    The run's address space is capped, so a refused allocation fails at
+    once and the test never holds more than the cap."""
     config = tmp_path / "big.json"
     config.write_text(json.dumps({**CONFIG, **changes}))
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    start = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "-m", "graphtext.cli", "train", "--config",
          str(config), "--data", workspace["data"], "--out",
          str(tmp_path / "out")],
         env=env, preexec_fn=_cap_address_space, capture_output=True,
         text=True, timeout=120)
+    seconds = time.monotonic() - start
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("runtime error: out of memory: ")
     assert proc.stderr.count("\n") == 1
     assert proc.returncode == 3
+    return proc.stderr, seconds
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -511,9 +515,26 @@ def test_out_of_memory_is_one_line_runtime_error(workspace, tmp_path):
 def test_unaddressable_size_is_one_line_runtime_error(workspace, tmp_path,
                                                       field):
     """A size whose parameter array numpy cannot address (2**59 rows or
-    columns of 8-byte values) is out of memory too; numpy refuses the
-    array before it allocates anything."""
+    columns of 8-byte values) is out of memory too, refused from the
+    config before anything is allocated."""
     _assert_train_is_out_of_memory(workspace, tmp_path, {field: 2 ** 59})
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="address-space limit")
+def test_model_larger_than_memory_is_refused_before_it_allocates(
+        workspace, tmp_path):
+    """A million encoder layers at d 64 need about 1.3 TB for parameters,
+    gradients and Adam moments. The parameter count is worked out from
+    the config and refused before any draw, in one line naming both sizes;
+    without that, the layers would be drawn one small array at a time
+    until the address-space cap stopped them."""
+    err, seconds = _assert_train_is_out_of_memory(
+        workspace, tmp_path, {"num_encoder_layers": 10 ** 6, "d_model": 64,
+                              "feedforward_dim": 128})
+    assert re.fullmatch(r"runtime error: out of memory: the model needs \d+"
+                        r" bytes .*; physical memory is \d+ bytes\n", err)
+    assert seconds < 1.0
 
 
 def _copy_run(run, dest, **config_changes):

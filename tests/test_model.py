@@ -132,7 +132,7 @@ def test_single_token_attention_weight_is_one():
     d = 8
     x = T.Tensor(rng.standard_normal((1, d)))
     ws = [T.Tensor(rng.standard_normal((d, d))) for _ in range(4)]
-    out = M.multi_head_attention(x, x, ws, num_heads=4)
+    out = M.multi_head_attention(x, x, ws, 4, [(1, 1)])
     want = T.matmul(T.matmul(x, ws[2]), ws[3])
     assert np.array_equal(out.data, want.data)
 
@@ -309,13 +309,13 @@ def test_cached_step_matches_full_prefix_recompute(variation, family):
         for step in range(cfg.max_target_length):
             cache.reorder(parents)
             with pytest.raises(T.ShapeError):  # one next token per row
-                model.decode(np.zeros(len(seqs) + 1, dtype=int), enc, cache)
-            got = model.decode(seqs[:, -1], enc, cache).data
-            assert got.shape == (len(seqs), 1, len(vocab))
+                cache.step(np.zeros(len(seqs) + 1, dtype=int))
+            got = cache.step(seqs[:, -1])
+            assert got.shape == (len(seqs), len(vocab))
             for row, prefix in enumerate(seqs.tolist()):
                 want = model.decode(prefix, enc).data[-1]
-                assert np.abs(got[row, -1] - want).max() <= 1e-12
-                assert np.abs(np.log(reference_softmax(got[row, -1]))
+                assert np.abs(got[row] - want).max() <= 1e-12
+                assert np.abs(np.log(reference_softmax(got[row]))
                               - np.log(reference_softmax(want))).max() <= 1e-12
             if step + 1 < len(scripted):
                 parents = np.array(scripted[step + 1])
@@ -325,24 +325,69 @@ def test_cached_step_matches_full_prefix_recompute(variation, family):
                 (seqs[parents], rng.integers(0, len(vocab), len(parents))))
         cache.reorder(parents)
         with pytest.raises(T.ShapeError):  # position 9 of a 9-token model
-            model.decode(seqs[:, -1], enc, cache)
+            cache.step(seqs[:, -1])
 
 
-def test_cached_step_outside_no_grad_is_refused():
-    """The cache holds values without a tape, so a cached step with
-    recording on would drop the gradients of the self-attention keys and
-    values; it is refused before the cache changes."""
+@pytest.mark.parametrize("variation,family", CACHE_MODELS)
+def test_closed_form_parameter_count_matches_the_store(variation, family):
+    """``ModelConfig.num_values``, which the out-of-memory refusal reads
+    before any parameter is drawn, counts what the store then holds."""
+    for tie in (True, False):
+        for enc_layers, dec_layers, kw in [
+                (0, 0, {}), (1, 3, {"max_target_length": 40}),
+                (3, 1, {"d_model": 12, "num_heads": 3}),
+                (2, 2, {"identity": True})]:
+            cfg = toy_config(variation, tie_embeddings=tie,
+                             num_encoder_layers=enc_layers,
+                             num_decoder_layers=dec_layers, **kw,
+                             **({"family": family} if family else {}))
+            if cfg.gnn is not None:  # GAT draws one weight per head
+                cfg.gnn.gat_heads = 1 + enc_layers
+            got = M.Seq2SeqModel(cfg).store.num_values()
+            assert cfg.num_values() == got, (tie, enc_layers, kw)
+
+
+def _scripted_steps(model, enc, vocab_size):
+    """The logits of five cached steps whose parents repeat and drop rows."""
+    rng = np.random.default_rng(3)
+    cache = M.DecoderCache(model, enc)
+    logits = []
+    for parents in ([0], [0, 0, 0], [2, 0, 1, 1], [3, 0], [1, 1, 0]):
+        cache.reorder(parents)
+        logits.append(cache.step(rng.integers(0, vocab_size, len(parents))))
+    return logits
+
+
+def test_cached_step_records_no_tape_with_grad_on_or_off(monkeypatch):
+    """The cache and its steps run on arrays: they make no tape op (a
+    step through the tape made about 43), and the logits are the same
+    bits with grad on and with grad off."""
     vocab, inp, graph, gt = iraq_inputs()
     model = M.Seq2SeqModel(toy_config("GRASAME", vocab=len(vocab)), seed=5)
-    enc = model.encode(inp, gt)
     with T.no_grad():
-        cache = M.DecoderCache(model, enc)
-    with pytest.raises(RuntimeError, match="no_grad"):
-        model.decode(np.array([D.BOS_ID]), enc, cache)
-    assert cache.length == 0 and cache.keys[0].shape[-2] == 0
-    with T.no_grad():  # the same cache still steps under no_grad
-        assert model.decode(np.array([D.BOS_ID]), enc, cache).shape == (
-            1, 1, len(vocab))
+        enc = model.encode(inp, gt)
+        off = _scripted_steps(model, enc, len(vocab))
+    ops = []
+    result = T._result
+    monkeypatch.setattr(T, "_result",
+                        lambda *args: ops.append(args) or result(*args))
+    on = _scripted_steps(model, enc, len(vocab))
+    assert ops == []
+    assert all(np.array_equal(a, b) for a, b in zip(on, off))
+
+
+def test_cached_step_rejects_a_token_outside_the_vocabulary():
+    """As ``embedding_lookup`` does, before the cache changes."""
+    vocab, inp, graph, gt = iraq_inputs()
+    model = M.Seq2SeqModel(toy_config("BASE", vocab=len(vocab)), seed=5)
+    with T.no_grad():
+        enc = model.encode(inp, None)
+    cache = M.DecoderCache(model, enc)
+    for bad in (len(vocab), -1):
+        with pytest.raises(T.ShapeError, match="out of range"):
+            cache.step([bad])
+    assert cache.length == 0
+    assert cache.step([D.BOS_ID]).shape == (1, len(vocab))
 
 
 def test_cross_attention_rows_sum_to_one():
@@ -352,11 +397,14 @@ def test_cross_attention_rows_sum_to_one():
     rng = np.random.default_rng(9)
     d = 8
     dec_states = T.Tensor(rng.standard_normal((4, d)))
-    keys = T.Tensor(rng.standard_normal((6, d)))
-    value = rng.standard_normal((1, d))
-    values = T.Tensor(np.repeat(value, 6, axis=0))
+    # the encoder states differ only in the columns that the value
+    # projection zeroes: distinct keys, one value row repeated
+    enc = np.repeat(rng.standard_normal((1, d)), 6, axis=0)
+    enc[:, :d // 2] = rng.standard_normal((6, d // 2))
     ws = [T.Tensor(rng.standard_normal((d, d))) for _ in range(4)]
-    out = M.multi_head_attention(dec_states, (keys, values), ws, num_heads=2)
+    ws[2].data[:d // 2] = 0.0
+    out = M.multi_head_attention(dec_states, T.Tensor(enc), ws, 2, [(4, 6)])
+    value = enc[:1] @ ws[2].data
     want = np.repeat(value @ ws[3].data, 4, axis=0)
     assert np.allclose(out.data, want, rtol=0, atol=1e-12)
 

@@ -63,7 +63,7 @@ def test_shape_mismatch_raises():
         T.matmul(T.Tensor(np.zeros((2, 4, 3))), T.Tensor(np.zeros((3, 3, 5))))
     with pytest.raises(T.ShapeError):  # 6 columns do not split into 4 heads
         x = T.Tensor(np.zeros((2, 6)))
-        T.attention(x, x, x, 4)
+        T.attention(x, x, x, 4, [(2, 2)])
 
 
 @pytest.mark.parametrize("tb", [False, True])
@@ -171,21 +171,6 @@ def test_packed_ops_match_each_segment_alone():
         T.attention(x, x, x, heads, segs[:2])
 
 
-def test_attention_broadcasts_leading_axes():
-    """Without segments, leading axes of the queries broadcast against
-    un-batched keys and values: row i attends as if alone."""
-    rng = np.random.default_rng(12)
-    q = leaf(rng, 3, 1, 4)
-    k, v = leaf(rng, 5, 4), leaf(rng, 5, 4)
-    out = T.attention(q, k, v, 2)
-    assert out.shape == (3, 1, 4)
-    for i in range(3):
-        alone = T.attention(T.Tensor(q.data[i]), k, v, 2)
-        assert np.allclose(out.data[i], alone.data, atol=1e-12)
-    g = T.Tensor(rng.standard_normal((3, 1, 4)))
-    fd_check(lambda: tsum(mul(T.attention(q, k, v, 2), g)), [q, k, v])
-
-
 def test_segment_ops_match_dense_references_and_grads():
     """``segment_sum`` equals the weighted adjacency product with empty
     cells zero, and ``segment_max`` a masked max whose gradient goes to the
@@ -265,14 +250,13 @@ def test_edge_ops_reject_bad_edge_lists(op):
 @pytest.mark.parametrize("segments,causal,q_shape", [
     ([(2, 2), (3, 3), (4, 4)], True, (9, 8)),   # packed decoder self-attention
     ([(2, 3), (3, 5), (4, 2)], False, (9, 8)),  # packed cross-attention
-    (None, False, (3, 1, 8)),                   # broadcast leading axes
 ])
 def test_in_place_attention_is_bit_identical_to_reference(segments, causal,
                                                          q_shape):
     """The softmax and its backward are built in place; the output and
     the gradients equal the out-of-place expressions bit for bit."""
     rng = np.random.default_rng(31)
-    k_rows = 9 if segments is None else sum(b for _, b in segments)
+    k_rows = sum(b for _, b in segments)
     q, k, v = leaf(rng, *q_shape), leaf(rng, k_rows, 8), leaf(rng, k_rows, 8)
     g = rng.standard_normal(q_shape)
     out = T.attention(q, k, v, 2, segments, causal=causal)
