@@ -299,9 +299,9 @@ class DecoderCache:
     at a time, on plain arrays, for every live hypothesis (a row).
 
     It keeps each decoder layer's cross-attention keys and values,
-    projected once from the encoder states, and one buffer of every
-    layer's self-attention keys and values, (2, layers, rows,
-    max_target_length, d_model), filled up to ``length`` positions.
+    projected once from the encoder states and split into heads, and one
+    buffer of every layer's self-attention keys and values, (2, layers,
+    rows, max_target_length, d_model), filled up to ``length`` positions.
     :meth:`step` records no tape, with grad on or off. Its arithmetic is
     the teacher-forced :meth:`Seq2SeqModel.decode`'s through the shared
     kernels of ``tensor``, so a step's logits equal the last row of a
@@ -312,9 +312,9 @@ class DecoderCache:
         self.length = 0  # positions cached in every row
         self.rows = 1
         enc = enc_states.data
-        self.cross = [(enc @ layer["ck"].data, enc @ layer["cv"].data)
-                      for layer in model.dec_layers]
         cfg = model.config
+        self.cross = [[T._split_heads(enc @ layer[n].data, cfg.num_heads)
+                       for n in ("ck", "cv")] for layer in model.dec_layers]
         self.kv = np.empty((2, len(model.dec_layers), 1,
                             cfg.max_target_length, cfg.d_model))
 
@@ -347,6 +347,7 @@ class DecoderCache:
                                f" {len(table)}")
         heads = model.config.num_heads
         kv = self.kv[:, :, :self.rows, :t + 1]
+        kvh = T._split_heads(kv, heads)  # (2, layers, rows, h, t + 1, w)
         y = table[ids] + model.emb_pos.data[t]
         for i, (layer, (ck, cv)) in enumerate(zip(model.dec_layers,
                                                   self.cross)):
@@ -356,12 +357,13 @@ class DecoderCache:
             u = T._normalize(y, p["ln1_g"], p["ln1_b"])[0]
             kv[0, i, :, t] = u @ p["sk"]
             kv[1, i, :, t] = u @ p["sv"]
-            out = T._attend((u @ p["sq"])[:, None], kv[0, i], kv[1, i],
-                            heads)[0]
-            y = y + out[:, 0] @ p["so"]
+            out = T._attend(T._split_heads((u @ p["sq"])[:, None], heads),
+                            kvh[0, i], kvh[1, i])[0]
+            y = y + T._merge_heads(out)[:, 0] @ p["so"]
             u = T._normalize(y, p["ln2_g"], p["ln2_b"])[0]
-            out = T._attend((u @ p["cq"])[:, None], ck, cv, heads)[0]
-            y = y + out[:, 0] @ p["co"]
+            out = T._attend(T._split_heads((u @ p["cq"])[:, None], heads),
+                            ck, cv)[0]
+            y = y + T._merge_heads(out)[:, 0] @ p["co"]
             u = T._normalize(y, p["ln3_g"], p["ln3_b"])[0]
             hidden = T._relu(u @ p["ff_w1"] + p["ff_b1"])
             y = y + (hidden @ p["ff_w2"] + p["ff_b2"])

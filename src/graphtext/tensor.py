@@ -299,7 +299,8 @@ def relu(a: Tensor) -> Tensor:
 
 def _split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:
     """(..., n, h*w) -> (..., h, n, w): slice i is column block i."""
-    return x.reshape(*x.shape[:-1], num_heads, -1).swapaxes(-2, -3)
+    *lead, d = x.shape  # an explicit width splits a block of no rows too
+    return x.reshape(*lead, num_heads, d // num_heads).swapaxes(-2, -3)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
@@ -314,12 +315,11 @@ def merge_heads(a: Tensor) -> Tensor:
     pairs side by side."""
     if a.data.ndim < 3:
         raise ShapeError(f"merge_heads: expected at least 3 axes, got {a.shape}")
-    *lead, h, n, k = a.shape
+    h = a.shape[-3]
     data = _merge_heads(a.data)
 
     def backward(g: np.ndarray, parents: tuple) -> None:
-        parents[0]._accumulate_grad(
-            g.reshape(*lead, n, h, k).swapaxes(-2, -3))
+        parents[0]._accumulate_grad(_split_heads(g, h))
 
     return _result(data, (a,), backward)
 
@@ -606,29 +606,28 @@ def neighbor_attention(s_dst: Tensor, s_src: Tensor, values: Tensor,
         s_dst, s_src, values = parents
         s_dst._accumulate_grad(np.add.reduceat(ge, starts, axis=1)[..., None])
         s_src._accumulate_grad(g_src.T[..., None])
-        values._accumulate_grad(
-            g_values.reshape(rows, h, d).swapaxes(0, 1))
+        values._accumulate_grad(_split_heads(g_values, h))
 
     return _result(data, (s_dst, s_src, values), backward)
 
 
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, num_heads: int,
-            future: np.ndarray | None = None
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+            future: np.ndarray | None = None, out: np.ndarray | None = None
             ) -> tuple[np.ndarray, np.ndarray]:
-    """Attention's forward on one block of arrays: the (..., n, d) output
-    and the (..., head, query, key) weights. Leading axes broadcast, so
-    (rows, 1, d) queries may attend (rows, t, d) or (t, d) keys. Where the
-    bool array ``future`` is True (its top-left corner is used), a query
-    does not see a key. The softmax is built in place in the weights."""
-    factor = 1.0 / math.sqrt(q.shape[-1] // num_heads)
-    w = _split_heads(q, num_heads) @ _split_heads(k, num_heads).swapaxes(-1, -2)
-    w *= factor
+    """Attention's one softmax kernel, on head views: (..., head, query,
+    width) queries attend (..., head, key, width) keys and values, leading
+    axes broadcasting. Returns the weighted sum, written into ``out`` if it
+    is given, and the weights, built in place. Where the bool array
+    ``future`` is True (its top-left corner is used), a query does not see
+    a key."""
+    w = q @ k.swapaxes(-1, -2)
+    w *= 1.0 / math.sqrt(q.shape[-1])
     if future is not None:
         np.copyto(w, -np.inf, where=future[:w.shape[-2], :w.shape[-1]])
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
-    return _merge_heads(w @ _split_heads(v, num_heads)), w
+    return np.matmul(w, v, out=out), w
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
@@ -640,11 +639,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     are softmax(q_i k_i^T / sqrt(d / h)) over the key rows, and its output
     is those weights times v_i. ``segments``, a list of (query rows, key
     rows) counts, cuts the operands into consecutive blocks, one per
-    example, and each query block attends its own key block only.
-    ``causal`` lets query j of a block see keys 0..j only.
+    example (it may have no query rows), and each query block attends its
+    own key block only. ``causal`` lets query j of a block see keys 0..j.
 
-    Beside its inputs, backward keeps only the weights, one
-    (head, query, key) array per block.
+    The operands are split into heads once per call. Each block reads
+    slices of those views and writes its output, and its three gradients,
+    into head views of preallocated (rows, d) arrays. Beside its inputs,
+    backward keeps only the weights, one (head, query, key) per block.
     """
     d = q.shape[-1]
     if (q.data.ndim != 2 or k.data.ndim != 2 or num_heads < 1
@@ -654,7 +655,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     counts = np.array(segments, dtype=np.int64).reshape(-1, 2)
     nq, nk = (np.concatenate(([0], np.cumsum(c))) for c in counts.T)
     if (not len(counts) or nq[-1] != q.shape[0] or nk[-1] != k.shape[0]
-            or min(np.diff(nk)) < 1):
+            or (counts < (0, 1)).any()):
         raise ShapeError(f"attention: segments {list(segments)} do not cut"
                          f" queries {q.shape} and keys {k.shape}")
     blocks = [(slice(a, b), slice(c, e))
@@ -662,29 +663,26 @@ def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int,
     # True above the diagonal: keys after their query
     future = ~np.tri(*counts.max(axis=0), dtype=bool) if causal else None
     factor = 1.0 / math.sqrt(d // num_heads)
-    qd, kd, vd = q.data, k.data, v.data
-    weights, outs = [], []
-    for qs, ks in blocks:
-        out, w = _attend(qd[qs], kd[ks], vd[ks], num_heads, future)
-        weights.append(w)
-        outs.append(out)
-    data = np.concatenate(outs)
+    qh, kh, vh = (_split_heads(t.data, num_heads) for t in (q, k, v))
+    data = np.empty(q.shape)
+    out = _split_heads(data, num_heads)
+    weights = [_attend(qh[:, qs], kh[:, ks], vh[:, ks], future,
+                       out[:, qs])[1] for qs, ks in blocks]
 
     def backward(g: np.ndarray, parents: tuple) -> None:
-        grads: tuple[list, list, list] = ([], [], [])
+        grads = [np.empty((x.shape[1], d)) for x in (qh, kh, vh)]
+        gq, gk, gv = (_split_heads(x, num_heads) for x in grads)
+        gh = _split_heads(g, num_heads)
         for (qs, ks), w in zip(blocks, weights):
-            gh = _split_heads(g[qs], num_heads)
-            kh = _split_heads(kd[ks], num_heads)
-            gs = gh @ _split_heads(vd[ks], num_heads).swapaxes(-1, -2)
+            gs = gh[:, qs] @ vh[:, ks].swapaxes(-1, -2)
             gs -= (gs * w).sum(axis=-1, keepdims=True)  # softmax backward
             gs *= w
             gs *= factor
-            grads[0].append(_merge_heads(gs @ kh))
-            grads[1].append(_merge_heads(
-                gs.swapaxes(-1, -2) @ _split_heads(qd[qs], num_heads)))
-            grads[2].append(_merge_heads(w.swapaxes(-1, -2) @ gh))
-        for t, parts in zip(parents, grads):
-            t._accumulate_grad(np.concatenate(parts))
+            np.matmul(gs, kh[:, ks], out=gq[:, qs])
+            np.matmul(gs.swapaxes(-1, -2), qh[:, qs], out=gk[:, ks])
+            np.matmul(w.swapaxes(-1, -2), gh[:, qs], out=gv[:, ks])
+        for t, grad in zip(parents, grads):
+            t._accumulate_grad(grad)
 
     return _result(data, (q, k, v), backward)
 

@@ -64,6 +64,9 @@ def test_shape_mismatch_raises():
     with pytest.raises(T.ShapeError):  # 6 columns do not split into 4 heads
         x = T.Tensor(np.zeros((2, 6)))
         T.attention(x, x, x, 4, [(2, 2)])
+    x, kv = T.Tensor(np.zeros((2, 4))), T.Tensor(np.zeros((4, 4)))
+    with pytest.raises(T.ShapeError):  # a negative query count
+        T.attention(x, kv, kv, 2, [(-1, 2), (3, 2)])
 
 
 @pytest.mark.parametrize("tb", [False, True])
@@ -248,24 +251,37 @@ def test_edge_ops_reject_bad_edge_lists(op):
 
 
 @pytest.mark.parametrize("segments,causal,q_shape", [
-    ([(2, 2), (3, 3), (4, 4)], True, (9, 8)),   # packed decoder self-attention
-    ([(2, 3), (3, 5), (4, 2)], False, (9, 8)),  # packed cross-attention
+    ([(2, 2), (3, 3), (4, 4)], True, (9, 2, 4)),   # packed decoder self-attention
+    ([(2, 3), (3, 5), (4, 2)], False, (9, 2, 4)),  # packed cross-attention
+    ([(0, 3), (2, 2), (3, 5)], False, (5, 2, 4)),  # a block with no queries
+    # the training benchmarks' head shape and 13-35 row blocks
+    ([(13, 13), (35, 35), (21, 21), (28, 28)], True, (97, 4, 16)),
+    ([(13, 35), (20, 13), (35, 27)], False, (68, 4, 16)),
 ])
 def test_in_place_attention_is_bit_identical_to_reference(segments, causal,
                                                          q_shape):
-    """The softmax and its backward are built in place; the output and
-    the gradients equal the out-of-place expressions bit for bit."""
+    """The softmax and its backward are built in place, each block
+    writing into head views of preallocated arrays; the output and the
+    gradients equal the out-of-place expressions bit for bit. ``q_shape``
+    is the queries' (rows, heads, width). Keys of a block with no queries
+    get exactly zero gradient."""
     rng = np.random.default_rng(31)
-    k_rows = sum(b for _, b in segments)
-    q, k, v = leaf(rng, *q_shape), leaf(rng, k_rows, 8), leaf(rng, k_rows, 8)
-    g = rng.standard_normal(q_shape)
-    out = T.attention(q, k, v, 2, segments, causal=causal)
+    rows, heads, width = q_shape
+    d, k_rows = heads * width, sum(b for _, b in segments)
+    q, k, v = leaf(rng, rows, d), leaf(rng, k_rows, d), leaf(rng, k_rows, d)
+    g = rng.standard_normal((rows, d))
+    out = T.attention(q, k, v, heads, segments, causal=causal)
     T.backward(tsum(mul(out, T.Tensor(g))))
     ref_out, ref_grads = reference_attention(
-        q.data, k.data, v.data, 2, segments, causal, g)
+        q.data, k.data, v.data, heads, segments, causal, g)
     assert np.array_equal(out.data, ref_out)
     for t, ref in zip((q, k, v), ref_grads):
         assert np.array_equal(t.grad, ref)
+    key_ends = np.cumsum([b for _, b in segments])
+    for (a, b), end in zip(segments, key_ends):
+        if not a:
+            assert not k.grad[end - b:end].any()
+            assert not v.grad[end - b:end].any()
 
 
 @pytest.mark.parametrize("shape", [(1, 64), (4, 1, 64), (13, 64), (250, 64),
