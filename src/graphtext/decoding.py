@@ -56,6 +56,11 @@ class DecodeConfig:
             raise ValueError("beam_size and max_target_length must be >= 1")
         if not math.isfinite(self.length_penalty):
             raise ValueError("length_penalty must be finite")
+        # so that every length's power of the penalty stays a finite,
+        # non-zero float in normalized_score
+        if abs(self.length_penalty) * math.log(self.max_target_length) > 600:
+            raise ValueError("|length_penalty| times the log of"
+                             " max_target_length must be at most 600")
 
     @property
     def effective_beam(self) -> int:

@@ -83,10 +83,9 @@ class GraphTensors:
     cells: np.ndarray
     cell_weight: np.ndarray
 
-    # Dense views, scattered from the edge lists on each access. No layer
-    # reads them: the benchmark's tracer counts graph bytes through these
-    # names, and they can go once its counter sums the arrays above
-    # instead.
+    # Dense views, scattered from the edge lists on each access. Only the
+    # benchmark's tracer reads them, to count graph bytes; they can go once
+    # its counter sums the arrays above instead.
 
     @property
     def in_mask(self) -> np.ndarray:
@@ -108,19 +107,18 @@ class GraphTensors:
         return T.Tensor(self.in_mask)
 
     @property
-    def relations(self) -> T.Tensor:
-        """(n, NUM_RELATION_BUCKETS, n): ``relations[:, b]`` is bucket b's
-        in-degree-normalized adjacency, zeros for an empty bucket."""
-        n = self.num_nodes
-        dense = np.zeros((n, NUM_RELATION_BUCKETS, n))
-        dense.reshape(-1)[self.cells[1] * n + self.cells[0]] = self.cell_weight
-        return T.Tensor(dense)
-
-    @property
     def bucket_matrices(self) -> list[T.Tensor | None]:
-        """Per-bucket views of ``relations``, None for an empty bucket."""
-        return [T.Tensor(m) if m.any() else None
-                for m in self.relations.data.swapaxes(0, 1)]
+        """(n, n) per relation bucket: bucket b's in-degree-normalized
+        adjacency, None for an empty bucket."""
+        n = self.num_nodes
+        target, bucket = np.divmod(self.cells[1], NUM_RELATION_BUCKETS)
+        mats: list[T.Tensor | None] = [None] * NUM_RELATION_BUCKETS
+        for b in np.flatnonzero(np.bincount(bucket)).tolist():
+            cell = bucket == b
+            dense = np.zeros((n, n))
+            dense[target[cell], self.cells[0][cell]] = self.cell_weight[cell]
+            mats[b] = T.Tensor(dense)
+        return mats
 
 
 def _distinct_pairs(targets: np.ndarray, sources: np.ndarray,

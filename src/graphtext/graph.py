@@ -19,7 +19,8 @@ A graph holds its edges as four parallel arrays, one entry per edge in
 build order: ``src``, ``dst``, ``rel`` (the relation's index in
 ``RelationType`` order) and ``reverse``. The rules append plain ints, and
 counts, reconstruction targets and the JSON record are computed from the
-arrays. ``Edge`` objects are made only on request, by ``HierGraph.edges``.
+arrays. ``HierGraph.edges`` stacks them into one (E, 4) array on request;
+only the benchmark's tracer asks, to count the edges.
 """
 from __future__ import annotations
 
@@ -40,24 +41,11 @@ class RelationType(Enum):
     SELF = "SELF"
 
 
-class Direction(Enum):
-    FORWARD = "FWD"
-    REVERSE = "REV"
-
-
 RELATIONS = tuple(RelationType)  # a graph's ``rel`` indexes this
 # every relation but SELF; a reconstruction label is its ``rel`` index
 LABEL_RELATIONS = RELATIONS[:-1]
 _R1, _R2, _R3, _R4, _R5, _SELF = range(len(RELATIONS))
-_DIRECTIONS = (Direction.FORWARD, Direction.REVERSE)  # by ``reverse``
-
-
-@dataclass(frozen=True)
-class Edge:
-    src: int
-    dst: int
-    rel: RelationType
-    dir: Direction
+_DIRECTIONS = ("FWD", "REV")  # the record's direction, by ``reverse``
 
 
 @dataclass(eq=False)
@@ -71,11 +59,10 @@ class HierGraph:
     reverse: np.ndarray
 
     @property
-    def edges(self) -> list[Edge]:
-        """Every edge as an ``Edge``, in build order."""
-        return [Edge(s, d, RELATIONS[r], _DIRECTIONS[b]) for s, d, r, b in zip(
-            self.src.tolist(), self.dst.tolist(), self.rel.tolist(),
-            self.reverse.tolist())]
+    def edges(self) -> np.ndarray:
+        """(E, 4): row i is edge i's (src, dst, rel, reverse), in build
+        order."""
+        return np.stack((self.src, self.dst, self.rel, self.reverse), axis=1)
 
 
 def build_graph(inp: TokenizedGraphInput, bidirectional: bool = True) -> HierGraph:
@@ -160,8 +147,7 @@ def graph_record(graph: HierGraph) -> dict:
     relation, direction)."""
     order = np.lexsort((graph.reverse, graph.rel, graph.dst, graph.src))
     names = [r.value for r in RELATIONS]
-    dirs = [d.value for d in _DIRECTIONS]
     return {"num_nodes": graph.num_nodes,
-            "edges": [[s, d, names[r], dirs[b]] for s, d, r, b in zip(
+            "edges": [[s, d, names[r], _DIRECTIONS[b]] for s, d, r, b in zip(
                 graph.src[order].tolist(), graph.dst[order].tolist(),
                 graph.rel[order].tolist(), graph.reverse[order].tolist())]}

@@ -9,7 +9,9 @@ walks the recorded graph in reverse topological order and accumulates
 gradients into every reachable tensor that has ``requires_grad`` set.
 There is no general autodiff: the op vocabulary is exactly what the model
 needs, which keeps each backward rule small enough to verify against
-finite differences.
+finite differences. An op checks its operands' shapes and its ids (an
+embedding row, a cross-entropy target) and raises ``ShapeError``, so a
+negative id is never read from the end of an axis.
 
 An intermediate tensor takes its first incoming gradient array over
 rather than copying it, and adds any later one out of place, since an op
@@ -245,32 +247,21 @@ def scale(a: Tensor, s: float) -> Tensor:
 def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
     """Matrix product over the last two axes, broadcast over any leading
     axes (numpy ``@``); ``transpose_b`` swaps the right operand's last two
-    axes. A 2-D right operand meets the left operand's leading axes folded
-    into its rows: one product, and one for its own gradient."""
+    axes."""
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError(f"matmul: operands need rank >= 2, got {a.shape} and {b.shape}")
     am = a.data
     bm = np.swapaxes(b.data, -1, -2) if transpose_b else b.data
-    fold = bm.ndim == 2 and am.ndim > 2
-    if fold:
-        am = am.reshape(-1, am.shape[-1])
     try:
         data = am @ bm
     except ValueError:  # inner or batch dims differ
         raise ShapeError(f"matmul: cannot multiply {a.shape} by {b.shape}") from None
     sa, sb = a.data.shape, b.data.shape
-    if fold:
-        data = data.reshape(*sa[:-1], data.shape[-1])
 
     def backward(g: np.ndarray, parents: tuple) -> None:
         a, b = parents
-        if fold:
-            g = g.reshape(am.shape[0], -1)
         if a.requires_grad:
-            ga = g @ np.swapaxes(bm, -1, -2)
-            if fold:
-                ga = ga.reshape(sa)
-            a._accumulate_grad(_unbroadcast(ga, sa))
+            a._accumulate_grad(_unbroadcast(g @ np.swapaxes(bm, -1, -2), sa))
         if b.requires_grad:
             gb = np.swapaxes(am, -1, -2) @ g
             gb = np.swapaxes(gb, -1, -2) if transpose_b else gb
@@ -425,6 +416,9 @@ def cross_entropy(logits: Tensor, target_ids: Sequence[int]) -> Tensor:
     if logits.data.ndim != 2 or ids.shape != (logits.shape[0],):
         raise ShapeError(
             f"cross_entropy: logits {logits.shape} vs {ids.shape[0]} targets")
+    if ids.size and (ids.min() < 0 or ids.max() >= logits.shape[1]):
+        raise ShapeError(
+            f"cross_entropy: target id out of range for {logits.shape[1]} classes")
     logp = _log_softmax(logits.data)
     rows = np.arange(len(ids))
     data = np.asarray((-logp[rows, ids]).sum())

@@ -12,9 +12,14 @@ the in-place ops replaced. Tests compare library output against these.
 The set-up path's object versions are kept as well: the character-scan
 tokenizer; the vocabulary counted and the examples linearized one string
 and one token at a time, each string tokenized wherever it is read; and
-the token graph built as a list of ``Edge`` objects from per-token
+the token graph built as a list of ``Edge`` records from per-token
 annotations read off the surface strings, with its counts, labels, JSON
-record and graph tensors taken edge by edge.
+record and graph tensors taken edge by edge. The ``Edge`` record lives
+here, since the package holds a graph only as edge arrays; ``edges_of``
+reads a graph's arrays back as records. ``dense_views`` scatters a
+``GraphTensors``' edge lists into the dense arrays of
+``edge_graph_tensors``, which the package keeps as views only for the
+benchmark's tracer.
 GAT's messages are re-derived edge by edge, node by node and head by
 head. So is ``pack``, which joined a batch's per-example edge lists
 before a batch built its lists once from its examples' joined edge
@@ -26,7 +31,7 @@ to weight an op's output by a fixed probe and sum it.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,8 +42,7 @@ from graphtext.data import (BOS_ID, DEFAULT_PROMPT, EOS_ID, GRAPH_TOKEN,
                             TAIL_TOKEN, DataError, TokenizedGraphInput,
                             Vocabulary, normalize_entity)
 from graphtext.gnn import NUM_RELATION_BUCKETS, GraphTensors
-from graphtext.graph import (Direction, Edge, RelationType, build_graph,
-                             reconstruction_targets)
+from graphtext.graph import RelationType, build_graph, reconstruction_targets
 from graphtext.decoding import Hypothesis, normalized_score
 from graphtext.training import LossBreakdown, TrainItem
 
@@ -446,8 +450,13 @@ def per_example_items(examples, vocab: Vocabulary, model_config, *,
     return items
 
 
+# one edge of a token graph; ``dir`` is "FWD" or "REV", as in its JSON record
+Edge = namedtuple("Edge", "src dst rel dir")
+FORWARD, REVERSE = "FWD", "REV"
+
+
 def edge_build_graph(inp, bidirectional: bool = True) -> list[Edge]:
-    """The token graph's edges as ``Edge`` objects: forward edges rule by
+    """The token graph's edges as ``Edge`` records: forward edges rule by
     rule (R1-R5), then their reversed twins, then one self-loop a node."""
     n = len(inp)
     kinds, tri, span = zip(*annotations_of(inp))
@@ -484,32 +493,40 @@ def edge_build_graph(inp, bidirectional: bool = True) -> list[Edge]:
             if keys[span[a]] == keys[span[b]]:
                 fwd.append((a, b, RelationType.R5))
 
-    edges = [Edge(u, v, r, Direction.FORWARD) for u, v, r in fwd]
+    edges = [Edge(u, v, r, FORWARD) for u, v, r in fwd]
     if bidirectional:
-        edges.extend(Edge(v, u, r, Direction.REVERSE) for u, v, r in fwd)
-    edges.extend(Edge(i, i, RelationType.SELF, Direction.FORWARD)
-                 for i in range(n))
+        edges.extend(Edge(v, u, r, REVERSE) for u, v, r in fwd)
+    edges.extend(Edge(i, i, RelationType.SELF, FORWARD) for i in range(n))
     return edges
 
 
 def _forward_labels(edges: list[Edge]) -> list[Edge]:
     return [e for e in edges
-            if e.dir is Direction.FORWARD and e.rel is not RelationType.SELF]
+            if e.dir == FORWARD and e.rel is not RelationType.SELF]
 
 
 def edge_counts_of(edges: list[Edge]) -> dict[str, dict[str, int]]:
     out = {"forward": {r.value: 0 for r in RelationType},
            "reverse": {r.value: 0 for r in RelationType}}
     for e in edges:
-        bucket = "forward" if e.dir is Direction.FORWARD else "reverse"
+        bucket = "forward" if e.dir == FORWARD else "reverse"
         out[bucket][e.rel.value] += 1
     return out
 
 
+def edges_of(graph) -> list[Edge]:
+    """A graph's edges as ``Edge`` records, read off its edge arrays in
+    build order."""
+    relations, dirs = list(RelationType), (FORWARD, REVERSE)
+    return [Edge(s, d, relations[r], dirs[b]) for s, d, r, b in zip(
+        graph.src.tolist(), graph.dst.tolist(), graph.rel.tolist(),
+        graph.reverse.tolist())]
+
+
 def forward_edges_of(graph) -> list[Edge]:
-    """A graph's forward non-self edges as ``Edge`` objects, in build
+    """A graph's forward non-self edges as ``Edge`` records, in build
     order."""
-    return _forward_labels(graph.edges)
+    return _forward_labels(edges_of(graph))
 
 
 def reconstruction_targets_of(edges: list[Edge]) -> list[tuple[int, int, int]]:
@@ -522,15 +539,14 @@ def reconstruction_targets_of(edges: list[Edge]) -> list[tuple[int, int, int]]:
 
 def graph_record_of(num_nodes: int, edges: list[Edge]) -> dict:
     order = {r: i for i, r in enumerate(RelationType)}
-    edges = sorted(edges,
-                   key=lambda e: (e.src, e.dst, order[e.rel], e.dir.value))
+    edges = sorted(edges, key=lambda e: (e.src, e.dst, order[e.rel], e.dir))
     return {"num_nodes": num_nodes,
-            "edges": [[e.src, e.dst, e.rel.value, e.dir.value] for e in edges]}
+            "edges": [[e.src, e.dst, e.rel.value, e.dir] for e in edges]}
 
 
-def bucket_index(rel: RelationType, direction: Direction) -> int:
+def bucket_index(rel: RelationType, direction: str) -> int:
     """The relation bucket of an edge type: base relation x direction."""
-    return 2 * list(RelationType).index(rel) + (direction is Direction.REVERSE)
+    return 2 * list(RelationType).index(rel) + (direction == REVERSE)
 
 
 def edge_graph_tensors(num_nodes: int, edges: list[Edge]) -> dict:
@@ -547,6 +563,20 @@ def edge_graph_tensors(num_nodes: int, edges: list[Edge]) -> dict:
     np.divide(relations, bucket_deg, out=relations, where=bucket_deg > 0)
     return {"in_mask": adj, "mean_matrix": adj / deg,
             "sum_matrix": adj.astype(np.float64), "relations": relations}
+
+
+def dense_views(gt: GraphTensors) -> dict:
+    """``gt``'s edge lists scattered into the arrays of
+    ``edge_graph_tensors``."""
+    n = gt.num_nodes
+    in_mask = np.zeros((n, n), dtype=bool)
+    in_mask[gt.pairs[1], gt.pairs[0]] = True
+    mean = np.zeros((n, n))
+    mean[gt.pairs[1], gt.pairs[0]] = gt.pair_weight
+    relations = np.zeros((n, NUM_RELATION_BUCKETS, n))
+    relations.reshape(-1)[gt.cells[1] * n + gt.cells[0]] = gt.cell_weight
+    return {"in_mask": in_mask, "mean_matrix": mean,
+            "sum_matrix": in_mask.astype(np.float64), "relations": relations}
 
 
 def pack(gts: Sequence[GraphTensors]) -> GraphTensors:

@@ -609,6 +609,10 @@ def test_bad_flag_values_are_data_errors(workspace, tmp_path, capsys):
         _assert_data_error(cli.main(
             [command, "--run", workspace["run"], "--data", data,
              "--beam-size", "0"]), capsys)
+        # a length to the power -400 underflows to 0, which ranking divided by
+        _assert_data_error(cli.main(
+            [command, "--run", workspace["run"], "--data", data,
+             "--length-penalty", "-400"]), capsys)
     for values in ("nan", "0.08,-1"):
         _assert_data_error(cli.main(
             ["sweep-lambda", "--config", workspace["config"], "--data", data,

@@ -178,10 +178,28 @@ def test_decode_config_validation():
 @pytest.mark.parametrize("bad", [{"max_target_length": 0},
                                  {"max_target_length": -2},
                                  {"length_penalty": float("nan")},
-                                 {"length_penalty": float("inf")}])
+                                 {"length_penalty": float("inf")},
+                                 # at the default 120-token cap, a length's
+                                 # power of these underflows to 0 or
+                                 # overflows
+                                 {"length_penalty": -400.0},
+                                 {"length_penalty": 400.0},
+                                 {"length_penalty": 1e308}])
 def test_decode_config_rejects_empty_budget_and_non_finite_penalty(bad):
     with pytest.raises(ValueError):
         X.DecodeConfig(**bad)
+
+
+@pytest.mark.parametrize("penalty", [-432.0, 432.0])
+def test_penalty_inside_the_bound_matches_exhaustive_enumeration(penalty):
+    """432 * log(4) is just under the bound: a beam that keeps every toy
+    prefix still ranks its hypotheses as exhaustive enumeration does."""
+    hyp = X.beam_search(per_prefix_step(toy_step), toy_config(25, penalty),
+                        bos_id=0, eos_id=TOY_EOS)
+    _, seq, _, score = exhaustive_best(TOY_TABLE, TOY_MAX_LEN - 1, TOY_EOS,
+                                       penalty)
+    assert hyp.token_ids == [0] + seq
+    assert X.normalized_score(hyp, penalty) == score
 
 
 def test_model_decode_beam_one_equals_greedy():

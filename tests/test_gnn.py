@@ -8,9 +8,9 @@ from graphtext import data as D
 from graphtext import gnn as N
 from graphtext import graph as G
 from graphtext import tensor as T
-from oracles import (bucket_index, edge_graph_tensors, finite_difference,
-                     loop_gat_messages, mul, pack, recorded_nodes,
-                     relative_error, tsum)
+from oracles import (FORWARD, REVERSE, Edge, bucket_index, edge_graph_tensors,
+                     edges_of, finite_difference, loop_gat_messages, mul,
+                     pack, recorded_nodes, relative_error, tsum)
 
 TOL = 1e-4
 
@@ -21,16 +21,21 @@ def graph_of(num_nodes, edges):
         num_nodes, np.array([e.src for e in edges], dtype=np.intp),
         np.array([e.dst for e in edges], dtype=np.intp),
         np.array([G.RELATIONS.index(e.rel) for e in edges], dtype=np.intp),
-        np.array([e.dir is G.Direction.REVERSE for e in edges], dtype=bool))
+        np.array([e.dir == REVERSE for e in edges], dtype=bool))
 
 
 def tiny_graph():
     """Two nodes, one edge each way, self-loops."""
-    edges = [G.Edge(0, 1, G.RelationType.R1, G.Direction.FORWARD),
-             G.Edge(1, 0, G.RelationType.R1, G.Direction.REVERSE),
-             G.Edge(0, 0, G.RelationType.SELF, G.Direction.FORWARD),
-             G.Edge(1, 1, G.RelationType.SELF, G.Direction.FORWARD)]
+    edges = [Edge(0, 1, G.RelationType.R1, FORWARD),
+             Edge(1, 0, G.RelationType.R1, REVERSE),
+             Edge(0, 0, G.RelationType.SELF, FORWARD),
+             Edge(1, 1, G.RelationType.SELF, FORWARD)]
     return graph_of(2, edges)
+
+
+def dense_of(graph):
+    """``oracles.edge_graph_tensors`` of a graph's edge records."""
+    return edge_graph_tensors(graph.num_nodes, edges_of(graph))
 
 
 def iraq_graph():
@@ -73,7 +78,8 @@ def test_gat_uniform_logits_reduce_to_mean():
     rng = np.random.default_rng(1)
     states = T.Tensor(rng.standard_normal((graph.num_nodes, 3)))
     msgs = layer.aggregate(states, gt)
-    assert np.allclose(msgs.data, gt.mean_matrix.data @ states.data, atol=1e-12)
+    mean = dense_of(graph)["mean_matrix"]
+    assert np.allclose(msgs.data, mean @ states.data, atol=1e-12)
 
 
 def test_gat_attention_rows_sum_to_one():
@@ -81,15 +87,20 @@ def test_gat_attention_rows_sum_to_one():
     head-averaged weights: each row sums to one, and pairs joined by no
     edge, within or across the packed graphs, weigh exactly zero. A row
     with no in-edge, or an edge list of fewer rows, raises."""
-    packed = pack([N.graph_tensors(g)
-                   for g in (iraq_graph(), all_buckets_graph())])
+    graphs = (iraq_graph(), all_buckets_graph())
+    packed = pack([N.graph_tensors(g) for g in graphs])
     rows, heads = packed.num_nodes, 3
     rng = np.random.default_rng(2)
     s_dst = T.Tensor(rng.standard_normal((heads, rows, 1)))
     s_src = T.Tensor(rng.standard_normal((heads, rows, 1)))
     eye = T.Tensor(np.tile(np.eye(rows), (heads, 1, 1)))
     alphas = T.neighbor_attention(s_dst, s_src, eye, packed.pairs).data
-    allowed = packed.in_mask
+    allowed = np.zeros((rows, rows), dtype=bool)
+    start = 0
+    for g in graphs:  # each graph's block on the diagonal
+        part = slice(start, start + g.num_nodes)
+        allowed[part, part] = dense_of(g)["in_mask"]
+        start += g.num_nodes
     assert alphas.shape == (rows, rows)
     assert np.allclose(alphas.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert np.all(alphas[~allowed] == 0.0)
@@ -122,7 +133,7 @@ def bucket_means(states, graph):
     means = np.zeros((N.NUM_RELATION_BUCKETS,) + states.shape)
     for b in range(N.NUM_RELATION_BUCKETS):
         for v in range(graph.num_nodes):
-            nbrs = [e.src for e in graph.edges
+            nbrs = [e.src for e in edges_of(graph)
                     if e.dst == v and bucket_index(e.rel, e.dir) == b]
             if nbrs:
                 means[b, v] = np.mean([states[u] for u in nbrs], axis=0)
@@ -188,7 +199,7 @@ def dense_messages(states, graph, layer):
     if layer.config.family == "GAT":
         return loop_gat_messages(states, [graph], *(
             layer.p[k].data for k in ("w", "a_src", "a_dst")))
-    dense = edge_graph_tensors(graph.num_nodes, graph.edges)
+    dense = dense_of(graph)
     if layer.config.family == "RGCN":
         n = graph.num_nodes
         return (dense["relations"].reshape(-1, n) @ states).reshape(n, -1)
@@ -214,7 +225,7 @@ def test_duplicate_pairs_match_the_dense_oracle_on_a_packed_batch(family, kw):
     dup = N.graph_tensors(graphs[1])
     assert len(graphs[1].src) - dup.pairs.shape[1] == 2
     assert dup.cells.shape[1] == len(graphs[1].src)
-    assert dup.sum_matrix.data.max() == 1.0
+    assert dense_of(graphs[1])["sum_matrix"].max() == 1.0
     layer, _ = make_layer(family, 4, rng_seed=17, **kw)
     rows = sum(g.num_nodes for g in graphs)
     states = np.random.default_rng(18).standard_normal((rows, 4))
@@ -232,10 +243,10 @@ def test_duplicate_pairs_match_the_dense_oracle_on_a_packed_batch(family, kw):
 def test_rgcn_tape_size_does_not_grow_with_buckets(bidirectional):
     graph = all_buckets_graph()
     if not bidirectional:
-        graph = graph_of(graph.num_nodes, [e for e in graph.edges
-                                           if e.dir is G.Direction.FORWARD])
+        graph = graph_of(graph.num_nodes, [e for e in edges_of(graph)
+                                           if e.dir == FORWARD])
     gt = N.graph_tensors(graph)
-    filled = sum(m is not None for m in gt.bucket_matrices)
+    filled = sum(m.any() for m in dense_of(graph)["relations"].swapaxes(0, 1))
     assert filled == (N.NUM_RELATION_BUCKETS if bidirectional else 6)
     layer, _ = make_layer("RGCN", 4)
     states = T.Tensor(np.random.default_rng(15).standard_normal(
@@ -310,8 +321,8 @@ def test_gradients_vs_finite_differences(family, kw):
 
 
 def permute_graph(graph, perm):
-    edges = [G.Edge(int(perm[e.src]), int(perm[e.dst]), e.rel, e.dir)
-             for e in graph.edges]
+    edges = [Edge(int(perm[e.src]), int(perm[e.dst]), e.rel, e.dir)
+             for e in edges_of(graph)]
     return graph_of(graph.num_nodes, edges)
 
 
@@ -349,20 +360,20 @@ def test_locality_of_perturbation():
     out = layer.forward(T.Tensor(bumped), gt).data
     changed = {i for i in range(graph.num_nodes)
                if not np.allclose(out[i], base[i])}
-    reachable = {e.dst for e in graph.edges if e.src == u} | {u}
+    reachable = {e.dst for e in edges_of(graph) if e.src == u} | {u}
     assert changed <= reachable
 
 
 def test_graph_tensors_requires_covered_rows():
-    edges = [G.Edge(0, 0, G.RelationType.SELF, G.Direction.FORWARD)]
+    edges = [Edge(0, 0, G.RelationType.SELF, FORWARD)]
     bad = graph_of(2, edges)  # node 1 has no in-edge
     with pytest.raises(ValueError):
         N.graph_tensors(bad)
 
 
 def test_self_loops_have_no_reverse_bucket():
-    edges = [G.Edge(0, 0, G.RelationType.SELF, G.Direction.FORWARD),
-             G.Edge(0, 0, G.RelationType.SELF, G.Direction.REVERSE)]
+    edges = [Edge(0, 0, G.RelationType.SELF, FORWARD),
+             Edge(0, 0, G.RelationType.SELF, REVERSE)]
     with pytest.raises(ValueError):
         N.graph_tensors(graph_of(1, edges))
 
@@ -370,7 +381,8 @@ def test_self_loops_have_no_reverse_bucket():
 def test_benchmark_tracer_counts_graph_tensors():
     """The benchmark's tracer reads edge counts and graph-tensor bytes off
     these return values; a GraphTensors change that breaks its counters
-    fails here, not only in a traced benchmark run."""
+    fails here, not only in a traced benchmark run. The dense views it
+    sums, which nothing else reads, equal the dense oracle's arrays."""
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
     spec = importlib.util.spec_from_file_location("bench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -379,12 +391,21 @@ def test_benchmark_tracer_counts_graph_tensors():
     build = tracer.wrap("graph.build_graph", G.build_graph)
     tensors = tracer.wrap("gnn.graph_tensors", N.graph_tensors)
     ex = D.Example([D.Triple("Iraq", "language", "Arabic")])
-    gt = tensors(build(D.linearize(ex, D.DEFAULT_PROMPT,
-                                   D.build_vocabulary([ex]))))
-    assert tracer.counts["graph.edges"] > 0
+    graph = build(D.linearize(ex, D.DEFAULT_PROMPT, D.build_vocabulary([ex])))
+    gt = tensors(graph)
+    assert tracer.counts["graph.edges"] == len(graph.src)
     filled = sum(m is not None for m in gt.bucket_matrices)
     n = gt.num_nodes
     assert tracer.counts["gnn.tensor_bytes"] == n * n * (1 + 8 * (2 + filled))
+    dense = dense_of(graph)
+    assert np.array_equal(gt.in_mask, dense["in_mask"])
+    for name in ("mean_matrix", "sum_matrix"):
+        assert np.array_equal(getattr(gt, name).data, dense[name])
+    for mat, want in zip(gt.bucket_matrices, dense["relations"].swapaxes(0, 1)):
+        if want.any():
+            assert np.array_equal(mat.data, want)
+        else:
+            assert mat is None
 
 
 def test_config_validation():

@@ -67,6 +67,10 @@ def test_shape_mismatch_raises():
     x, kv = T.Tensor(np.zeros((2, 4))), T.Tensor(np.zeros((4, 4)))
     with pytest.raises(T.ShapeError):  # a negative query count
         T.attention(x, kv, kv, 2, [(-1, 2), (3, 2)])
+    with pytest.raises(T.ShapeError):  # a negative target id
+        T.cross_entropy(a, [0, -1])
+    with pytest.raises(T.ShapeError):  # a target id past the last class
+        T.cross_entropy(a, [0, 3])
 
 
 @pytest.mark.parametrize("tb", [False, True])
